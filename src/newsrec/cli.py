@@ -6,6 +6,10 @@ file values).  Configuration is validated before any input is opened, so
 a config error never leaves partial outputs.  Each run writes a manifest
 with input/output digests and per-phase wall times.
 
+``--threads`` (``run.threads``) has no effect: every command runs on one
+thread.  It is still validated (>= 1) and recorded in the manifest, so
+scripts that pass it keep working.
+
 Exit codes: 0 success, 2 config error, 3 input error, 4 numeric failure,
 5 degenerate data, 1 anything else.
 """
@@ -13,9 +17,11 @@ Exit codes: 0 success, 2 config error, 3 input error, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import analytics as ana
@@ -33,7 +39,7 @@ from .manifest import RunManifest
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override every trainer seed")
-    parser.add_argument("--threads", type=int, default=None, help="thread budget (default 1)")
+    parser.add_argument("--threads", type=int, default=None, help="accepted and recorded; has no effect")
     parser.add_argument("--config", default=None, help="JSON config file")
 
 
@@ -60,7 +66,7 @@ def _require_files(*paths: str) -> None:
 def _manifest(args, cfg: AppConfig) -> RunManifest:
     return RunManifest(
         command=args.command,
-        config=dict(cfg.to_dict(), kernel_backend=backend_name()),
+        config=dict(asdict(cfg), kernel_backend=backend_name()),
         seed=cfg.run.seed,
         threads=cfg.run.threads,
     )
@@ -98,8 +104,8 @@ def cmd_prepare(args) -> int:
     manifest.add_input(args.news)
     manifest.add_input(args.behaviors)
     with manifest.phase("parse"):
-        articles, news_errors = mind.load_news(args.news, threads=cfg.run.threads)
-        logs, behavior_errors = mind.load_behaviors(args.behaviors, threads=cfg.run.threads)
+        articles, news_errors = mind.load_news(args.news)
+        logs, behavior_errors = mind.load_behaviors(args.behaviors)
         if not articles:
             raise InputError(f"{args.news}: no parseable news records")
     with manifest.phase("clean"):
@@ -139,8 +145,7 @@ def cmd_train_glove(args) -> int:
     with manifest.phase("vocabulary"):
         vocab = gl.build_vocab(documents, min_count=cfg.glove.min_count)
     with manifest.phase("cooccurrence"):
-        matrix = gl.build_cooccurrence(documents, vocab, window=cfg.glove.window,
-                                       threads=cfg.run.threads)
+        matrix = gl.build_cooccurrence(documents, vocab, window=cfg.glove.window)
     with manifest.phase("train"):
         if cfg.glove.epochs == 0:
             table = gl.init_table(len(vocab), cfg.glove.dim, cfg.glove.seed)
@@ -174,7 +179,7 @@ def cmd_train_model(args) -> int:
         manifest.add_input(path)
     with manifest.phase("load"):
         lookup = gl.load_embeddings(args.embeddings)
-        logs, errors = mind.load_behaviors(args.behaviors, threads=cfg.run.threads)
+        logs, errors = mind.load_behaviors(args.behaviors)
         if not logs:
             raise InputError(f"{args.behaviors}: no parseable impression logs")
     with manifest.phase("train"):
@@ -202,7 +207,7 @@ def cmd_evaluate(args) -> int:
     with manifest.phase("load"):
         lookup = gl.load_embeddings(args.embeddings)
         params = mdl.load_model(args.model)
-        logs, _ = mind.load_behaviors(args.behaviors, threads=cfg.run.threads)
+        logs, _ = mind.load_behaviors(args.behaviors)
         if not logs:
             raise InputError(f"{args.behaviors}: no parseable impression logs")
     with manifest.phase("score"):
@@ -213,14 +218,9 @@ def cmd_evaluate(args) -> int:
     mind.write_text_atomic(metrics_path, report.to_json())
     pred_path = _out_path(args, "prediction.txt")
     ranked = [(r.impression_id, mind.ranks_from_scores(r.scores)) for r in results]
-    lines: list[str] = []
-
-    class _Sink:
-        def write(self, text: str) -> None:
-            lines.append(text)
-
-    mind.write_predictions(ranked, _Sink())
-    mind.write_text_atomic(pred_path, "".join(lines))
+    buf = io.StringIO()
+    mind.write_predictions(ranked, buf)
+    mind.write_text_atomic(pred_path, buf.getvalue())
     manifest.add_output(metrics_path)
     manifest.add_output(pred_path)
     manifest.write(_out_path(args, "manifest_evaluate.json"))
@@ -255,7 +255,7 @@ def cmd_recommend(args) -> int:
     else:
         _require_files(args.behaviors)
         manifest.add_input(args.behaviors)
-        logs, _ = mind.load_behaviors(args.behaviors, threads=cfg.run.threads)
+        logs, _ = mind.load_behaviors(args.behaviors)
         sequences = mind.user_click_sequences(logs)
         if args.user not in sequences:
             raise InputError(f"user {args.user!r} does not appear in {args.behaviors}")
@@ -333,8 +333,8 @@ def cmd_stats(args) -> int:
     manifest.add_input(args.news)
     manifest.add_input(args.behaviors)
     with manifest.phase("parse"):
-        articles, news_errors = mind.load_news(args.news, threads=cfg.run.threads)
-        logs, behavior_errors = mind.load_behaviors(args.behaviors, threads=cfg.run.threads)
+        articles, news_errors = mind.load_news(args.news)
+        logs, behavior_errors = mind.load_behaviors(args.behaviors)
     with manifest.phase("count"):
         stats = mind.compute_stats(articles, logs)
         title_lengths = [len(a.title.split()) for a in articles]

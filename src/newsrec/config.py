@@ -38,17 +38,6 @@ class AppConfig:
     model: ModelConfig
     run: RunSettings
 
-    def to_dict(self) -> dict:
-        return {
-            "glove": self.glove.to_dict(),
-            "model": self.model.to_dict(),
-            "run": {
-                "seed": self.run.seed,
-                "threads": self.run.threads,
-                "stopwords": self.run.stopwords,
-            },
-        }
-
 
 def _check_fields(section: str, raw: dict, allowed) -> None:
     unknown = set(raw) - set(allowed)

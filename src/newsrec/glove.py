@@ -16,8 +16,7 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -172,37 +171,16 @@ def build_cooccurrence(
     documents: Sequence[Sequence[str]],
     vocab: Vocabulary,
     window: int = 5,
-    threads: int = 1,
 ) -> CooccurrenceMatrix:
-    """Count windowed co-occurrences over tokenized documents.
-
-    With ``threads > 1`` documents are processed in contiguous shards and
-    the shard results are merged in input order, so the totals are
-    identical to a single-threaded run.
-    """
+    """Count windowed co-occurrences over tokenized documents."""
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    vocab_size = len(vocab)
-
-    def shard_chunks(docs: Sequence[Sequence[str]]) -> list[tuple[np.ndarray, np.ndarray, float]]:
-        chunks: list[tuple[np.ndarray, np.ndarray, float]] = []
-        for doc in docs:
-            ids = vocab.encode(doc)
-            if ids.size >= 2:
-                chunks.extend(_doc_pair_arrays(ids, window))
-        return chunks
-
-    if threads == 1 or len(documents) < 2 * threads:
-        all_chunks = shard_chunks(documents)
-    else:
-        bounds = np.linspace(0, len(documents), threads + 1, dtype=int)
-        shards = [documents[bounds[t]:bounds[t + 1]] for t in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(shard_chunks, shards))
-        all_chunks = [chunk for shard in results for chunk in shard]
-    return _accumulate_pairs(all_chunks, vocab_size)
+    chunks: list[tuple[np.ndarray, np.ndarray, float]] = []
+    for doc in documents:
+        ids = vocab.encode(doc)
+        if ids.size >= 2:
+            chunks.extend(_doc_pair_arrays(ids, window))
+    return _accumulate_pairs(chunks, len(vocab))
 
 
 def cooccurrence_probabilities(matrix: CooccurrenceMatrix, i: int) -> dict[int, float]:
@@ -241,18 +219,6 @@ class GloveConfig:
         if self.min_count < 1:
             raise ConfigError(f"min_count must be >= 1, got {self.min_count}")
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "window": self.window,
-            "x_max": self.x_max,
-            "alpha": self.alpha,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "min_count": self.min_count,
-            "seed": self.seed,
-        }
 
 
 @dataclass(slots=True)
@@ -461,10 +427,6 @@ class EmbeddingLookup:
         )
 
 
-def embed_lookup(lookup: EmbeddingLookup, token: str) -> np.ndarray | None:
-    return lookup.get(token)
-
-
 def _format_value(v: float) -> str:
     return np.format_float_positional(np.float32(v), unique=True, trim="0")
 
@@ -476,7 +438,7 @@ def _sidecar_path(path: str) -> str:
 def _write_sidecar(path: str, fmt: str, config: GloveConfig | None) -> None:
     meta = {"format": fmt}
     if config is not None:
-        meta["config"] = config.to_dict()
+        meta["config"] = asdict(config)
     write_text_atomic(_sidecar_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -534,7 +496,7 @@ def save_embeddings_binary(path: str, lookup: EmbeddingLookup, config: GloveConf
     os.replace(tmp, path)
     meta = {"format": "binary", "tokens": list(lookup.tokens)}
     if config is not None:
-        meta["config"] = config.to_dict()
+        meta["config"] = asdict(config)
     write_text_atomic(_sidecar_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 

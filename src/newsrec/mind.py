@@ -22,7 +22,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -139,51 +138,26 @@ def _parse_behavior_line(line: str | bytes, line_no: int):
     return ImpressionLog(impression_id, user_id, timestamp, history, tuple(candidates)), None
 
 
-def _parse_lines(lines, line_parser, threads: int):
-    """Apply a per-line parser, merging results in input order.
-
-    ``threads > 1`` splits the input into contiguous chunks; the merged
-    output is identical to the single-threaded result by construction.
-    """
+def _parse_lines(lines, line_parser):
+    """Apply a per-line parser, keeping records and errors in input order."""
     records, errors = [], []
-    if threads <= 1:
-        for line_no, line in enumerate(lines, start=1):
-            rec, err = line_parser(line, line_no)
-            if err is not None:
-                errors.append(err)
-            else:
-                records.append(rec)
-        return records, errors
-
-    all_lines = list(lines)
-    chunk = max(1, math.ceil(len(all_lines) / threads))
-    spans = [(i, all_lines[i : i + chunk]) for i in range(0, len(all_lines), chunk)]
-
-    def work(span):
-        offset, part = span
-        out = []
-        for k, line in enumerate(part):
-            out.append(line_parser(line, offset + k + 1))
-        return out
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(work, spans):
-            for rec, err in part:
-                if err is not None:
-                    errors.append(err)
-                else:
-                    records.append(rec)
+    for line_no, line in enumerate(lines, start=1):
+        rec, err = line_parser(line, line_no)
+        if err is not None:
+            errors.append(err)
+        else:
+            records.append(rec)
     return records, errors
 
 
-def parse_news(lines: Iterable[str | bytes], threads: int = 1):
+def parse_news(lines: Iterable[str | bytes]):
     """Parse news.tsv lines into (articles, parse errors)."""
-    return _parse_lines(lines, _parse_news_line, threads)
+    return _parse_lines(lines, _parse_news_line)
 
 
-def parse_behaviors(lines: Iterable[str | bytes], threads: int = 1):
+def parse_behaviors(lines: Iterable[str | bytes]):
     """Parse behaviors.tsv lines into (impression logs, parse errors)."""
-    return _parse_lines(lines, _parse_behavior_line, threads)
+    return _parse_lines(lines, _parse_behavior_line)
 
 
 def _read_binary_lines(path: str):
@@ -192,16 +166,16 @@ def _read_binary_lines(path: str):
             yield line
 
 
-def load_news(path: str, threads: int = 1):
+def load_news(path: str):
     if not os.path.isfile(path):
         raise MissingInput(f"news file not found: {path}")
-    return parse_news(_read_binary_lines(path), threads=threads)
+    return parse_news(_read_binary_lines(path))
 
 
-def load_behaviors(path: str, threads: int = 1):
+def load_behaviors(path: str):
     if not os.path.isfile(path):
         raise MissingInput(f"behaviors file not found: {path}")
-    return parse_behaviors(_read_binary_lines(path), threads=threads)
+    return parse_behaviors(_read_binary_lines(path))
 
 
 def format_behavior_line(log: ImpressionLog) -> str:

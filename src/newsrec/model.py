@@ -20,7 +20,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,38 +70,21 @@ class ModelConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "heads": self.heads,
-            "d_head": self.d_head,
-            "d_attn": self.d_attn,
-            "negatives": self.negatives,
-            "max_title_tokens": self.max_title_tokens,
-            "max_history": self.max_history,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
-
 
 @dataclass(slots=True)
 class EncoderParams:
-    """One attention encoder: per-head projections plus the pooling layer."""
+    """One attention encoder: Q, K, V projections of shape
+    (d_in, heads * d_head), head h in columns h*d_head:(h+1)*d_head, plus
+    the pooling layer."""
 
-    Wq: list[ad.Tensor]
-    Wk: list[ad.Tensor]
-    Wv: list[ad.Tensor]
+    Wq: ad.Tensor
+    Wk: ad.Tensor
+    Wv: ad.Tensor
     proj: ad.Tensor
     query: ad.Tensor
 
     def tensors(self) -> list[ad.Tensor]:
-        out: list[ad.Tensor] = []
-        for q, k, v in zip(self.Wq, self.Wk, self.Wv):
-            out.extend((q, k, v))
-        out.append(self.proj)
-        out.append(self.query)
-        return out
+        return [self.Wq, self.Wk, self.Wv, self.proj, self.query]
 
 
 @dataclass(slots=True)
@@ -120,16 +103,37 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-lim, lim, size=shape)
 
 
+def _from_head_major(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(heads, 3, d_in, d_head) per-head Q, K, V -> three (d_in, heads*d_head)."""
+    heads, _, d_in, d_head = block.shape
+    fused = block.transpose(1, 2, 0, 3).reshape(3, d_in, heads * d_head)
+    return fused[0], fused[1], fused[2]
+
+
+def _to_head_major(enc: EncoderParams, heads: int) -> np.ndarray:
+    """Inverse of ``_from_head_major``."""
+    fused = np.stack([enc.Wq.data, enc.Wk.data, enc.Wv.data])
+    _, d_in, d_model = fused.shape
+    return fused.reshape(3, d_in, heads, d_model // heads).transpose(2, 0, 1, 3)
+
+
+def _encoder_shapes(input_dim: int, cfg: ModelConfig) -> list[tuple[int, ...]]:
+    """One encoder as it is drawn and stored: per-head Q, K, V blocks, proj, query."""
+    return [(cfg.heads, 3, input_dim, cfg.d_head), (cfg.d_model, cfg.d_attn), (cfg.d_attn,)]
+
+
+def _make_encoder(block: np.ndarray, proj: np.ndarray, query: np.ndarray, tag: str) -> EncoderParams:
+    Wq, Wk, Wv = (ad.parameter(w, f"{tag}.{name}")
+                  for w, name in zip(_from_head_major(block), ("Wq", "Wk", "Wv")))
+    return EncoderParams(Wq=Wq, Wk=Wk, Wv=Wv, proj=ad.parameter(proj, f"{tag}.proj"),
+                         query=ad.parameter(query, f"{tag}.query"))
+
+
 def _init_encoder(rng: np.random.Generator, input_dim: int, cfg: ModelConfig, tag: str) -> EncoderParams:
-    d_model = cfg.d_model
-    Wq, Wk, Wv = [], [], []
-    for h in range(cfg.heads):
-        Wq.append(ad.parameter(_glorot(rng, input_dim, cfg.d_head, (input_dim, cfg.d_head)), f"{tag}.Wq{h}"))
-        Wk.append(ad.parameter(_glorot(rng, input_dim, cfg.d_head, (input_dim, cfg.d_head)), f"{tag}.Wk{h}"))
-        Wv.append(ad.parameter(_glorot(rng, input_dim, cfg.d_head, (input_dim, cfg.d_head)), f"{tag}.Wv{h}"))
-    proj = ad.parameter(_glorot(rng, d_model, cfg.d_attn, (d_model, cfg.d_attn)), f"{tag}.proj")
-    query = ad.parameter(_glorot(rng, cfg.d_attn, 1, cfg.d_attn), f"{tag}.query")
-    return EncoderParams(Wq=Wq, Wk=Wk, Wv=Wv, proj=proj, query=query)
+    block, proj, query = _encoder_shapes(input_dim, cfg)
+    return _make_encoder(_glorot(rng, input_dim, cfg.d_head, block),
+                         _glorot(rng, cfg.d_model, cfg.d_attn, proj),
+                         _glorot(rng, cfg.d_attn, 1, query), tag)
 
 
 def init_params(embed_dim: int, config: ModelConfig) -> ModelParams:
@@ -144,18 +148,22 @@ def init_params(embed_dim: int, config: ModelConfig) -> ModelParams:
 
 
 def self_attention(x: ad.Tensor, enc: EncoderParams, d_head: int) -> ad.Tensor:
-    """Multi-head scaled dot-product self-attention over rows of ``x``."""
-    inv_sqrt = 1.0 / math.sqrt(d_head)
-    head_outputs = []
-    for Wq, Wk, Wv in zip(enc.Wq, enc.Wk, enc.Wv):
-        q = ad.matmul(x, Wq)
-        k = ad.matmul(x, Wk)
-        v = ad.matmul(x, Wv)
-        attn = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt))
-        head_outputs.append(ad.matmul(attn, v))
-    if len(head_outputs) == 1:
-        return head_outputs[0]
-    return ad.concat(head_outputs, axis=1)
+    """Multi-head scaled dot-product self-attention over rows of ``x``.
+
+    All heads run at once: each projection is split into (heads, n, d_head)
+    and the scores are one batched matmul.
+    """
+    n, d_model = x.shape[0], enc.Wq.shape[1]
+    heads = d_model // d_head
+
+    def split(w: ad.Tensor, axes: tuple[int, int, int]) -> ad.Tensor:
+        return ad.transpose(ad.reshape(ad.matmul(x, w), (n, heads, d_head)), axes)
+
+    q = split(enc.Wq, (1, 0, 2))
+    k_t = split(enc.Wk, (1, 2, 0))
+    v = split(enc.Wv, (1, 0, 2))
+    attn = ad.softmax(ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(d_head)))
+    return ad.reshape(ad.transpose(ad.matmul(attn, v), (1, 0, 2)), (n, d_model))
 
 
 def additive_pool(seq: ad.Tensor, enc: EncoderParams) -> ad.Tensor:
@@ -354,38 +362,48 @@ def train_model(
         )
     optimizer = Adam(params.tensors(), config.learning_rate)
     trace: list[float] = []
-    for _ in range(config.epochs):
-        order = shuffle_rng.permutation(len(samples))
-        epoch_losses: list[float] = []
-        for start in range(0, len(order), config.batch_size):
-            batch = [samples[i] for i in order[start : start + config.batch_size]]
-            news_cache: dict[str, ad.Tensor] = {}
-
-            def news_vec(nid: str) -> ad.Tensor:
-                vec = news_cache.get(nid)
-                if vec is None:
-                    vec = encode_news(news_tokens[nid], lookup, params)
-                    news_cache[nid] = vec
-                return vec
-
-            losses = []
-            for sample in batch:
-                history = ad.stack([news_vec(nid) for nid in sample.history])
-                user_vec = encode_user(history, params)
-                cands = [news_vec(sample.positive)]
-                cands.extend(news_vec(nid) for nid in sample.negatives)
-                losses.append(sample_loss(user_vec, cands))
-            batch_loss = ad.mean(ad.stack(losses))
-            if not math.isfinite(batch_loss.item()):
-                raise DivergedCost(
-                    f"training loss became non-finite (learning_rate={config.learning_rate})"
-                )
-            ad.backward(batch_loss)
-            optimizer.step()
-            epoch_losses.extend(l.item() for l in losses)
-        _check_finite(params)
-        trace.append(math.fsum(epoch_losses) / len(epoch_losses))
+    with ad.collector_paused():
+        for _ in range(config.epochs):
+            order = shuffle_rng.permutation(len(samples))
+            epoch_losses: list[float] = []
+            for start in range(0, len(order), config.batch_size):
+                batch = [samples[i] for i in order[start : start + config.batch_size]]
+                epoch_losses.extend(_train_batch(batch, news_tokens, lookup, params, optimizer))
+            _check_finite(params)
+            trace.append(math.fsum(epoch_losses) / len(epoch_losses))
     return params, trace
+
+
+def _train_batch(batch: Sequence[TrainSample], news_tokens: Mapping[str, Sequence[str]],
+                 lookup: EmbeddingLookup, params: ModelParams, optimizer: Adam) -> list[float]:
+    """One Adam step on one batch; returns the per-sample losses.
+
+    The batch's graph is freed on return, before the next batch builds its own.
+    """
+    news_cache: dict[str, ad.Tensor] = {}
+
+    def news_vec(nid: str) -> ad.Tensor:
+        vec = news_cache.get(nid)
+        if vec is None:
+            vec = encode_news(news_tokens[nid], lookup, params)
+            news_cache[nid] = vec
+        return vec
+
+    losses = []
+    for sample in batch:
+        history = ad.stack([news_vec(nid) for nid in sample.history])
+        user_vec = encode_user(history, params)
+        cands = [news_vec(sample.positive)]
+        cands.extend(news_vec(nid) for nid in sample.negatives)
+        losses.append(sample_loss(user_vec, cands))
+    batch_loss = ad.mean(ad.stack(losses))
+    if not math.isfinite(batch_loss.item()):
+        raise DivergedCost(
+            f"training loss became non-finite (learning_rate={optimizer.lr})"
+        )
+    ad.backward(batch_loss)
+    optimizer.step()
+    return [l.item() for l in losses]
 
 
 def news_vector(tokens: Sequence[str], lookup: EmbeddingLookup, params: ModelParams) -> np.ndarray:
@@ -454,20 +472,20 @@ def loss_trace_csv(trace: Sequence[float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_from_dict(raw: dict) -> tuple[int, ModelConfig]:
-    embed_dim = int(raw["embed_dim"])
-    fields = {k: raw[k] for k in ModelConfig().to_dict() if k in raw}
-    return embed_dim, replace(ModelConfig(), **fields)
-
-
 def save_model(path: str, params: ModelParams) -> None:
     """Header (magic, length-prefixed config JSON) then tensors as
-    little-endian float32 in declared order: news encoder per-head
-    Q, K, V, then proj and query; user encoder the same."""
-    header = dict(params.config.to_dict(), embed_dim=params.embed_dim)
+    little-endian float32: news encoder Q, K, V as (heads, 3, d_in, d_head)
+    per-head blocks, then proj and query; user encoder the same.
+
+    The per-head order is the on-disk format only; in memory each of Q, K
+    and V is one (d_in, heads*d_head) tensor.
+    """
+    header = dict(asdict(params.config), embed_dim=params.embed_dim)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     chunks = [MODEL_MAGIC, struct.pack("<I", len(blob)), blob]
-    chunks.extend(np.ascontiguousarray(t.data, dtype="<f4").tobytes() for t in params.tensors())
+    for enc in (params.news, params.user):
+        for arr in (_to_head_major(enc, params.config.heads), enc.proj.data, enc.query.data):
+            chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(b"".join(chunks))
@@ -475,23 +493,34 @@ def save_model(path: str, params: ModelParams) -> None:
 
 
 def load_model(path: str) -> ModelParams:
+    """Read a ``save_model`` checkpoint; any truncated or garbled part of
+    the file raises ConfigError naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ConfigError(f"{path} is not a model checkpoint (bad magic)")
-    (json_len,) = struct.unpack_from("<I", blob, len(MODEL_MAGIC))
     start = len(MODEL_MAGIC) + 4
-    raw = json.loads(blob[start : start + json_len].decode("utf-8"))
-    embed_dim, config = _config_from_dict(raw)
-    params = init_params(embed_dim, config)
+    try:
+        (json_len,) = struct.unpack_from("<I", blob, len(MODEL_MAGIC))
+        raw = json.loads(blob[start : start + json_len].decode("utf-8"))
+        embed_dim = int(raw["embed_dim"])
+        if embed_dim < 1:
+            raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
+        config = replace(ModelConfig(), **{f.name: raw[f.name] for f in fields(ModelConfig)
+                                           if f.name in raw}).validate()
+        shapes = _encoder_shapes(embed_dim, config) + _encoder_shapes(config.d_model, config)
+    except (ConfigError, struct.error, UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path} has a truncated or garbled header: {exc}") from exc
     offset = start + json_len
-    for t in params.tensors():
-        count = t.data.size
-        values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        offset += count * 4
-        t.data = values.reshape(t.data.shape).astype(np.float64)
-    if offset != len(blob):
+    sizes = [math.prod(shape) for shape in shapes]
+    if len(blob) - offset != 4 * sum(sizes):
         raise ConfigError(
-            f"{path} has {len(blob) - offset} trailing bytes; checkpoint does not match its config"
+            f"{path} holds {len(blob) - offset} tensor bytes where its config needs "
+            f"{4 * sum(sizes)}; the checkpoint is truncated or has trailing bytes"
         )
-    return params
+    values = np.frombuffer(blob, dtype="<f4", offset=offset).astype(np.float64)
+    arrays = [part.reshape(shape) for part, shape
+              in zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
+    return ModelParams(embed_dim=embed_dim, config=config,
+                       news=_make_encoder(*arrays[:3], "news"),
+                       user=_make_encoder(*arrays[3:], "user"))

@@ -319,7 +319,7 @@ def test_pipeline_learns_planted_preferences(pipeline500):
         metrics = json.load(fh)
 
     logs, errors = mind.load_behaviors(
-        os.path.join(pipeline500["fixture"], "behaviors_test.tsv"), threads=1)
+        os.path.join(pipeline500["fixture"], "behaviors_test.tsv"))
     assert not errors
     rng = np.random.default_rng(123)
     random_report = mx.evaluate(
@@ -366,8 +366,8 @@ def test_dataset_scale_counters():
         print("[acceptance 9/9] dataset-scale counters: SKIP "
               "(point NEWSREC_MIND_DIR at a MIND-large train directory)", flush=True)
         pytest.skip("MIND files not present")
-    articles, _ = mind.load_news(news_path, threads=4)
-    logs, _ = mind.load_behaviors(behaviors_path, threads=4)
+    articles, _ = mind.load_news(news_path)
+    logs, _ = mind.load_behaviors(behaviors_path)
     stats = mind.compute_stats(articles, logs)
     lengths = [len(a.title.split()) for a in articles]
     mean_len = sum(lengths) / len(lengths)

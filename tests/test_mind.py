@@ -44,14 +44,6 @@ def test_parse_news_mixed_fixture_counts():
     assert len(articles) + len(errors) == len(lines)
 
 
-def test_parse_news_threaded_equals_serial():
-    lines = [f"N{i}\tcat\tsub\tTitle {i}\tAbs {i}\tu\t[]\t[]" for i in range(37)]
-    lines[7] = "bad"
-    serial = mind.parse_news(lines, threads=1)
-    parallel = mind.parse_news(lines, threads=4)
-    assert serial == parallel
-
-
 def test_parse_behaviors_splits_labeled_candidates():
     line = "1\tU1\t11/11/2019 9:05:58 AM\tN100 N101\tN5-1 N7-0 N9-0"
     logs, errors = mind.parse_behaviors([line])

@@ -1,6 +1,8 @@
 """Attention encoders, click scoring, the NCE loss, and the trainer."""
 
+import json
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import newsrec.autodiff as ad
 import newsrec.glove as gl
 import newsrec.model as mdl
-from newsrec.errors import EmptyHistory, InsufficientNegatives, NoKnownTokens
+from newsrec.errors import ConfigError, EmptyHistory, InsufficientNegatives, NoKnownTokens
 
 from conftest import make_lookup, rel_err
 
@@ -29,11 +31,13 @@ def tiny_params(embed_dim=4, **kw):
 
 
 def naive_attention(x, enc, d_head):
+    """Per-head loop over the column slices h*d_head:(h+1)*d_head."""
     outs = []
-    for wq, wk, wv in zip(enc.Wq, enc.Wk, enc.Wv):
-        q = x @ wq.data
-        k = x @ wk.data
-        v = x @ wv.data
+    for h in range(enc.Wq.shape[1] // d_head):
+        cols = slice(h * d_head, (h + 1) * d_head)
+        q = x @ enc.Wq.data[:, cols]
+        k = x @ enc.Wk.data[:, cols]
+        v = x @ enc.Wv.data[:, cols]
         s = (q @ k.T) / math.sqrt(d_head)
         a = np.exp(s - s.max(axis=1, keepdims=True))
         a /= a.sum(axis=1, keepdims=True)
@@ -57,7 +61,7 @@ class TestSelfAttention:
         params = tiny_params()
         x = RNG.normal(size=(1, 4))
         out = mdl.self_attention(ad.constant(x), params.news, 3).data
-        want = np.concatenate([x @ wv.data for wv in params.news.Wv], axis=1)
+        want = x @ params.news.Wv.data
         assert rel_err(out, want) <= 1e-12
 
     def test_identical_rows_give_identical_outputs(self):
@@ -441,3 +445,58 @@ class TestCheckpoint:
         back = mdl.load_model(path)
         v1 = mdl.news_vector(("a", "b"), lookup, back)
         assert np.isfinite(v1).all()
+
+    def per_head_checkpoint(self, params):
+        """A checkpoint built by hand: header, then per encoder each head's
+        Q, K, V column block, then proj and query, all float32."""
+        cfg = params.config
+        header = json.dumps({
+            "batch_size": cfg.batch_size, "d_attn": cfg.d_attn, "d_head": cfg.d_head,
+            "embed_dim": params.embed_dim, "epochs": cfg.epochs, "heads": cfg.heads,
+            "learning_rate": cfg.learning_rate, "max_history": cfg.max_history,
+            "max_title_tokens": cfg.max_title_tokens, "negatives": cfg.negatives,
+            "seed": cfg.seed,
+        }, sort_keys=True).encode("utf-8")
+        parts = [b"NRECMDL1", struct.pack("<I", len(header)), header]
+        for enc in (params.news, params.user):
+            for h in range(cfg.heads):
+                cols = slice(h * cfg.d_head, (h + 1) * cfg.d_head)
+                for w in (enc.Wq, enc.Wk, enc.Wv):
+                    parts.append(np.ascontiguousarray(w.data[:, cols], dtype="<f4").tobytes())
+            parts.append(enc.proj.data.astype("<f4").tobytes())
+            parts.append(enc.query.data.astype("<f4").tobytes())
+        return b"".join(parts)
+
+    def test_bytes_follow_per_head_qkv_order(self, tmp_path):
+        params = tiny_params(heads=3)
+        path = tmp_path / "model.bin"
+        mdl.save_model(str(path), params)
+        assert path.read_bytes() == self.per_head_checkpoint(params)
+
+    def test_truncated_checkpoint_is_a_config_error(self, tmp_path):
+        params = tiny_params()
+        path = tmp_path / "model.bin"
+        mdl.save_model(str(path), params)
+        blob = path.read_bytes()
+        cut_path = tmp_path / "cut.bin"
+        for cut in range(len(blob)):
+            cut_path.write_bytes(blob[:cut])
+            with pytest.raises(ConfigError, match="cut.bin"):
+                mdl.load_model(str(cut_path))
+
+    @pytest.mark.parametrize("header", [
+        b"{not json", b"\xff\xfe", b"[1, 2]", b'{"heads": 2}',
+        b'{"embed_dim": "four"}', b'{"embed_dim": 4, "heads": "two"}',
+        b'{"embed_dim": 4, "heads": 0}', b'{"embed_dim": 4, "heads": 1000000000000}',
+    ])
+    def test_garbled_header_is_a_config_error(self, tmp_path, header):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"NRECMDL1" + struct.pack("<I", len(header)) + header + b"\0" * 64)
+        with pytest.raises(ConfigError, match="bad.bin"):
+            mdl.load_model(str(path))
+
+    def test_oversized_header_length_is_a_config_error(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"NRECMDL1" + struct.pack("<I", 2 ** 31) + b'{"embed_dim": 4}')
+        with pytest.raises(ConfigError, match="bad.bin"):
+            mdl.load_model(str(path))
