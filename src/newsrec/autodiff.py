@@ -1,22 +1,19 @@
 """Reverse-mode automatic differentiation over small numpy arrays.
 
-Just enough machinery for the attention encoders: tensors of rank <= 3
-(float64 throughout), a fixed set of differentiable operations, and an
-iterative backward pass.  Each op records its parents and a closure that
-scatters the incoming gradient; ``backward`` topologically sorts the
-graph (no recursion, cycles are impossible by construction and asserted),
-then accumulates into zeroed buffers, each made when its first gradient
-arrives; an interior node's gradient is dropped once passed on.
-
-Multi-head attention runs all heads at once: ``reshape`` and
-``transpose(axes)`` move the heads to a leading axis, and ``matmul``
-multiplies rank-3 operands batched over that axis.
+The engine is small because the model hands it large nodes: each call of
+an attention encoder is one node whose backward is derived by hand (see
+``model._encode_sequence``).  What is left here joins those nodes into a
+loss: ``stack``, ``sub``, ``dot``, ``pick``, ``mean`` and ``logsumexp``
+over float64 tensors of rank <= 3.  Each op records its parents and a
+closure that scatters the incoming gradient; ``backward`` topologically
+sorts the graph (no recursion, cycles are impossible by construction and
+asserted), then accumulates into zeroed buffers, each made when its first
+gradient arrives, so a news vector shared by several samples of a batch
+gets the sum of their gradients; an interior node's gradient is dropped
+once passed on.
 """
 
 from __future__ import annotations
-
-import contextlib
-import gc
 
 import numpy as np
 
@@ -111,91 +108,6 @@ def backward(root: Tensor) -> None:
             node.grad = None
 
 
-@contextlib.contextmanager
-def collector_paused():
-    """Pause Python's cyclic garbage collector while graphs are built and run.
-
-    A graph holds no reference cycle (a node refers only to its parents, and
-    its ``bwd`` closure only to those parents and to arrays), so reference
-    counting frees it when its root goes.  The collector only slows it down: the live graph of a training
-    batch, tens of thousands of objects, reaches the oldest generation and
-    each full collection walks all of it again.  With the default model on
-    2 vCPUs that took up to a fifth of a training step, and a different
-    share on every step.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2D@2D, 1D@2D, 2D@1D, or 3D@3D batched over an equal
-    leading axis."""
-    A, B = a.data, b.data
-    if A.ndim == 3 or B.ndim == 3:
-        if A.ndim != B.ndim or A.shape[0] != B.shape[0]:
-            raise ShapeMismatch(f"batched matmul needs two rank-3 operands with equal batch, "
-                                f"got {A.shape} @ {B.shape}")
-    elif A.ndim == 0 or B.ndim == 0:
-        raise ShapeMismatch("matmul operands must be at least rank 1")
-    inner = B.shape[-2] if B.ndim > 1 else B.shape[0]
-    if A.shape[-1] != inner:
-        raise ShapeMismatch(f"matmul inner dimensions differ: {A.shape} @ {B.shape}")
-    out = Tensor(A @ B, (a, b))
-
-    def bwd(g):
-        if a.requires_grad:
-            if A.ndim == 1:
-                a.grad += B @ g
-            elif B.ndim == 1:
-                a.grad += np.outer(g, B)
-            else:
-                a.grad += g @ np.swapaxes(B, -1, -2)
-        if b.requires_grad:
-            if A.ndim == 1:
-                b.grad += np.outer(A, g)
-            else:
-                b.grad += np.swapaxes(A, -1, -2) @ g
-
-    out.bwd = bwd
-    return out
-
-
-def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    """Permute axes (reverse them when ``axes`` is None), as numpy does."""
-    if axes is not None and sorted(axes) != list(range(a.ndim)):
-        raise ShapeMismatch(f"transpose axes {axes} do not permute a rank-{a.ndim} tensor")
-    out = Tensor(np.transpose(a.data, axes), (a,))
-    inverse = None if axes is None else tuple(np.argsort(axes))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += np.transpose(g, inverse)
-
-    out.bwd = bwd
-    return out
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Same elements in C order, new shape."""
-    try:
-        y = a.data.reshape(shape)
-    except ValueError as exc:
-        raise ShapeMismatch(f"cannot reshape {a.shape} to {shape}") from exc
-    out = Tensor(y, (a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g.reshape(a.shape)
-
-    out.bwd = bwd
-    return out
-
-
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"sub shapes differ: {a.shape} vs {b.shape}")
@@ -206,30 +118,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
             a.grad += g
         if b.requires_grad:
             b.grad -= g
-
-    out.bwd = bwd
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c, (a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g * c
-
-    out.bwd = bwd
-    return out
-
-
-def shift(a: Tensor, c: float) -> Tensor:
-    """Add a constant; gradient passes through unchanged."""
-    out = Tensor(a.data + float(c), (a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g
 
     out.bwd = bwd
     return out
@@ -248,70 +136,6 @@ def stack(parts: list[Tensor]) -> Tensor:
         for k, p in enumerate(parts):
             if p.requires_grad:
                 p.grad += g[k]
-
-    out.bwd = bwd
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y, (a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g * (1.0 - y * y)
-
-    out.bwd = bwd
-    return out
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Row softmax over the last axis, computed with max subtraction."""
-    x = a.data
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=-1, keepdims=True)
-    out = Tensor(y, (a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            inner = np.sum(g * y, axis=-1, keepdims=True)
-            a.grad += y * (g - inner)
-
-    out.bwd = bwd
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data), (a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g / a.data
-
-    out.bwd = bwd
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y, (a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g * y
-
-    out.bwd = bwd
-    return out
-
-
-def total(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    out = Tensor(np.sum(a.data), (a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g
 
     out.bwd = bwd
     return out
@@ -366,4 +190,13 @@ def logsumexp(a: Tensor) -> Tensor:
     if a.ndim != 1:
         raise ShapeMismatch(f"logsumexp expects a vector, got rank {a.ndim}")
     m = float(np.max(a.data))
-    return shift(log(total(exp(shift(a, -m)))), m)
+    e = np.exp(a.data - m)
+    s = np.sum(e)
+    out = Tensor(np.log(s) + m, (a,))
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += (g / s) * e
+
+    out.bwd = bwd
+    return out

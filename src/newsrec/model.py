@@ -147,34 +147,79 @@ def init_params(embed_dim: int, config: ModelConfig) -> ModelParams:
     return ModelParams(embed_dim=embed_dim, config=config, news=news, user=user)
 
 
-def self_attention(x: ad.Tensor, enc: EncoderParams, d_head: int) -> ad.Tensor:
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed with max subtraction."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient with respect to a softmax's input, given its output ``y``
+    and the gradient ``g`` with respect to that output."""
+    return y * (g - np.sum(g * y, axis=-1, keepdims=True))
+
+
+def self_attention(x: np.ndarray, enc: EncoderParams, d_head: int):
     """Multi-head scaled dot-product self-attention over rows of ``x``.
 
     All heads run at once: each projection is split into (heads, n, d_head)
-    and the scores are one batched matmul.
+    and the scores are one batched matmul.  Returns the (n, heads*d_head)
+    output and (q, k, v, attn), which the backward pass reuses.
     """
     n, d_model = x.shape[0], enc.Wq.shape[1]
     heads = d_model // d_head
-
-    def split(w: ad.Tensor, axes: tuple[int, int, int]) -> ad.Tensor:
-        return ad.transpose(ad.reshape(ad.matmul(x, w), (n, heads, d_head)), axes)
-
-    q = split(enc.Wq, (1, 0, 2))
-    k_t = split(enc.Wk, (1, 2, 0))
-    v = split(enc.Wv, (1, 0, 2))
-    attn = ad.softmax(ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(d_head)))
-    return ad.reshape(ad.transpose(ad.matmul(attn, v), (1, 0, 2)), (n, d_model))
+    q, k, v = ((x @ w.data).reshape(n, heads, d_head).transpose(1, 0, 2)
+               for w in (enc.Wq, enc.Wk, enc.Wv))
+    attn = softmax((q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(d_head)))
+    out = (attn @ v).transpose(1, 0, 2).reshape(n, d_model)
+    return out, (q, k, v, attn)
 
 
-def additive_pool(seq: ad.Tensor, enc: EncoderParams) -> ad.Tensor:
-    """Collapse a (length, d) sequence to one d-vector by learned weights."""
-    scores = ad.matmul(ad.tanh(ad.matmul(seq, enc.proj)), enc.query)
-    weights = ad.softmax(scores)
-    return ad.matmul(weights, seq)
+def additive_pool(seq: np.ndarray, enc: EncoderParams):
+    """Collapse a (length, d) sequence to one d-vector by learned weights.
+
+    Returns the vector and (hidden, weights), which the backward pass reuses.
+    """
+    hidden = np.tanh(seq @ enc.proj.data)
+    weights = softmax(hidden @ enc.query.data)
+    return weights @ seq, (hidden, weights)
+
+
+def _encode(x: np.ndarray, enc: EncoderParams, d_head: int) -> np.ndarray:
+    return additive_pool(self_attention(x, enc, d_head)[0], enc)[0]
 
 
 def _encode_sequence(x: ad.Tensor, enc: EncoderParams, d_head: int) -> ad.Tensor:
-    return additive_pool(self_attention(x, enc, d_head), enc)
+    """Attention then pooling as one autodiff node with a hand-derived backward.
+
+    The node's parents are ``x`` and the encoder's five tensors; ``x`` gets
+    a gradient only when it requires one (the user encoder's history).
+    """
+    seq, (q, k, v, attn) = self_attention(x.data, enc, d_head)
+    vec, (hidden, weights) = additive_pool(seq, enc)
+    out = ad.Tensor(vec, (x, *enc.tensors()))
+    n, d_model = seq.shape
+    heads = d_model // d_head
+
+    def bwd(g):
+        # pooling: vec = weights @ seq, weights = softmax(tanh(seq @ proj) @ query)
+        d_scores = softmax_grad(weights, seq @ g)
+        enc.query.grad += hidden.T @ d_scores
+        d_hidden = np.outer(d_scores, enc.query.data) * (1.0 - hidden * hidden)
+        enc.proj.grad += seq.T @ d_hidden
+        d_seq = np.outer(weights, g) + d_hidden @ enc.proj.data.T
+        # attention, per head: seq = attn @ v, attn = softmax(q @ k.T / sqrt(d_head))
+        d_heads = d_seq.reshape(n, heads, d_head).transpose(1, 0, 2)
+        d_s = softmax_grad(attn, d_heads @ v.transpose(0, 2, 1)) * (1.0 / math.sqrt(d_head))
+        grads = (d_s @ k, d_s.transpose(0, 2, 1) @ q, attn.transpose(0, 2, 1) @ d_heads)
+        for w, d in zip((enc.Wq, enc.Wk, enc.Wv), grads):
+            d = d.transpose(1, 0, 2).reshape(n, d_model)
+            w.grad += x.data.T @ d
+            if x.requires_grad:
+                x.grad += d @ w.data.T
+
+    out.bwd = bwd
+    return out
 
 
 def title_embedding_rows(tokens: Sequence[str], lookup: EmbeddingLookup, max_tokens: int) -> np.ndarray:
@@ -362,15 +407,14 @@ def train_model(
         )
     optimizer = Adam(params.tensors(), config.learning_rate)
     trace: list[float] = []
-    with ad.collector_paused():
-        for _ in range(config.epochs):
-            order = shuffle_rng.permutation(len(samples))
-            epoch_losses: list[float] = []
-            for start in range(0, len(order), config.batch_size):
-                batch = [samples[i] for i in order[start : start + config.batch_size]]
-                epoch_losses.extend(_train_batch(batch, news_tokens, lookup, params, optimizer))
-            _check_finite(params)
-            trace.append(math.fsum(epoch_losses) / len(epoch_losses))
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(samples))
+        epoch_losses: list[float] = []
+        for start in range(0, len(order), config.batch_size):
+            batch = [samples[i] for i in order[start : start + config.batch_size]]
+            epoch_losses.extend(_train_batch(batch, news_tokens, lookup, params, optimizer))
+        _check_finite(params)
+        trace.append(math.fsum(epoch_losses) / len(epoch_losses))
     return params, trace
 
 
@@ -407,8 +451,9 @@ def _train_batch(batch: Sequence[TrainSample], news_tokens: Mapping[str, Sequenc
 
 
 def news_vector(tokens: Sequence[str], lookup: EmbeddingLookup, params: ModelParams) -> np.ndarray:
-    """Numeric news vector for inference paths (no gradient kept)."""
-    return encode_news(tokens, lookup, params).data.copy()
+    """Numeric news vector for inference paths: the training forward, no graph."""
+    rows = title_embedding_rows(tokens, lookup, params.config.max_title_tokens)
+    return _encode(rows, params.news, params.config.d_head)
 
 
 def user_vector(
@@ -417,8 +462,7 @@ def user_vector(
     """Numeric user vector from already-encoded clicked news; zero if empty."""
     if not history_vectors:
         return cold_start_user_vector(params)
-    history = ad.constant(np.stack(history_vectors))
-    return encode_user(history, params).data.copy()
+    return _encode(np.stack(history_vectors), params.user, params.config.d_head)
 
 
 def score_impression_logs(

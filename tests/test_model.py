@@ -60,7 +60,7 @@ class TestSelfAttention:
     def test_single_row_reduces_to_value_projection(self):
         params = tiny_params()
         x = RNG.normal(size=(1, 4))
-        out = mdl.self_attention(ad.constant(x), params.news, 3).data
+        out = mdl.self_attention(x, params.news, 3)[0]
         want = x @ params.news.Wv.data
         assert rel_err(out, want) <= 1e-12
 
@@ -68,22 +68,22 @@ class TestSelfAttention:
         params = tiny_params()
         row = RNG.normal(size=4)
         x = np.stack([row, row, row])
-        out = mdl.self_attention(ad.constant(x), params.news, 3).data
+        out = mdl.self_attention(x, params.news, 3)[0]
         assert rel_err(out[1], out[0]) <= 1e-12
         assert rel_err(out[2], out[0]) <= 1e-12
 
     def test_matches_naive_oracle(self):
         params = tiny_params()
         x = RNG.normal(size=(5, 4))
-        out = mdl.self_attention(ad.constant(x), params.news, 3).data
+        out = mdl.self_attention(x, params.news, 3)[0]
         assert rel_err(out, naive_attention(x, params.news, 3)) <= 1e-10
 
     def test_permutation_equivariant(self):
         params = tiny_params()
         x = RNG.normal(size=(6, 4))
         perm = RNG.permutation(6)
-        out = mdl.self_attention(ad.constant(x), params.news, 3).data
-        out_p = mdl.self_attention(ad.constant(x[perm]), params.news, 3).data
+        out = mdl.self_attention(x, params.news, 3)[0]
+        out_p = mdl.self_attention(x[perm], params.news, 3)[0]
         assert rel_err(out_p, out[perm]) <= 1e-12
 
 
@@ -91,26 +91,26 @@ class TestAdditivePool:
     def test_single_row_passes_through(self):
         params = tiny_params()
         y = RNG.normal(size=(1, 6))
-        out = mdl.additive_pool(ad.constant(y), params.user).data
+        out = mdl.additive_pool(y, params.user)[0]
         assert rel_err(out, y[0]) <= 1e-12
 
     def test_identical_rows_return_that_row(self):
         params = tiny_params()
         row = RNG.normal(size=6)
-        out = mdl.additive_pool(ad.constant(np.stack([row, row])), params.user).data
+        out = mdl.additive_pool(np.stack([row, row]), params.user)[0]
         assert rel_err(out, row) <= 1e-12
 
     def test_matches_naive_oracle(self):
         params = tiny_params()
         y = RNG.normal(size=(5, 6))
-        out = mdl.additive_pool(ad.constant(y), params.user).data
+        out = mdl.additive_pool(y, params.user)[0]
         assert rel_err(out, naive_pool(y, params.user)) <= 1e-10
 
     def test_output_in_convex_hull_of_rows(self):
         params = tiny_params()
         for _ in range(10):
             y = RNG.normal(size=(4, 6))
-            out = mdl.additive_pool(ad.constant(y), params.user).data
+            out = mdl.additive_pool(y, params.user)[0]
             lo = y.min(axis=0) - 1e-12
             hi = y.max(axis=0) + 1e-12
             assert np.all(out >= lo) and np.all(out <= hi)
@@ -296,6 +296,40 @@ class TestTrainerGradients:
             scale = np.maximum(np.maximum(np.abs(fd), np.abs(got)), 1.0)
             worst = max(worst, float(np.max(np.abs(fd - got) / scale)))
         assert worst <= 1e-4
+
+    def test_one_encoder_node_matches_central_differences(self):
+        """The hand-derived backward of one ``_encode_sequence`` node, with
+        respect to its input rows and to each of the encoder's tensors."""
+        params = tiny_params()
+        x0 = RNG.normal(size=(5, 6))
+        w = RNG.normal(size=6)
+        x = ad.parameter(x0.copy())
+        node = mdl._encode_sequence(x, params.user, 3)
+        assert node.parents == (x, *params.user.tensors())
+        ad.backward(ad.dot(node, ad.constant(w)))
+
+        def f():
+            return float(mdl._encode(x0, params.user, 3) @ w)
+
+        h = 1e-6
+        for arr, got in [(x0, x.grad)] + [(t.data, t.grad) for t in params.user.tensors()]:
+            fd = np.zeros_like(arr)
+            for idx in np.ndindex(arr.shape):
+                keep = arr[idx]
+                arr[idx] = keep + h
+                up = f()
+                arr[idx] = keep - h
+                down = f()
+                arr[idx] = keep
+                fd[idx] = (up - down) / (2.0 * h)
+            assert np.max(np.abs(got - fd)) <= 1e-7 * max(1.0, float(np.max(np.abs(fd))))
+
+    def test_constant_input_gets_no_gradient(self):
+        params = tiny_params()
+        x = ad.constant(RNG.normal(size=(3, 4)))
+        ad.backward(ad.mean(mdl._encode_sequence(x, params.news, 3)))
+        assert x.grad is None
+        assert all(t.grad is not None for t in params.news.tensors())
 
 
 def planted_setup(seed=0):
