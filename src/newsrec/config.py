@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .errors import ConfigError, MissingInput
+from .errors import ConfigError, MissingInput, check_field_types
 from .glove import GloveConfig
 from .model import ModelConfig
 
@@ -27,6 +27,7 @@ class RunSettings:
     stopwords: str | None = None
 
     def validate(self) -> "RunSettings":
+        check_field_types(self)
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         return self

@@ -3,7 +3,13 @@
 The base classes carry the process exit code the CLI maps them to, so a
 failing subcommand exits with a distinct, scriptable status per error
 family (2 config, 3 input, 4 numeric, 5 degenerate data).
+``check_field_types`` is the type check every config dataclass's
+``validate`` runs first, so a mistyped value exits 2, not with a
+traceback.
 """
+
+import dataclasses
+import numbers
 
 
 class NewsrecError(Exception):
@@ -14,6 +20,28 @@ class ConfigError(NewsrecError):
     """Invalid configuration value, flag, or config file."""
 
     exit_code = 2
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError for a field of the dataclass ``config`` whose value
+    does not fit its ``int`` or ``float`` annotation.
+
+    An int field takes only integers, a float field any real number; a bool
+    is neither.  None passes where the annotation allows it.
+    """
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        kinds = str(field.type).split(" | ")
+        if value is None and "None" in kinds:
+            continue
+        if "int" in kinds:
+            want, ok = "an integer", isinstance(value, numbers.Integral)
+        elif "float" in kinds:
+            want, ok = "a number", isinstance(value, numbers.Real)
+        else:
+            continue
+        if isinstance(value, bool) or not ok:
+            raise ConfigError(f"{field.name} must be {want}, got {value!r}")
 
 
 class InputError(NewsrecError):

@@ -29,6 +29,7 @@ from .errors import (
     EmptyRow,
     EmptyVocabulary,
     NonfiniteParameter,
+    check_field_types,
 )
 from .mind import write_text_atomic
 
@@ -204,6 +205,7 @@ class GloveConfig:
     seed: int = 1
 
     def validate(self) -> "GloveConfig":
+        check_field_types(self)
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.window < 1:
@@ -467,14 +469,21 @@ def save_embeddings_text(path: str, lookup: EmbeddingLookup, config: GloveConfig
 def load_embeddings_text(path: str) -> EmbeddingLookup:
     tokens: list[str] = []
     rows: list[np.ndarray] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            tokens.append(parts[0])
-            rows.append(np.array([np.float32(p) for p in parts[1:]], dtype=np.float64))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split(" ")
+                tokens.append(parts[0])
+                try:
+                    rows.append(np.array([np.float32(p) for p in parts[1:]], dtype=np.float64))
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{path}:{lineno}: embedding component is not a number: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not valid UTF-8: {exc}") from exc
     if not tokens:
         raise EmptyVocabulary(f"embedding file {path} has no rows")
     widths = {r.size for r in rows}

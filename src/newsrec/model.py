@@ -10,7 +10,7 @@ candidates from the same impression form the negatives, and the loss is
 
 Sequences stay ragged (no padding, no positional signal); titles are
 truncated to the first ``max_title_tokens`` tokens and histories to the
-``max_history`` most recent clicks.
+``max_history`` most recent encodable clicks (``usable_history``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import (
     InsufficientNegatives,
     NoKnownTokens,
     NonfiniteParameter,
+    check_field_types,
 )
 from .glove import EmbeddingLookup
 from .metrics import ImpressionResult
@@ -60,6 +61,7 @@ class ModelConfig:
         return self.heads * self.d_head
 
     def validate(self) -> "ModelConfig":
+        check_field_types(self)
         for name in ("heads", "d_head", "d_attn", "negatives", "max_title_tokens",
                      "max_history", "batch_size"):
             if getattr(self, name) < 1:
@@ -159,7 +161,8 @@ def softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y * (g - np.sum(g * y, axis=-1, keepdims=True))
 
 
-def self_attention(x: np.ndarray, enc: EncoderParams, d_head: int):
+def self_attention(x: np.ndarray, enc: EncoderParams,
+                   d_head: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Multi-head scaled dot-product self-attention over rows of ``x``.
 
     All heads run at once: each projection is split into (heads, n, d_head)
@@ -175,7 +178,7 @@ def self_attention(x: np.ndarray, enc: EncoderParams, d_head: int):
     return out, (q, k, v, attn)
 
 
-def additive_pool(seq: np.ndarray, enc: EncoderParams):
+def additive_pool(seq: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Collapse a (length, d) sequence to one d-vector by learned weights.
 
     Returns the vector and (hidden, weights), which the backward pass reuses.
@@ -324,6 +327,12 @@ def _encodable_ids(news_tokens: Mapping[str, Sequence[str]], lookup: EmbeddingLo
     return ok
 
 
+def usable_history(history: Sequence[str], usable: Container[str], max_history: int) -> tuple[str, ...]:
+    """The clicks a user is encoded from, the same in training, evaluation
+    and ``recommend``: keep the usable ids, then the last ``max_history``."""
+    return tuple(nid for nid in history if nid in usable)[-max_history:]
+
+
 def build_train_samples(
     logs: Sequence[ImpressionLog],
     news_tokens: Mapping[str, Sequence[str]],
@@ -343,7 +352,7 @@ def build_train_samples(
     warned = False
     k = config.negatives
     for log in logs:
-        history = tuple(nid for nid in log.history if nid in encodable)[-config.max_history:]
+        history = usable_history(log.history, encodable, config.max_history)
         if not history:
             continue
         positives = [nid for nid, lab in log.candidates if lab == 1 and nid in encodable]
@@ -478,30 +487,21 @@ def score_impression_logs(
     candidate of a user with no usable history (cold start).
     """
     cfg = params.config
-    cache: dict[str, np.ndarray | None] = {}
+    encodable = _encodable_ids(news_tokens, lookup, cfg.max_title_tokens)
+    cache: dict[str, np.ndarray] = {}
 
-    def vec(nid: str) -> np.ndarray | None:
-        if nid in cache:
-            return cache[nid]
-        tokens = news_tokens.get(nid)
-        out: np.ndarray | None = None
-        if tokens is not None:
-            try:
-                out = news_vector(tokens, lookup, params)
-            except NoKnownTokens:
-                out = None
-        cache[nid] = out
+    def vec(nid: str) -> np.ndarray:
+        out = cache.get(nid)
+        if out is None:
+            out = cache[nid] = news_vector(news_tokens[nid], lookup, params)
         return out
 
     results = []
     for log in logs:
-        history_vectors = [v for nid in log.history[-cfg.max_history:]
-                           if (v := vec(nid)) is not None]
-        uvec = user_vector(history_vectors, params)
-        scores = tuple(
-            float(uvec @ cvec) if (cvec := vec(nid)) is not None else 0.0
-            for nid, _ in log.candidates
-        )
+        history = usable_history(log.history, encodable, cfg.max_history)
+        uvec = user_vector([vec(nid) for nid in history], params)
+        scores = tuple(float(uvec @ vec(nid)) if nid in encodable else 0.0
+                       for nid, _ in log.candidates)
         results.append(ImpressionResult(
             impression_id=log.impression_id,
             labels=tuple(label for _, label in log.candidates),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyCandidatePool, NoKnownTokens
 from .glove import EmbeddingLookup
-from .model import ModelParams, news_vector, user_vector
+from .model import ModelParams, news_vector, usable_history, user_vector
 from .textprep import TokenizedNews
 
 SNIPPET_WIDTH = 48
@@ -96,24 +96,20 @@ def recommend(
 ) -> RecommendationList:
     """Top candidates for a user, scored by dot product with their vector.
 
-    History items are removed from the pool before ranking.  A user whose
-    history has no encodable item gets the cold-start zero vector (every
-    score is then 0.0 and ordering falls back to news id).  Entries sort
-    by descending score, ties by ascending news id.
+    The user is encoded from ``model.usable_history`` of their clicks, as
+    in training, and ``generated_from`` counts those clicks.  History items
+    are removed from the pool before ranking.  A user whose history has no
+    encodable item gets the cold-start zero vector (every score is then 0.0
+    and ordering falls back to news id).  Entries sort by descending score,
+    ties by ascending news id.
     """
     if not candidate_pool:
         raise EmptyCandidatePool("candidate pool is empty")
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
-    history_vectors = []
-    used = 0
+    history = usable_history(user_history, index.by_id, params.config.max_history)
+    uvec = user_vector([index.vector_of(nid) for nid in history], params)
     history_set = set(user_history)
-    for nid in user_history[-params.config.max_history:]:
-        vec = index.vector_of(nid)
-        if vec is not None:
-            history_vectors.append(vec)
-            used += 1
-    uvec = user_vector(history_vectors, params)
     scored = []
     seen = set()
     for nid in candidate_pool:
@@ -128,7 +124,7 @@ def recommend(
     return RecommendationList(
         user_id=user_id,
         entries=tuple(scored[:top_n]),
-        generated_from=used,
+        generated_from=len(history),
     )
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .errors import AllTokensRemoved, MissingInput
+from .errors import AllTokensRemoved, InputError, MissingInput
 from .mind import NewsArticle
 from .porter import stem
 
@@ -208,5 +208,16 @@ def save_tokenized(path: str, corpus: Sequence[TokenizedNews]) -> None:
 def load_tokenized(path: str) -> list[TokenizedNews]:
     if not os.path.isfile(path):
         raise MissingInput(f"tokenized corpus not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return [parse_tokenized_line(line) for line in fh if line.strip()]
+    corpus = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    corpus.append(parse_tokenized_line(line))
+                except ValueError as exc:
+                    raise InputError(f"{path}:{lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
+    return corpus

@@ -114,6 +114,79 @@ class TestConfigHandling:
             from_flags = fh.read()
         assert from_cfg == from_flags
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("model", "heads", 2.0), ("glove", "dim", 2.5), ("model", "epochs", True),
+        ("model", "max_history", "8"), ("run", "threads", 1.0),
+    ])
+    def test_non_integer_int_field_exits_2_without_outputs(self, pipeline, fixture_dir, tmp_path,
+                                                           capsys, section, field, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: {field: value}}))
+        out = tmp_path / "out"
+        code = cli.main(["train-model", "--corpus", pipeline["corpus"],
+                         "--behaviors", fixture_dir.behaviors_train,
+                         "--embeddings", pipeline["embeddings"],
+                         "--out-dir", str(out), "--config", str(cfg)])
+        assert code == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_float_fields_accept_json_integers(self, pipeline, tmp_path):
+        cfg = tmp_path / "ints.json"
+        cfg.write_text(json.dumps({"glove": {"x_max": 20, "learning_rate": 1, "alpha": 1}}))
+        assert cli.main(["train-glove", "--corpus", pipeline["corpus"], "--epochs", "0",
+                         "--out-dir", str(tmp_path / "out"), "--config", str(cfg)]) == 0
+
+
+class TestCorruptInputs:
+    """A corrupt artifact ends in a documented exit code naming it, never in exit 1."""
+
+    def similar(self, pipeline, tmp_path, corpus=None, embeddings=None):
+        return cli.main(["similar", "--corpus", corpus or pipeline["corpus"],
+                         "--embeddings", embeddings or pipeline["embeddings"],
+                         "--model", pipeline["model_bin"], "--query", "N1",
+                         "--top-n", "2", "--out-dir", str(tmp_path / "sim")])
+
+    def test_tokenized_corpus_cut_at_every_byte(self, pipeline, tmp_path, capsys):
+        with open(pipeline["corpus"], encoding="utf-8") as fh:
+            first, second = fh.readline(), fh.readline()
+        cols = first.split("\t")
+        cols[3] += " café"  # a two-byte character, so some cuts split it
+        blob = ("\t".join(cols) + second).encode("utf-8")
+        cut = tmp_path / "tokenized.tsv"
+        codes = set()
+        for offset in range(len(blob) + 1):
+            cut.write_bytes(blob[:offset])
+            code = self.similar(pipeline, tmp_path, corpus=str(cut))
+            err = capsys.readouterr().err
+            assert code in (0, 3, 5), (offset, err)
+            if code == 3:
+                assert str(cut) in err
+            codes.add(code)
+        assert codes == {0, 3, 5}
+
+    def test_malformed_tokenized_line_names_path_and_line(self, pipeline, tmp_path, capsys):
+        with open(pipeline["corpus"], encoding="utf-8") as fh:
+            lines = fh.readlines()[:3]
+        bad = tmp_path / "tokenized.tsv"
+        bad.write_text(lines[0] + lines[1] + "N999\tonly three\tcolumns\n", encoding="utf-8")
+        assert self.similar(pipeline, tmp_path, corpus=str(bad)) == 3
+        assert f"{bad}:3: expected 7 columns" in capsys.readouterr().err
+
+    def test_non_numeric_embedding_component_exits_2(self, pipeline, tmp_path, capsys):
+        with open(pipeline["embeddings"], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        parts = lines[2].split(" ")
+        parts[3] = "abc"
+        lines[2] = " ".join(parts)
+        bad = tmp_path / "embeddings.txt"
+        bad.write_text("".join(lines), encoding="utf-8")
+        assert self.similar(pipeline, tmp_path, embeddings=str(bad)) == 2
+        assert f"{bad}:3: embedding component is not a number" in capsys.readouterr().err
+        bad.write_bytes(b"\xff" + "".join(lines).encode("utf-8"))
+        assert self.similar(pipeline, tmp_path, embeddings=str(bad)) == 2
+        assert f"{bad} is not valid UTF-8" in capsys.readouterr().err
+
 
 class TestTrainGlove:
     def test_zero_epochs_equals_seeded_initialization(self, pipeline, tmp_path):

@@ -11,7 +11,9 @@ import pytest
 import newsrec.autodiff as ad
 import newsrec.glove as gl
 import newsrec.model as mdl
+import newsrec.retrieval as ret
 from newsrec.errors import ConfigError, EmptyHistory, InsufficientNegatives, NoKnownTokens
+from newsrec.textprep import TokenizedNews
 
 from conftest import make_lookup, rel_err
 
@@ -450,6 +452,55 @@ class TestScoreImpressions:
         for (nid, _), got in zip(log.candidates, result.scores):
             want = float(uvec @ mdl.news_vector(title_map[nid], lookup, params))
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_inference_builds_no_graph(self, monkeypatch):
+        logs, title_map, lookup = planted_setup()
+        params = tiny_params()
+        corpus = [TokenizedNews(nid, "c", "s", toks, (), " ".join(toks), "")
+                  for nid, toks in title_map.items()]
+
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("inference built an autodiff tensor")
+
+        monkeypatch.setattr(ad, "Tensor", no_tensor)
+        vec = mdl.news_vector(title_map["N0"], lookup, params)
+        mdl.user_vector([vec, vec], params)
+        mdl.score_impression_logs(logs, title_map, lookup, params)
+        ret.CorpusIndex(corpus, lookup, params)
+
+
+class TestUsableHistory:
+    """Training, evaluation and ``recommend`` encode a user from the same clicks."""
+
+    def test_unencodable_click_inside_the_window(self):
+        from newsrec.mind import ImpressionLog
+
+        params = tiny_params(max_history=2)
+        lookup = make_lookup([f"w{i}" for i in range(6)], 4, seed=4)
+        title_map = {"N1": ("w0",), "N2": ("w1", "w2"), "X": ("oov",), "N3": ("w3",),
+                     "P": ("w4",), "G1": ("w5",), "G2": ("w0", "w5")}
+        history = ("N1", "N2", "X", "N3")
+        want = ("N2", "N3")
+        assert mdl.usable_history(history, {"N1", "N2", "N3"}, 2) == want
+        log = ImpressionLog("1", "U1", "t", history, (("P", 1), ("G1", 0), ("G2", 0)))
+        corpus = [TokenizedNews(nid, "c", "s", toks, (), " ".join(toks), "")
+                  for nid, toks in title_map.items()]
+        index = ret.CorpusIndex(corpus, lookup, params)
+
+        (sample,) = mdl.build_train_samples([log], title_map, lookup, params.config,
+                                            np.random.default_rng(0))
+        assert sample.history == want
+
+        uvec = mdl.user_vector([mdl.news_vector(title_map[n], lookup, params) for n in want],
+                               params)
+        cands = [nid for nid, _ in log.candidates]
+        expected = [float(uvec @ mdl.news_vector(title_map[n], lookup, params)) for n in cands]
+        (result,) = mdl.score_impression_logs([log], title_map, lookup, params)
+        assert list(result.scores) == expected
+
+        rec = ret.recommend(history, cands, index, params, top_n=3)
+        assert rec.generated_from == len(want)
+        assert dict(rec.entries) == dict(zip(cands, expected))
 
 
 class TestCheckpoint:
