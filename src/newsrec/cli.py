@@ -2,9 +2,16 @@
 
 Every subcommand accepts ``--seed``, ``--threads``, and ``--config`` (a
 JSON file with ``glove`` / ``model`` / ``run`` sections; flags override
-file values).  Configuration is validated before any input is opened, so
-a config error never leaves partial outputs.  Each run writes a manifest
-with input/output digests and per-phase wall times.
+file values).  The trainer flags of ``train-glove`` and ``train-model``
+mirror the fields of ``GloveConfig`` and ``ModelConfig`` (``--x-max`` sets
+``x_max``), so a new field gets its flag without an edit here.
+
+``main`` owns the run lifecycle: it validates the configuration before
+any input is opened, so a config error never leaves partial outputs; it
+hands the command the config and a ``RunManifest``, in which the command
+records its inputs (``_inputs``) and outputs (``_emit``) by digest; and
+it writes ``manifest_<command>.json`` with those digests and per-phase
+wall times to ``--out-dir``.
 
 ``--threads`` (``run.threads``) has no effect: every command runs on one
 thread.  It is still validated (>= 1) and recorded in the manifest, so
@@ -21,8 +28,9 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
-from typing import Sequence
+from collections import Counter
+from dataclasses import asdict, fields
+from typing import Sequence, get_type_hints
 
 from . import analytics as ana
 from . import glove as gl
@@ -43,33 +51,35 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
 
 
+def _add_config_flags(parser: argparse.ArgumentParser, section: str, cls) -> None:
+    """One ``--field-name`` flag per field of the config dataclass ``cls``,
+    typed by its annotation; ``seed`` is left to ``--seed``."""
+    types = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name != "seed":
+            parser.add_argument("--" + f.name.replace("_", "-"), dest=f"{section}_{f.name}",
+                                type=types[f.name], default=None)
+
+
 def _resolve_config(args) -> AppConfig:
-    glove_keys = ("dim", "window", "x_max", "alpha", "learning_rate", "epochs", "min_count")
-    model_keys = ("heads", "d_head", "d_attn", "negatives", "max_title_tokens",
-                  "max_history", "learning_rate", "epochs", "batch_size")
-    glove_over = {k: getattr(args, f"glove_{k}", None) for k in glove_keys}
-    model_over = {k: getattr(args, f"model_{k}", None) for k in model_keys}
+    def flags(section: str, cls) -> dict:
+        return {f.name: getattr(args, f"{section}_{f.name}", None) for f in fields(cls)}
+
     run_over = {
         "seed": args.seed,
         "threads": args.threads,
         "stopwords": getattr(args, "stopwords", None),
     }
-    return apply_overrides(load_config(args.config), glove_over, model_over, run_over)
+    return apply_overrides(load_config(args.config), flags("glove", gl.GloveConfig),
+                           flags("model", mdl.ModelConfig), run_over)
 
 
-def _require_files(*paths: str) -> None:
+def _inputs(manifest: RunManifest, *paths: str) -> None:
+    """Check that each input file exists, then record its digest."""
     for path in paths:
         if not os.path.isfile(path):
             raise MissingInput(f"input file not found: {path}")
-
-
-def _manifest(args, cfg: AppConfig) -> RunManifest:
-    return RunManifest(
-        command=args.command,
-        config=dict(asdict(cfg), kernel_backend=backend_name()),
-        seed=cfg.run.seed,
-        threads=cfg.run.threads,
-    )
+        manifest.add_input(path)
 
 
 def _out_path(args, name: str) -> str:
@@ -77,32 +87,30 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
-def _load_corpus(path: str) -> list[tp.TokenizedNews]:
-    _require_files(path)
-    return tp.load_tokenized(path)
-
-
-def _corpus_documents(corpus: Sequence[tp.TokenizedNews]) -> list[list[str]]:
-    return [list(item.title_tokens) + list(item.abstract_tokens) for item in corpus]
+def _emit(args, manifest: RunManifest, name: str, text: str) -> str:
+    """Write one output file atomically under ``--out-dir`` and record its digest."""
+    path = _out_path(args, name)
+    mind.write_text_atomic(path, text)
+    manifest.add_output(path)
+    return path
 
 
 def _news_tokens(corpus: Sequence[tp.TokenizedNews]) -> dict[str, tuple[str, ...]]:
     return {item.news_id: item.title_tokens for item in corpus}
 
 
-def _parse_error_summary(errors) -> dict:
-    by_reason: dict[str, int] = {}
-    for err in errors:
-        by_reason[err.reason] = by_reason.get(err.reason, 0) + 1
-    return by_reason
+def _load_model(args) -> tuple[gl.EmbeddingLookup, mdl.ModelParams]:
+    """Load ``--embeddings`` and ``--model``; their widths must agree."""
+    lookup = gl.load_embeddings(args.embeddings)
+    params = mdl.load_model(args.model)
+    if params.embed_dim != lookup.dim:
+        raise ConfigError(f"{args.model} expects {params.embed_dim}-dim embeddings, "
+                          f"but {args.embeddings} holds {lookup.dim}-dim vectors")
+    return lookup, params
 
 
-def cmd_prepare(args) -> int:
-    cfg = _resolve_config(args)
-    _require_files(args.news, args.behaviors)
-    manifest = _manifest(args, cfg)
-    manifest.add_input(args.news)
-    manifest.add_input(args.behaviors)
+def cmd_prepare(args, cfg: AppConfig, manifest: RunManifest) -> None:
+    _inputs(manifest, args.news, args.behaviors)
     with manifest.phase("parse"):
         articles, news_errors = mind.load_news(args.news)
         logs, behavior_errors = mind.load_behaviors(args.behaviors)
@@ -114,11 +122,11 @@ def cmd_prepare(args) -> int:
         stopwords = tp.load_stopwords(cfg.run.stopwords)
         corpus, dropped = tp.preprocess_corpus(cleaned, stopwords)
     corpus_path = _out_path(args, "tokenized.tsv")
-    report_path = _out_path(args, "clean_report.json")
     tp.save_tokenized(corpus_path, corpus)
+    manifest.add_output(corpus_path)
     payload = {
-        "parse_errors_news": _parse_error_summary(news_errors),
-        "parse_errors_behaviors": _parse_error_summary(behavior_errors),
+        "parse_errors_news": Counter(err.reason for err in news_errors),
+        "parse_errors_behaviors": Counter(err.reason for err in behavior_errors),
         "behaviors_parsed": len(logs),
         "removed_duplicates": report.removed_duplicates,
         "removed_nan": report.removed_nan,
@@ -126,22 +134,14 @@ def cmd_prepare(args) -> int:
         "removed_empty_after_normalize": dropped,
         "kept": len(corpus),
     }
-    mind.write_text_atomic(report_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    manifest.add_output(corpus_path)
-    manifest.add_output(report_path)
-    manifest.write(_out_path(args, "manifest_prepare.json"))
+    _emit(args, manifest, "clean_report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"prepare: kept {len(corpus)} of {report.total} news records -> {corpus_path}")
-    return 0
 
 
-def cmd_train_glove(args) -> int:
-    cfg = _resolve_config(args)
-    if args.format not in ("text", "binary"):
-        raise ConfigError(f"--format must be text or binary, got {args.format!r}")
-    corpus = _load_corpus(args.corpus)
-    manifest = _manifest(args, cfg)
-    manifest.add_input(args.corpus)
-    documents = _corpus_documents(corpus)
+def cmd_train_glove(args, cfg: AppConfig, manifest: RunManifest) -> None:
+    _inputs(manifest, args.corpus)
+    documents = [list(item.title_tokens) + list(item.abstract_tokens)
+                 for item in tp.load_tokenized(args.corpus)]
     with manifest.phase("vocabulary"):
         vocab = gl.build_vocab(documents, min_count=cfg.glove.min_count)
     with manifest.phase("cooccurrence"):
@@ -153,30 +153,23 @@ def cmd_train_glove(args) -> int:
         else:
             table, trace = gl.glove_train(matrix, cfg.glove)
     lookup = gl.EmbeddingLookup.from_table(vocab, table)
-    ext = "txt" if args.format == "text" else "bin"
-    emb_path = _out_path(args, f"embeddings.{ext}")
     if args.format == "text":
+        emb_path = _out_path(args, "embeddings.txt")
         gl.save_embeddings_text(emb_path, lookup, cfg.glove)
     else:
+        emb_path = _out_path(args, "embeddings.bin")
         gl.save_embeddings_binary(emb_path, lookup, cfg.glove)
-    trace_path = _out_path(args, "glove_trace.csv")
-    mind.write_text_atomic(trace_path, gl.cost_trace_csv(trace))
     manifest.add_output(emb_path)
-    manifest.add_output(trace_path)
-    manifest.write(_out_path(args, "manifest_train_glove.json"))
+    manifest.add_output(gl.sidecar_path(emb_path))
+    _emit(args, manifest, "glove_trace.csv", gl.cost_trace_csv(trace))
     last = f", final cost {trace[-1]:.6f}" if trace else ""
     print(f"train-glove: {len(vocab)} tokens, {matrix.nnz} pairs, "
           f"{cfg.glove.epochs} epochs{last} -> {emb_path}")
-    return 0
 
 
-def cmd_train_model(args) -> int:
-    cfg = _resolve_config(args)
-    corpus = _load_corpus(args.corpus)
-    _require_files(args.behaviors, args.embeddings)
-    manifest = _manifest(args, cfg)
-    for path in (args.corpus, args.behaviors, args.embeddings):
-        manifest.add_input(path)
+def cmd_train_model(args, cfg: AppConfig, manifest: RunManifest) -> None:
+    _inputs(manifest, args.corpus, args.behaviors, args.embeddings)
+    corpus = tp.load_tokenized(args.corpus)
     with manifest.phase("load"):
         lookup = gl.load_embeddings(args.embeddings)
         logs, errors = mind.load_behaviors(args.behaviors)
@@ -186,27 +179,18 @@ def cmd_train_model(args) -> int:
         params, trace = mdl.train_model(logs, _news_tokens(corpus), lookup, cfg.model)
     model_path = _out_path(args, "model.bin")
     mdl.save_model(model_path, params)
-    trace_path = _out_path(args, "loss_trace.csv")
-    mind.write_text_atomic(trace_path, mdl.loss_trace_csv(trace))
     manifest.add_output(model_path)
-    manifest.add_output(trace_path)
-    manifest.write(_out_path(args, "manifest_train_model.json"))
+    _emit(args, manifest, "loss_trace.csv", mdl.loss_trace_csv(trace))
     last = f", final loss {trace[-1]:.6f}" if trace else ""
     print(f"train-model: {len(logs)} impressions ({len(errors)} skipped lines), "
           f"{cfg.model.epochs} epochs{last} -> {model_path}")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _resolve_config(args)
-    corpus = _load_corpus(args.corpus)
-    _require_files(args.behaviors, args.embeddings, args.model)
-    manifest = _manifest(args, cfg)
-    for path in (args.corpus, args.behaviors, args.embeddings, args.model):
-        manifest.add_input(path)
+def cmd_evaluate(args, cfg: AppConfig, manifest: RunManifest) -> None:
+    _inputs(manifest, args.corpus, args.behaviors, args.embeddings, args.model)
+    corpus = tp.load_tokenized(args.corpus)
     with manifest.phase("load"):
-        lookup = gl.load_embeddings(args.embeddings)
-        params = mdl.load_model(args.model)
+        lookup, params = _load_model(args)
         logs, _ = mind.load_behaviors(args.behaviors)
         if not logs:
             raise InputError(f"{args.behaviors}: no parseable impression logs")
@@ -214,47 +198,34 @@ def cmd_evaluate(args) -> int:
         results = mdl.score_impression_logs(logs, _news_tokens(corpus), lookup, params)
     with manifest.phase("metrics"):
         report = met.evaluate(results)
-    metrics_path = _out_path(args, "metrics.json")
-    mind.write_text_atomic(metrics_path, report.to_json())
-    pred_path = _out_path(args, "prediction.txt")
+    _emit(args, manifest, "metrics.json", report.to_json())
     ranked = [(r.impression_id, mind.ranks_from_scores(r.scores)) for r in results]
     buf = io.StringIO()
     mind.write_predictions(ranked, buf)
-    mind.write_text_atomic(pred_path, buf.getvalue())
-    manifest.add_output(metrics_path)
-    manifest.add_output(pred_path)
-    manifest.write(_out_path(args, "manifest_evaluate.json"))
+    _emit(args, manifest, "prediction.txt", buf.getvalue())
     print(f"evaluate: auc {report.auc:.4f}, mrr {report.mrr:.4f}, "
           f"ndcg@5 {report.ndcg5:.4f}, ndcg@10 {report.ndcg10:.4f} "
           f"({report.n_impressions} impressions, {report.n_skipped} skipped)")
-    return 0
 
 
-def _model_stack(args):
-    corpus = _load_corpus(args.corpus)
-    _require_files(args.embeddings, args.model)
-    lookup = gl.load_embeddings(args.embeddings)
-    params = mdl.load_model(args.model)
-    index = ret.CorpusIndex(corpus, lookup, params)
-    return corpus, lookup, params, index
+def _model_stack(args, manifest: RunManifest):
+    _inputs(manifest, args.corpus, args.embeddings, args.model)
+    corpus = tp.load_tokenized(args.corpus)
+    lookup, params = _load_model(args)
+    return lookup, params, ret.CorpusIndex(corpus, lookup, params)
 
 
-def cmd_recommend(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_recommend(args, cfg: AppConfig, manifest: RunManifest) -> None:
     if bool(args.history) == bool(args.user):
         raise ConfigError("provide exactly one of --history or --user (with --behaviors)")
     if args.user and not args.behaviors:
         raise ConfigError("--user requires --behaviors to look up that user's clicks")
-    corpus, lookup, params, index = _model_stack(args)
-    manifest = _manifest(args, cfg)
-    for path in (args.corpus, args.embeddings, args.model):
-        manifest.add_input(path)
+    _, params, index = _model_stack(args, manifest)
     if args.history:
         history = [tok for tok in args.history.split(",") if tok]
         user_id = args.user_id or "<ad-hoc>"
     else:
-        _require_files(args.behaviors)
-        manifest.add_input(args.behaviors)
+        _inputs(manifest, args.behaviors)
         logs, _ = mind.load_behaviors(args.behaviors)
         sequences = mind.user_click_sequences(logs)
         if args.user not in sequences:
@@ -266,23 +237,12 @@ def cmd_recommend(args) -> int:
     ]
     with manifest.phase("recommend"):
         rec = ret.recommend(history, pool, index, params, top_n=args.top_n, user_id=user_id)
-    rendered = ret.render_recommendations(rec, index)
-    sys.stdout.write(rendered)
-    json_path = _out_path(args, "recommendations.json")
-    mind.write_text_atomic(json_path, ret.recommendations_json(rec))
-    manifest.add_output(json_path)
-    manifest.write(_out_path(args, "manifest_recommend.json"))
-    return 0
+    sys.stdout.write(ret.render_recommendations(rec, index))
+    _emit(args, manifest, "recommendations.json", ret.recommendations_json(rec))
 
 
-def cmd_similar(args) -> int:
-    cfg = _resolve_config(args)
-    if args.metric not in ret.METRICS:
-        raise ConfigError(f"--metric must be one of {ret.METRICS}, got {args.metric!r}")
-    corpus, lookup, params, index = _model_stack(args)
-    manifest = _manifest(args, cfg)
-    for path in (args.corpus, args.embeddings, args.model):
-        manifest.add_input(path)
+def cmd_similar(args, cfg: AppConfig, manifest: RunManifest) -> None:
+    lookup, params, index = _model_stack(args, manifest)
     stopwords = tp.load_stopwords(cfg.run.stopwords)
 
     def normalize(text: str) -> list[str]:
@@ -292,46 +252,29 @@ def cmd_similar(args) -> int:
         result = ret.similar_news(args.query, index, lookup, params, normalize,
                                   top_n=args.top_n, metric=args.metric)
     sys.stdout.write(ret.render_similarity(result))
-    json_path = _out_path(args, "similar.json")
-    mind.write_text_atomic(json_path, ret.similarity_json(result))
-    manifest.add_output(json_path)
-    manifest.write(_out_path(args, "manifest_similar.json"))
-    return 0
+    _emit(args, manifest, "similar.json", ret.similarity_json(result))
 
 
-def cmd_analytics(args) -> int:
-    cfg = _resolve_config(args)
-    corpus = _load_corpus(args.corpus)
-    manifest = _manifest(args, cfg)
-    manifest.add_input(args.corpus)
+def cmd_analytics(args, cfg: AppConfig, manifest: RunManifest) -> None:
+    _inputs(manifest, args.corpus)
+    corpus = tp.load_tokenized(args.corpus)
     use_raw = args.title_source == "raw"
     with manifest.phase("analytics"):
         dist = ana.category_distribution(corpus)
         categories = args.category or sorted({item.category for item in corpus})
         tables = [ana.word_frequencies(corpus, cat, top_k=args.top_k) for cat in categories]
         hist = ana.title_length_histogram(corpus, use_raw_titles=use_raw)
-    outputs = [(_out_path(args, "categories.csv"), ana.categories_csv(dist))]
-    outputs.extend(
-        (_out_path(args, f"wordfreq_{table.category}.csv"), ana.wordfreq_csv(table))
-        for table in tables
-    )
-    outputs.append((_out_path(args, "title_hist.csv"), ana.title_hist_csv(hist)))
-    outputs.append((_out_path(args, "analytics.json"), ana.analytics_json(dist, tables, hist)))
-    for path, text in outputs:
-        mind.write_text_atomic(path, text)
-        manifest.add_output(path)
-    manifest.write(_out_path(args, "manifest_analytics.json"))
+    _emit(args, manifest, "categories.csv", ana.categories_csv(dist))
+    for table in tables:
+        _emit(args, manifest, f"wordfreq_{table.category}.csv", ana.wordfreq_csv(table))
+    _emit(args, manifest, "title_hist.csv", ana.title_hist_csv(hist))
+    _emit(args, manifest, "analytics.json", ana.analytics_json(dist, tables, hist))
     print(f"analytics: {len(dist.rows)} category pairs, {len(tables)} word tables, "
           f"title mean {hist.mean():.2f} -> {args.out_dir}")
-    return 0
 
 
-def cmd_stats(args) -> int:
-    cfg = _resolve_config(args)
-    _require_files(args.news, args.behaviors)
-    manifest = _manifest(args, cfg)
-    manifest.add_input(args.news)
-    manifest.add_input(args.behaviors)
+def cmd_stats(args, cfg: AppConfig, manifest: RunManifest) -> None:
+    _inputs(manifest, args.news, args.behaviors)
     with manifest.phase("parse"):
         articles, news_errors = mind.load_news(args.news)
         logs, behavior_errors = mind.load_behaviors(args.behaviors)
@@ -340,11 +283,7 @@ def cmd_stats(args) -> int:
         title_lengths = [len(a.title.split()) for a in articles]
         mean_title = sum(title_lengths) / len(title_lengths) if title_lengths else 0.0
     payload = dict(
-        users=stats.users,
-        news=stats.news,
-        impressions=stats.impressions,
-        click_behaviors=stats.click_behaviors,
-        words=stats.words,
+        asdict(stats),
         title_length_mean=mean_title,
         parse_errors_news=len(news_errors),
         parse_errors_behaviors=len(behavior_errors),
@@ -352,11 +291,7 @@ def cmd_stats(args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.out_dir:
-        stats_path = _out_path(args, "stats.json")
-        mind.write_text_atomic(stats_path, text)
-        manifest.add_output(stats_path)
-        manifest.write(_out_path(args, "manifest_stats.json"))
-    return 0
+        _emit(args, manifest, "stats.json", text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,13 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="tokenized.tsv from prepare")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--format", default="text", choices=("text", "binary"))
-    p.add_argument("--dim", dest="glove_dim", type=int, default=None)
-    p.add_argument("--window", dest="glove_window", type=int, default=None)
-    p.add_argument("--x-max", dest="glove_x_max", type=float, default=None)
-    p.add_argument("--alpha", dest="glove_alpha", type=float, default=None)
-    p.add_argument("--learning-rate", dest="glove_learning_rate", type=float, default=None)
-    p.add_argument("--epochs", dest="glove_epochs", type=int, default=None)
-    p.add_argument("--min-count", dest="glove_min_count", type=int, default=None)
+    _add_config_flags(p, "glove", gl.GloveConfig)
     _add_common(p)
     p.set_defaults(func=cmd_train_glove)
 
@@ -395,15 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--behaviors", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--heads", dest="model_heads", type=int, default=None)
-    p.add_argument("--d-head", dest="model_d_head", type=int, default=None)
-    p.add_argument("--d-attn", dest="model_d_attn", type=int, default=None)
-    p.add_argument("--negatives", dest="model_negatives", type=int, default=None)
-    p.add_argument("--max-title-tokens", dest="model_max_title_tokens", type=int, default=None)
-    p.add_argument("--max-history", dest="model_max_history", type=int, default=None)
-    p.add_argument("--learning-rate", dest="model_learning_rate", type=float, default=None)
-    p.add_argument("--epochs", dest="model_epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="model_batch_size", type=int, default=None)
+    _add_config_flags(p, "model", mdl.ModelConfig)
     _add_common(p)
     p.set_defaults(func=cmd_train_model)
 
@@ -467,7 +388,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve_config(args)
+        manifest = RunManifest(
+            command=args.command,
+            config=dict(asdict(cfg), kernel_backend=backend_name()),
+            seed=cfg.run.seed,
+            threads=cfg.run.threads,
+        )
+        args.func(args, cfg, manifest)
+        if args.out_dir:
+            manifest.write(_out_path(args, f"manifest_{args.command.replace('-', '_')}.json"))
+        return 0
     except NewsrecError as exc:
         print(f"newsrec {args.command}: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -17,7 +17,6 @@ from .glove import GloveConfig
 from .model import ModelConfig
 
 _SECTIONS = ("glove", "model", "run")
-_RUN_FIELDS = ("seed", "threads", "stopwords")
 
 
 @dataclass(frozen=True, slots=True)

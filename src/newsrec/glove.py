@@ -33,7 +33,6 @@ from .errors import (
 )
 from .mind import write_text_atomic
 
-TEXT_MAGIC = "NRECGLV1"
 BINARY_MAGIC = b"NRECGLV1"
 
 
@@ -110,10 +109,6 @@ class CooccurrenceMatrix:
         lo = np.searchsorted(self.rows, i, side="left")
         hi = np.searchsorted(self.rows, i, side="right")
         return self.cols[lo:hi], self.vals[lo:hi]
-
-    def row_sum(self, i: int) -> float:
-        _, vals = self.row(i)
-        return float(math.fsum(vals.tolist()))
 
     def to_dict(self) -> dict[tuple[int, int], float]:
         return {
@@ -433,23 +428,31 @@ def _format_value(v: float) -> str:
     return np.format_float_positional(np.float32(v), unique=True, trim="0")
 
 
-def _sidecar_path(path: str) -> str:
+def sidecar_path(path: str) -> str:
+    """The ``.meta.json`` file that travels with the embedding file ``path``."""
     return os.path.splitext(path)[0] + ".meta.json"
 
 
-def _write_sidecar(path: str, fmt: str, config: GloveConfig | None) -> None:
-    meta = {"format": fmt}
+def _write_sidecar(path: str, config: GloveConfig | None, **meta) -> None:
     if config is not None:
         meta["config"] = asdict(config)
-    write_text_atomic(_sidecar_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(sidecar_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def read_sidecar(path: str) -> dict | None:
-    sidecar = _sidecar_path(path)
+    """The sidecar's JSON object, or None when there is none; a garbled
+    sidecar raises ConfigError naming it."""
+    sidecar = sidecar_path(path)
     if not os.path.exists(sidecar):
         return None
-    with open(sidecar, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(sidecar, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{sidecar} is truncated or garbled: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{sidecar} must hold a JSON object")
+    return meta
 
 
 def save_embeddings_text(path: str, lookup: EmbeddingLookup, config: GloveConfig | None = None) -> None:
@@ -463,7 +466,7 @@ def save_embeddings_text(path: str, lookup: EmbeddingLookup, config: GloveConfig
     for tok, row in zip(lookup.tokens, m32):
         lines.append(tok + " " + " ".join(_format_value(v) for v in row))
     write_text_atomic(path, "\n".join(lines) + "\n")
-    _write_sidecar(path, "text", config)
+    _write_sidecar(path, config, format="text")
 
 
 def load_embeddings_text(path: str) -> EmbeddingLookup:
@@ -487,6 +490,8 @@ def load_embeddings_text(path: str) -> EmbeddingLookup:
     if not tokens:
         raise EmptyVocabulary(f"embedding file {path} has no rows")
     widths = {r.size for r in rows}
+    if widths == {0}:
+        raise ConfigError(f"embedding file {path} has tokens but no vector components")
     if len(widths) != 1:
         raise ConfigError(f"embedding file {path} has inconsistent row widths {sorted(widths)}")
     return EmbeddingLookup.from_rows(tokens, np.vstack(rows))
@@ -499,14 +504,8 @@ def save_embeddings_binary(path: str, lookup: EmbeddingLookup, config: GloveConf
     """
     m32 = np.ascontiguousarray(lookup.matrix, dtype="<f4")
     payload = BINARY_MAGIC + struct.pack("<II", len(lookup.tokens), lookup.dim) + m32.tobytes()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
-    meta = {"format": "binary", "tokens": list(lookup.tokens)}
-    if config is not None:
-        meta["config"] = asdict(config)
-    write_text_atomic(_sidecar_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, payload)
+    _write_sidecar(path, config, format="binary", tokens=list(lookup.tokens))
 
 
 def load_embeddings_binary(path: str) -> EmbeddingLookup:
@@ -514,8 +513,14 @@ def load_embeddings_binary(path: str) -> EmbeddingLookup:
         blob = fh.read()
     if blob[: len(BINARY_MAGIC)] != BINARY_MAGIC:
         raise ConfigError(f"{path} is not an embedding checkpoint (bad magic)")
-    vocab_size, dim = struct.unpack_from("<II", blob, len(BINARY_MAGIC))
     offset = len(BINARY_MAGIC) + 8
+    if len(blob) < offset:
+        raise ConfigError(f"{path} is {len(blob)} bytes, shorter than its {offset}-byte header")
+    vocab_size, dim = struct.unpack_from("<II", blob, len(BINARY_MAGIC))
+    if vocab_size == 0:
+        raise EmptyVocabulary(f"embedding file {path} has no rows")
+    if dim == 0:
+        raise ConfigError(f"{path} stores 0-dim vectors")
     expect = vocab_size * dim * 4
     if len(blob) - offset != expect:
         raise ConfigError(
@@ -527,6 +532,8 @@ def load_embeddings_binary(path: str) -> EmbeddingLookup:
     if meta is None or "tokens" not in meta:
         raise ConfigError(f"{path} is missing its .meta.json sidecar with the token list")
     tokens = meta["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+        raise ConfigError(f"{sidecar_path(path)}: tokens must be a list of strings")
     if len(tokens) != vocab_size:
         raise ConfigError(
             f"{path} sidecar lists {len(tokens)} tokens but the checkpoint stores {vocab_size} rows"

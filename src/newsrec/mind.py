@@ -18,7 +18,6 @@ Neither file carries a header row.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
@@ -69,19 +68,6 @@ class DatasetStats:
     impressions: int
     click_behaviors: int
     words: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "users": self.users,
-                "news": self.news,
-                "impressions": self.impressions,
-                "click_behaviors": self.click_behaviors,
-                "words": self.words,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,13 +285,23 @@ def read_predictions(lines: Iterable[str]) -> list[tuple[str, list[int]]]:
     return out
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write a whole text file atomically (tmp file + rename)."""
+def write_text_atomic(path: str, data: str | bytes) -> None:
+    """Write a whole file atomically (tmp file + rename); text goes out as
+    UTF-8 with its newlines untranslated.
+
+    The file gets the mode ``open`` gives a new file, 0o666 less the umask,
+    where the tmp file alone would be private to its owner.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

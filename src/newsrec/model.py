@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .glove import EmbeddingLookup
 from .metrics import ImpressionResult
-from .mind import ImpressionLog
+from .mind import ImpressionLog, write_text_atomic
 
 MODEL_MAGIC = b"NRECMDL1"
 
@@ -530,10 +529,7 @@ def save_model(path: str, params: ModelParams) -> None:
     for enc in (params.news, params.user):
         for arr in (_to_head_major(enc, params.config.heads), enc.proj.data, enc.query.data):
             chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(chunks))
-    os.replace(tmp, path)
+    write_text_atomic(path, b"".join(chunks))
 
 
 def load_model(path: str) -> ModelParams:

@@ -1,7 +1,11 @@
 """End-to-end command behavior: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import os
+import stat
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import pytest
 import newsrec.cli as cli
 import newsrec.glove as gl
 import newsrec.mind as mind
+import newsrec.model as mdl
 
 GLOVE_FLAGS = ["--dim", "12", "--window", "4", "--x-max", "20", "--min-count", "1",
                "--epochs", "10", "--seed", "3"]
@@ -141,11 +146,89 @@ class TestConfigHandling:
 class TestCorruptInputs:
     """A corrupt artifact ends in a documented exit code naming it, never in exit 1."""
 
-    def similar(self, pipeline, tmp_path, corpus=None, embeddings=None):
+    def similar(self, pipeline, tmp_path, corpus=None, embeddings=None, model=None):
         return cli.main(["similar", "--corpus", corpus or pipeline["corpus"],
                          "--embeddings", embeddings or pipeline["embeddings"],
-                         "--model", pipeline["model_bin"], "--query", "N1",
+                         "--model", model or pipeline["model_bin"], "--query", "N1",
                          "--top-n", "2", "--out-dir", str(tmp_path / "sim")])
+
+    @pytest.fixture
+    def small_binary(self, pipeline, tmp_path):
+        """A 2-dim embeddings.bin over N1's title tokens, and an untrained model that fits it."""
+        with open(pipeline["corpus"], encoding="utf-8") as fh:
+            tokens = fh.readline().split("\t")[3].split()
+        assert tokens
+        lookup = gl.EmbeddingLookup.from_rows(
+            tokens, np.random.default_rng(0).normal(size=(len(tokens), 2)))
+        emb = str(tmp_path / "embeddings.bin")
+        gl.save_embeddings_binary(emb, lookup)
+        model = str(tmp_path / "model.bin")
+        mdl.save_model(model, mdl.init_params(2, mdl.ModelConfig(heads=1, d_head=2, d_attn=2)))
+        return emb, model
+
+    def test_embeddings_binary_and_sidecar_cut_at_every_byte(self, pipeline, tmp_path, capsys,
+                                                            small_binary):
+        emb, model = small_binary
+        sidecar = gl.sidecar_path(emb)
+        for path, want_codes in ((emb, {0, 2, 5}), (sidecar, {0, 2})):
+            with open(path, "rb") as fh:
+                blob = fh.read()
+            codes = set()
+            for offset in range(len(blob) + 1):
+                with open(path, "wb") as fh:
+                    fh.write(blob[:offset])
+                code = self.similar(pipeline, tmp_path, embeddings=emb, model=model)
+                err = capsys.readouterr().err
+                assert code in (0, 2, 5), (path, offset, err)
+                if code:
+                    assert path in err, (offset, err)
+                codes.add(code)
+            assert codes == want_codes, path
+
+    @pytest.mark.parametrize("case", ["zero_rows", "zero_dim", "tokens_not_a_list",
+                                      "sidecar_not_utf8", "sidecar_not_an_object"])
+    def test_garbled_embeddings_binary_exits_2_or_5(self, pipeline, tmp_path, capsys,
+                                                    small_binary, case):
+        emb, model = small_binary
+        sidecar = gl.sidecar_path(emb)
+        with open(sidecar, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        named, want = sidecar, 2
+        if case == "zero_rows":
+            with open(emb, "wb") as fh:
+                fh.write(gl.BINARY_MAGIC + struct.pack("<II", 0, 2))
+            named, want = emb, 5
+        elif case == "zero_dim":
+            with open(emb, "wb") as fh:
+                fh.write(gl.BINARY_MAGIC + struct.pack("<II", len(meta["tokens"]), 0))
+            named = emb
+        elif case == "tokens_not_a_list":
+            with open(sidecar, "w", encoding="utf-8") as fh:
+                json.dump(dict(meta, tokens=5), fh)
+        elif case == "sidecar_not_utf8":
+            with open(sidecar, "wb") as fh:
+                fh.write(b"\xff" + json.dumps(meta).encode("utf-8"))
+        else:
+            with open(sidecar, "w", encoding="utf-8") as fh:
+                json.dump(meta["tokens"], fh)
+        assert self.similar(pipeline, tmp_path, embeddings=emb, model=model) == want
+        assert named in capsys.readouterr().err
+
+    def test_model_and_embedding_dimensions_must_agree(self, pipeline, fixture_dir, tmp_path,
+                                                       capsys):
+        glove = str(tmp_path / "glove4")
+        assert cli.main(["train-glove", "--corpus", pipeline["corpus"], "--out-dir", glove,
+                         "--dim", "4", "--min-count", "1", "--epochs", "0"]) == 0
+        emb = os.path.join(glove, "embeddings.txt")
+        common = ["--corpus", pipeline["corpus"], "--embeddings", emb,
+                  "--model", pipeline["model_bin"], "--out-dir", str(tmp_path / "out")]
+        for argv in (["evaluate", "--behaviors", fixture_dir.behaviors_test, *common],
+                     ["recommend", "--history", "N1,N2", *common],
+                     ["similar", "--query", "N1", *common]):
+            capsys.readouterr()
+            assert cli.main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert pipeline["model_bin"] in err and emb in err, err
 
     def test_tokenized_corpus_cut_at_every_byte(self, pipeline, tmp_path, capsys):
         with open(pipeline["corpus"], encoding="utf-8") as fh:
@@ -186,6 +269,98 @@ class TestCorruptInputs:
         bad.write_bytes(b"\xff" + "".join(lines).encode("utf-8"))
         assert self.similar(pipeline, tmp_path, embeddings=str(bad)) == 2
         assert f"{bad} is not valid UTF-8" in capsys.readouterr().err
+
+
+GLOVE_VALUES = {"dim": 3, "window": 2, "x_max": 7.5, "alpha": 0.5, "learning_rate": 0.01,
+                "epochs": 1, "min_count": 2}
+MODEL_VALUES = {"heads": 1, "d_head": 3, "d_attn": 5, "negatives": 2, "max_title_tokens": 4,
+                "max_history": 3, "learning_rate": 0.02, "epochs": 1, "batch_size": 7}
+
+
+def as_flags(values):
+    return [arg for name, value in values.items()
+            for arg in ("--" + name.replace("_", "-"), str(value))]
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestRunLifecycle:
+    """Every command records what it read and wrote in one manifest."""
+
+    def command(self, name, pipeline, fixture_dir):
+        """(input flags, other flags) for one run of ``name`` on the pipeline's artifacts."""
+        model_stack = {"--corpus": pipeline["corpus"], "--embeddings": pipeline["embeddings"],
+                       "--model": pipeline["model_bin"]}
+        raw = {"--news": fixture_dir.news, "--behaviors": fixture_dir.behaviors_train}
+        return {
+            "prepare": (raw, []),
+            "train-glove": ({"--corpus": pipeline["corpus"]}, as_flags(GLOVE_VALUES)),
+            "train-model": ({"--corpus": pipeline["corpus"], "--embeddings": pipeline["embeddings"],
+                             "--behaviors": fixture_dir.behaviors_train}, as_flags(MODEL_VALUES)),
+            "evaluate": (dict(model_stack, **{"--behaviors": fixture_dir.behaviors_test}), []),
+            "recommend": (dict(model_stack, **{"--behaviors": fixture_dir.behaviors_train}),
+                          ["--user", "U1", "--top-n", "3"]),
+            "similar": (model_stack, ["--query", "N1", "--top-n", "2"]),
+            "analytics": ({"--corpus": pipeline["corpus"]}, ["--top-k", "3"]),
+            "stats": (raw, []),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["prepare", "train-glove", "train-model", "evaluate",
+                                      "recommend", "similar", "analytics", "stats"])
+    def test_manifest_records_every_input_and_output(self, name, pipeline, fixture_dir,
+                                                     tmp_path, capsys):
+        inputs, extra = self.command(name, pipeline, fixture_dir)
+        out = tmp_path / "out"
+        argv = [name, *(arg for pair in inputs.items() for arg in pair), *extra,
+                "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        manifest_name = f"manifest_{name.replace('-', '_')}.json"
+        manifest = json.loads((out / manifest_name).read_text(encoding="utf-8"))
+        assert manifest["command"] == name
+        written = {str(path): sha256_of(path) for path in out.iterdir()
+                   if path.name != manifest_name}
+        assert manifest["outputs"] == written
+        assert manifest["inputs"] == {path: sha256_of(path) for path in inputs.values()}
+        section = {"train-glove": ("glove", GLOVE_VALUES), "train-model": ("model", MODEL_VALUES)}
+        if name in section:
+            key, values = section[name]
+            assert {k: manifest["config"][key][k] for k in values} == values
+
+    def test_flag_values_cover_every_trainer_field_but_seed(self):
+        for cls, values in ((gl.GloveConfig, GLOVE_VALUES), (mdl.ModelConfig, MODEL_VALUES)):
+            names = {f.name for f in fields(cls)} - {"seed"}
+            assert set(values) == names
+            assert all(values[f.name] != f.default for f in fields(cls) if f.name in names)
+
+
+class TestAtomicOutputs:
+    def test_outputs_get_the_mode_open_gives(self, pipeline, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        old = os.umask(0o027)
+        try:
+            assert cli.main(["train-glove", "--corpus", pipeline["corpus"], "--format", "binary",
+                             "--out-dir", str(out), *as_flags(GLOVE_VALUES)]) == 0
+            assert cli.main(["train-model", "--corpus", pipeline["corpus"],
+                             "--behaviors", fixture_dir.behaviors_train,
+                             "--embeddings", str(out / "embeddings.bin"), "--out-dir", str(out),
+                             *as_flags(MODEL_VALUES)]) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+        assert "model.bin" in modes and "embeddings.meta.json" in modes
+        assert set(modes.values()) == {0o640}, modes
+
+    def test_failed_write_leaves_no_tmp_file(self, tmp_path, trained):
+        target = tmp_path / "model.bin"
+        target.mkdir()
+        with pytest.raises(OSError):
+            mdl.save_model(str(target), trained["params"])
+        assert os.listdir(tmp_path) == ["model.bin"]
 
 
 class TestTrainGlove:
