@@ -1,16 +1,15 @@
 """Reverse-mode automatic differentiation over small numpy arrays.
 
-The engine is small because the model hands it large nodes: each call of
-an attention encoder is one node whose backward is derived by hand (see
-``model._encode_sequence``).  What is left here joins those nodes into a
-loss: ``stack``, ``sub``, ``dot``, ``pick``, ``mean`` and ``logsumexp``
-over float64 tensors of rank <= 3.  Each op records its parents and a
-closure that scatters the incoming gradient; ``backward`` topologically
-sorts the graph (no recursion, cycles are impossible by construction and
-asserted), then accumulates into zeroed buffers, each made when its first
-gradient arrives, so a news vector shared by several samples of a batch
-gets the sum of their gradients; an interior node's gradient is dropped
-once passed on.
+The engine is small because the model hands it large nodes: one training
+batch is four of them, the news encoder, the user encoder, the per-sample
+loss and ``mean``, each but ``mean`` with a backward derived by hand in
+``model``.  Each node records its parents and a closure that scatters the
+incoming gradient; ``backward`` topologically sorts the graph (no
+recursion, cycles are impossible by construction and asserted), then
+accumulates into zeroed buffers, each made when its first gradient
+arrives, so the batch's news vectors, which the user encoder and the loss
+both read, get the sum of both gradients; an interior node's gradient is
+dropped once passed on.
 """
 
 from __future__ import annotations
@@ -108,39 +107,6 @@ def backward(root: Tensor) -> None:
             node.grad = None
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"sub shapes differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.data - b.data, (a, b))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g
-        if b.requires_grad:
-            b.grad -= g
-
-    out.bwd = bwd
-    return out
-
-
-def stack(parts: list[Tensor]) -> Tensor:
-    """Stack equal-shaped tensors along a new leading axis."""
-    if not parts:
-        raise ShapeMismatch("stack needs at least one tensor")
-    shapes = {p.shape for p in parts}
-    if len(shapes) != 1:
-        raise ShapeMismatch(f"stack requires equal shapes, got {sorted(shapes)}")
-    out = Tensor(np.stack([p.data for p in parts]), tuple(parts))
-
-    def bwd(g):
-        for k, p in enumerate(parts):
-            if p.requires_grad:
-                p.grad += g[k]
-
-    out.bwd = bwd
-    return out
-
-
 def mean(a: Tensor) -> Tensor:
     n = a.data.size
     if n == 0:
@@ -150,53 +116,6 @@ def mean(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.grad += g / n
-
-    out.bwd = bwd
-    return out
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two equal-length vectors, as a scalar tensor."""
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeMismatch(f"dot expects equal-length vectors, got {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g * b.data
-        if b.requires_grad:
-            b.grad += g * a.data
-
-    out.bwd = bwd
-    return out
-
-
-def pick(a: Tensor, i: int) -> Tensor:
-    """Select one element of a vector, as a scalar tensor."""
-    if a.ndim != 1:
-        raise ShapeMismatch(f"pick expects a vector, got rank {a.ndim}")
-    out = Tensor(a.data[i], (a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad[i] += g
-
-    out.bwd = bwd
-    return out
-
-
-def logsumexp(a: Tensor) -> Tensor:
-    """log(sum(exp(v))) over a vector, shifted by max(v) for stability."""
-    if a.ndim != 1:
-        raise ShapeMismatch(f"logsumexp expects a vector, got rank {a.ndim}")
-    m = float(np.max(a.data))
-    e = np.exp(a.data - m)
-    s = np.sum(e)
-    out = Tensor(np.log(s) + m, (a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += (g / s) * e
 
     out.bwd = bwd
     return out

@@ -8,9 +8,19 @@ minimizes the NCE loss: for each clicked candidate, K non-clicked
 candidates from the same impression form the negatives, and the loss is
 -log softmax(positive | positive + negatives), averaged over samples.
 
-Sequences stay ragged (no padding, no positional signal); titles are
-truncated to the first ``max_title_tokens`` tokens and histories to the
-``max_history`` most recent encodable clicks (``usable_history``).
+A title is encoded from the known tokens among its first
+``max_title_tokens``, a history from its ``max_history`` most recent
+encodable clicks (``usable_history``); there is no positional signal.
+An encoder takes a whole batch of such ragged sequences and packs them
+instead of padding them: sorted by length, their rows are cut into chunks
+of at most ``ROW_BUDGET`` rows, Q, K and V are one GEMM per chunk, and
+attention runs once per group of equal-length sequences as (sequences,
+heads, length, d_head) products, so no row attends to padding and
+nothing is masked.
+Pooling is a segment softmax over each sequence's rows.  In training a
+batch is four autodiff nodes: the news encoder over the batch's distinct
+titles, the user encoder over rows of its output, ``sample_loss`` and the
+mean.
 """
 
 from __future__ import annotations
@@ -40,6 +50,9 @@ from .metrics import ImpressionResult
 from .mind import ImpressionLog, write_text_atomic
 
 MODEL_MAGIC = b"NRECMDL1"
+# Rows of one packed chunk of sequences: bounds the memory an encoder
+# call holds for its backward pass.
+ROW_BUDGET = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,18 +87,39 @@ class ModelConfig:
 
 @dataclass(slots=True)
 class EncoderParams:
-    """One attention encoder: Q, K, V projections of shape
-    (d_in, heads * d_head), head h in columns h*d_head:(h+1)*d_head, plus
-    the pooling layer."""
+    """One attention encoder, all of its weights in one flat parameter tensor.
 
-    Wq: ad.Tensor
-    Wk: ad.Tensor
-    Wv: ad.Tensor
-    proj: ad.Tensor
-    query: ad.Tensor
+    ``parts`` cuts any array laid out like ``weights`` into ``Wqkv``, the
+    Q, K and V projections side by side as (d_in, 3 * heads * d_head) with
+    head h of each in columns h*d_head:(h+1)*d_head, then the pooling
+    layer's ``proj`` (heads * d_head, d_attn) and ``query`` (d_attn,).
+    """
+
+    weights: ad.Tensor
+    d_in: int
+    d_model: int
+    d_attn: int
+
+    def parts(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a = self.d_in * 3 * self.d_model
+        b = a + self.d_model * self.d_attn
+        return (flat[:a].reshape(self.d_in, 3 * self.d_model),
+                flat[a:b].reshape(self.d_model, self.d_attn), flat[b:])
+
+    @property
+    def Wqkv(self) -> np.ndarray:
+        return self.parts(self.weights.data)[0]
+
+    @property
+    def proj(self) -> np.ndarray:
+        return self.parts(self.weights.data)[1]
+
+    @property
+    def query(self) -> np.ndarray:
+        return self.parts(self.weights.data)[2]
 
     def tensors(self) -> list[ad.Tensor]:
-        return [self.Wq, self.Wk, self.Wv, self.proj, self.query]
+        return [self.weights]
 
 
 @dataclass(slots=True)
@@ -104,18 +138,15 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-lim, lim, size=shape)
 
 
-def _from_head_major(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(heads, 3, d_in, d_head) per-head Q, K, V -> three (d_in, heads*d_head)."""
+def _from_head_major(block: np.ndarray) -> np.ndarray:
+    """(heads, 3, d_in, d_head) per-head Q, K, V -> (d_in, 3 * heads * d_head)."""
     heads, _, d_in, d_head = block.shape
-    fused = block.transpose(1, 2, 0, 3).reshape(3, d_in, heads * d_head)
-    return fused[0], fused[1], fused[2]
+    return block.transpose(2, 1, 0, 3).reshape(d_in, 3 * heads * d_head)
 
 
 def _to_head_major(enc: EncoderParams, heads: int) -> np.ndarray:
     """Inverse of ``_from_head_major``."""
-    fused = np.stack([enc.Wq.data, enc.Wk.data, enc.Wv.data])
-    _, d_in, d_model = fused.shape
-    return fused.reshape(3, d_in, heads, d_model // heads).transpose(2, 0, 1, 3)
+    return enc.Wqkv.reshape(enc.d_in, 3, heads, enc.d_model // heads).transpose(2, 1, 0, 3)
 
 
 def _encoder_shapes(input_dim: int, cfg: ModelConfig) -> list[tuple[int, ...]]:
@@ -124,10 +155,9 @@ def _encoder_shapes(input_dim: int, cfg: ModelConfig) -> list[tuple[int, ...]]:
 
 
 def _make_encoder(block: np.ndarray, proj: np.ndarray, query: np.ndarray, tag: str) -> EncoderParams:
-    Wq, Wk, Wv = (ad.parameter(w, f"{tag}.{name}")
-                  for w, name in zip(_from_head_major(block), ("Wq", "Wk", "Wv")))
-    return EncoderParams(Wq=Wq, Wk=Wk, Wv=Wv, proj=ad.parameter(proj, f"{tag}.proj"),
-                         query=ad.parameter(query, f"{tag}.query"))
+    weights = np.concatenate([_from_head_major(block).ravel(), proj.ravel(), query])
+    return EncoderParams(ad.parameter(weights, tag), d_in=block.shape[2],
+                         d_model=proj.shape[0], d_attn=proj.shape[1])
 
 
 def _init_encoder(rng: np.random.Generator, input_dim: int, cfg: ModelConfig, tag: str) -> EncoderParams:
@@ -160,99 +190,226 @@ def softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y * (g - np.sum(g * y, axis=-1, keepdims=True))
 
 
-def self_attention(x: np.ndarray, enc: EncoderParams,
-                   d_head: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Multi-head scaled dot-product self-attention over rows of ``x``.
+def _runs(lengths: np.ndarray):
+    """(first row, sequences, length) for each run of equal consecutive lengths."""
+    bounds = np.flatnonzero(np.diff(lengths)) + 1
+    row = 0
+    for first, stop in zip([0, *bounds.tolist()], [*bounds.tolist(), len(lengths)]):
+        count, length = stop - first, int(lengths[first])
+        yield row, count, length
+        row += count * length
 
-    All heads run at once: each projection is split into (heads, n, d_head)
-    and the scores are one batched matmul.  Returns the (n, heads*d_head)
-    output and (q, k, v, attn), which the backward pass reuses.
+
+def _segment_starts(lengths: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(lengths)[:-1]))
+
+
+def _project(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``rows @ weights`` with each row's result independent of the others.
+
+    numpy sends a one-row product to gemv, which groups its sums unlike
+    gemm; a doubled row keeps it on gemm, so an item gets the same bits
+    alone as inside any batch (with OpenBLAS, whose gemm rows agree for
+    any row count).
     """
-    n, d_model = x.shape[0], enc.Wq.shape[1]
-    heads = d_model // d_head
-    q, k, v = ((x @ w.data).reshape(n, heads, d_head).transpose(1, 0, 2)
-               for w in (enc.Wq, enc.Wk, enc.Wv))
-    attn = softmax((q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(d_head)))
-    out = (attn @ v).transpose(1, 0, 2).reshape(n, d_model)
-    return out, (q, k, v, attn)
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ weights)[:1]
+    return rows @ weights
 
 
-def additive_pool(seq: np.ndarray, enc: EncoderParams) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Collapse a (length, d) sequence to one d-vector by learned weights.
+def _heads(rows: np.ndarray, count: int, length: int, d_head: int) -> np.ndarray:
+    """Packed (count * length, 3 * d_model) Q|K|V rows -> views (3, count, heads, length, d_head)."""
+    heads = rows.shape[1] // (3 * d_head)
+    return rows.reshape(count, length, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
 
-    Returns the vector and (hidden, weights), which the backward pass reuses.
+
+def self_attention(x: np.ndarray, enc: EncoderParams, d_head: int,
+                   lengths: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Multi-head scaled dot-product self-attention within each sequence.
+
+    The sequences are packed as consecutive rows of ``x``, ``lengths``
+    rows each (default: one sequence of every row).  Q, K and V for all
+    rows are one GEMM; attention runs once per run of equal lengths as
+    rank-4 (sequences, heads, length, d_head) products, so nothing is
+    padded or masked.  Returns the (rows, heads*d_head) output and the
+    attention weights of each run, which the backward pass reuses.
     """
-    hidden = np.tanh(seq @ enc.proj.data)
-    weights = softmax(hidden @ enc.query.data)
-    return weights @ seq, (hidden, weights)
+    lengths = np.array([len(x)]) if lengths is None else lengths
+    qkv = _project(x, enc.Wqkv)
+    out = np.empty((len(x), enc.d_model))
+    attn = []
+    for row, count, length in _runs(lengths):
+        q, k, v = _heads(qkv[row : row + count * length], count, length, d_head)
+        a = softmax((q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_head)))
+        out[row : row + count * length] = (a @ v).transpose(0, 2, 1, 3).reshape(-1, enc.d_model)
+        attn.append(a)
+    return out, attn
 
 
-def _encode(x: np.ndarray, enc: EncoderParams, d_head: int) -> np.ndarray:
-    return additive_pool(self_attention(x, enc, d_head)[0], enc)[0]
+def additive_pool(seq: np.ndarray, enc: EncoderParams,
+                  lengths: np.ndarray | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Collapse each sequence of rows to one vector by learned weights.
 
-
-def _encode_sequence(x: ad.Tensor, enc: EncoderParams, d_head: int) -> ad.Tensor:
-    """Attention then pooling as one autodiff node with a hand-derived backward.
-
-    The node's parents are ``x`` and the encoder's five tensors; ``x`` gets
-    a gradient only when it requires one (the user encoder's history).
+    The weights are a softmax over each sequence's rows (a segment softmax
+    by ``reduceat``).  Returns the (sequences, d) vectors and
+    (hidden, weights), which the backward pass reuses.
     """
-    seq, (q, k, v, attn) = self_attention(x.data, enc, d_head)
-    vec, (hidden, weights) = additive_pool(seq, enc)
-    out = ad.Tensor(vec, (x, *enc.tensors()))
-    n, d_model = seq.shape
-    heads = d_model // d_head
+    lengths = np.array([len(seq)]) if lengths is None else lengths
+    starts = _segment_starts(lengths)
+    hidden = np.tanh(_project(seq, enc.proj))
+    scores = np.einsum("ij,j->i", hidden, enc.query)   # per row, unlike gemv
+    e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), lengths))
+    weights = e / np.repeat(np.add.reduceat(e, starts), lengths)
+    return np.add.reduceat(weights[:, None] * seq, starts), (hidden, weights)
+
+
+def _pack(lengths: np.ndarray) -> list[np.ndarray]:
+    """Sequence indices sorted by length and cut into chunks of at most
+    ``ROW_BUDGET`` rows; a longer sequence is a chunk of its own."""
+    order = np.argsort(lengths, kind="stable")
+    chunks, first, rows = [], 0, 0
+    for i, n in enumerate(lengths[order].tolist()):
+        if rows + n > ROW_BUDGET and i > first:
+            chunks.append(order[first:i])
+            first, rows = i, 0
+        rows += n
+    chunks.append(order[first:])
+    return chunks
+
+
+def _forward(source: np.ndarray, seqs: Sequence[np.ndarray], enc: EncoderParams,
+             d_head: int, keep: bool = False) -> tuple[np.ndarray, list[tuple]]:
+    """Attention then pooling for every sequence of row indices into ``source``.
+
+    This is the one forward of both encoders, in training and inference.
+    Returns the (len(seqs), d_model) vectors and, if ``keep``, per chunk
+    what the backward pass needs: Q, K and V are not kept, the backward
+    recomputes them.
+    """
+    lengths = np.array([len(s) for s in seqs])
+    out = np.empty((len(seqs), enc.d_model))
+    tape = []
+    for chunk in _pack(lengths):
+        idx = np.concatenate([seqs[i] for i in chunk])
+        sizes = lengths[chunk]
+        seq, attn = self_attention(source[idx], enc, d_head, sizes)
+        out[chunk], (hidden, weights) = additive_pool(seq, enc, sizes)
+        if keep:
+            tape.append((chunk, idx, sizes, attn, seq, hidden, weights))
+    return out, tape
+
+
+def _backward(g: np.ndarray, source: np.ndarray, tape: list[tuple], enc: EncoderParams,
+              d_head: int, d_source: np.ndarray | None) -> None:
+    """Add the gradients of ``_forward`` into the encoder's weights and,
+    if ``d_source`` is given, into the source rows.  It overwrites the
+    tape: ``hidden`` with the gradient of the pooling's tanh input, ``seq``
+    with the gradient of the attention output, and so runs once."""
+    wqkv, proj, query = enc.parts(enc.weights.data)
+    d_wqkv, d_proj, d_query = enc.parts(enc.weights.grad)
+    scale = 1.0 / math.sqrt(d_head)
+    for chunk, idx, sizes, attn, seq, hidden, weights in tape:
+        starts = _segment_starts(sizes)
+        # pooling: vec = sum_i weights_i seq_i, weights = softmax(tanh(seq @ proj) @ query)
+        g_rows = np.repeat(g[chunk], sizes, axis=0)
+        d_w = np.einsum("ij,ij->i", seq, g_rows)
+        d_scores = weights * (d_w - np.repeat(np.add.reduceat(weights * d_w, starts), sizes))
+        d_query += hidden.T @ d_scores
+        d_hidden = hidden
+        np.multiply(hidden, hidden, out=d_hidden)
+        np.subtract(1.0, d_hidden, out=d_hidden)
+        d_hidden *= d_scores[:, None]
+        d_hidden *= query
+        d_proj += seq.T @ d_hidden
+        d_seq = np.matmul(d_hidden, proj.T, out=seq)
+        g_rows *= weights[:, None]
+        d_seq += g_rows
+        # attention, per run of equal lengths: out = attn @ v, attn = softmax(q @ k.T * scale)
+        x = source[idx]
+        qkv = _project(x, wqkv)
+        for (row, count, length), a in zip(_runs(sizes), attn):
+            stop = row + count * length
+            q, k, v = _heads(qkv[row:stop], count, length, d_head)
+            d_out = d_seq[row:stop].reshape(count, length, -1, d_head).transpose(0, 2, 1, 3)
+            d_s = softmax_grad(a, d_out @ v.swapaxes(-1, -2))
+            d_s *= scale
+            grads = (d_s @ k, d_s.swapaxes(-1, -2) @ q, a.swapaxes(-1, -2) @ d_out)
+            q[...], k[...], v[...] = grads
+        d_wqkv += x.T @ qkv
+        if d_source is not None:
+            np.add.at(d_source, idx, qkv @ wqkv.T)
+
+
+def _encoder_node(source: np.ndarray | ad.Tensor, seqs: Sequence[np.ndarray],
+                  enc: EncoderParams, d_head: int) -> ad.Tensor:
+    """One batch through one encoder as one autodiff node.
+
+    Its parents are the encoder's weights and, when ``source`` is a
+    tensor, the source (the user encoder's news vectors).  The backward
+    reuses the forward's buffers, so it runs once.
+    """
+    linked = isinstance(source, ad.Tensor)
+    data = source.data if linked else source
+    vecs, tape = _forward(data, seqs, enc, d_head, keep=True)
+    out = ad.Tensor(vecs, (source, enc.weights) if linked else (enc.weights,))
 
     def bwd(g):
-        # pooling: vec = weights @ seq, weights = softmax(tanh(seq @ proj) @ query)
-        d_scores = softmax_grad(weights, seq @ g)
-        enc.query.grad += hidden.T @ d_scores
-        d_hidden = np.outer(d_scores, enc.query.data) * (1.0 - hidden * hidden)
-        enc.proj.grad += seq.T @ d_hidden
-        d_seq = np.outer(weights, g) + d_hidden @ enc.proj.data.T
-        # attention, per head: seq = attn @ v, attn = softmax(q @ k.T / sqrt(d_head))
-        d_heads = d_seq.reshape(n, heads, d_head).transpose(1, 0, 2)
-        d_s = softmax_grad(attn, d_heads @ v.transpose(0, 2, 1)) * (1.0 / math.sqrt(d_head))
-        grads = (d_s @ k, d_s.transpose(0, 2, 1) @ q, attn.transpose(0, 2, 1) @ d_heads)
-        for w, d in zip((enc.Wq, enc.Wk, enc.Wv), grads):
-            d = d.transpose(1, 0, 2).reshape(n, d_model)
-            w.grad += x.data.T @ d
-            if x.requires_grad:
-                x.grad += d @ w.data.T
+        if not tape:
+            raise RuntimeError("an encoder node's backward runs once: it reuses the forward's buffers")
+        _backward(g, data, tape, enc, d_head, source.grad if linked and source.requires_grad else None)
+        tape.clear()
 
     out.bwd = bwd
     return out
 
 
-def title_embedding_rows(tokens: Sequence[str], lookup: EmbeddingLookup, max_tokens: int) -> np.ndarray:
-    """Stack embeddings of the first ``max_tokens`` known tokens of a title."""
-    rows = []
-    for tok in tokens[:max_tokens]:
-        vec = lookup.get(tok)
-        if vec is not None:
-            rows.append(vec)
+def encodable(tokens: Sequence[str], lookup: EmbeddingLookup, max_tokens: int) -> bool:
+    """Whether a title has an embeddable token among its first ``max_tokens``."""
+    return any(tok in lookup for tok in tokens[:max_tokens])
+
+
+def title_rows(tokens: Sequence[str], lookup: EmbeddingLookup, max_tokens: int) -> np.ndarray:
+    """Embedding-matrix rows of the first ``max_tokens`` known tokens of a title."""
+    rows = [lookup.index[tok] for tok in tokens[:max_tokens] if tok in lookup]
     if not rows:
         raise NoKnownTokens(
             f"no embeddable token among {list(tokens[:max_tokens])!r}"
         )
-    return np.stack(rows)
+    return np.array(rows)
 
 
-def encode_news(tokens: Sequence[str], lookup: EmbeddingLookup, params: ModelParams) -> ad.Tensor:
-    """Title tokens -> news vector (d_model,).  Embeddings stay constant."""
-    x = ad.constant(title_embedding_rows(tokens, lookup, params.config.max_title_tokens))
-    return _encode_sequence(x, params.news, params.config.d_head)
+def _title_seqs(titles: Sequence[Sequence[str]], lookup: EmbeddingLookup,
+                params: ModelParams) -> list[np.ndarray]:
+    if not titles:
+        raise NoKnownTokens("no title to encode")
+    return [title_rows(tokens, lookup, params.config.max_title_tokens) for tokens in titles]
 
 
-def encode_user(history: ad.Tensor, params: ModelParams) -> ad.Tensor:
-    """Matrix of clicked-news vectors (m, d_model) -> user vector (d_model,)."""
-    if history.ndim != 2 or history.shape[0] < 1:
-        raise EmptyHistory(f"user history must be a nonempty matrix, got shape {history.shape}")
-    return _encode_sequence(history, params.user, params.config.d_head)
+def _history_seqs(histories: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    seqs = [np.asarray(h, dtype=np.intp) for h in histories]
+    if not seqs or min(len(s) for s in seqs) < 1:
+        raise EmptyHistory("every user history must hold at least one news row")
+    return seqs
 
 
-def score_click(user_vec: ad.Tensor, news_vec: ad.Tensor) -> ad.Tensor:
-    return ad.dot(user_vec, news_vec)
+def encode_news(titles: Sequence[Sequence[str]], lookup: EmbeddingLookup,
+                params: ModelParams) -> ad.Tensor:
+    """Title tokens of B news -> (B, d_model) news vectors, one autodiff
+    node.  Embeddings stay constant."""
+    return _encoder_node(lookup.matrix, _title_seqs(titles, lookup, params),
+                         params.news, params.config.d_head)
+
+
+def encode_user(news: ad.Tensor, histories: Sequence[Sequence[int]],
+                params: ModelParams) -> ad.Tensor:
+    """S histories, each a list of rows of the (B, d_model) ``news`` ->
+    (S, d_model) user vectors, one autodiff node."""
+    return _encoder_node(news, _history_seqs(histories), params.user, params.config.d_head)
+
+
+def score_click(user_vec: np.ndarray, news_vec: np.ndarray) -> float:
+    """Click score: the dot product of a user vector and a news vector."""
+    return float(user_vec @ news_vec)
 
 
 def cold_start_user_vector(params: ModelParams) -> np.ndarray:
@@ -275,10 +432,32 @@ def nce_loss(probabilities: Sequence[float]) -> float:
     return math.fsum(-math.log(p) for p in probabilities) / len(probabilities)
 
 
-def sample_loss(user_vec: ad.Tensor, cand_vecs: Sequence[ad.Tensor]) -> ad.Tensor:
-    """-log p for one sample; ``cand_vecs[0]`` is the clicked candidate."""
-    scores = ad.stack([score_click(user_vec, c) for c in cand_vecs])
-    return ad.sub(ad.logsumexp(scores), ad.pick(scores, 0))
+def sample_loss(users: ad.Tensor, news: ad.Tensor, candidates: np.ndarray) -> ad.Tensor:
+    """-log p per sample, as one autodiff node of shape (S,).
+
+    ``candidates`` is (S, 1 + K) rows of ``news``, the clicked one first;
+    user s scores its candidates by dot product with row s of ``users``,
+    and p is the softmax of those scores at the click (log-sum-exp with
+    max subtraction).
+    """
+    cand = np.asarray(candidates, dtype=np.intp)
+    vecs = news.data[cand]
+    scores = (vecs @ users.data[:, :, None])[:, :, 0]
+    top = np.max(scores, axis=1)
+    e = np.exp(scores - top[:, None])
+    total = np.sum(e, axis=1)
+    out = ad.Tensor(np.log(total) + top - scores[:, 0], (users, news))
+
+    def bwd(g):
+        d_scores = e * (g / total)[:, None]
+        d_scores[:, 0] -= g
+        if users.requires_grad:
+            users.grad += (d_scores[:, None, :] @ vecs)[:, 0]
+        if news.requires_grad:
+            np.add.at(news.grad, cand, d_scores[:, :, None] * users.data[:, None, :])
+
+    out.bwd = bwd
+    return out
 
 
 class Adam:
@@ -321,7 +500,7 @@ def _encodable_ids(news_tokens: Mapping[str, Sequence[str]], lookup: EmbeddingLo
                    max_tokens: int) -> set[str]:
     ok = set()
     for nid, tokens in news_tokens.items():
-        if any(tok in lookup for tok in tokens[:max_tokens]):
+        if encodable(tokens, lookup, max_tokens):
             ok.add(nid)
     return ok
 
@@ -379,9 +558,10 @@ def build_train_samples(
 
 
 def _check_finite(params: ModelParams) -> None:
-    for t in params.tensors():
-        if not np.isfinite(t.data).all():
-            raise NonfiniteParameter(f"model parameter {t.name or '<unnamed>'} contains nan/inf")
+    for enc in (params.news, params.user):
+        for name, part in zip(("Wqkv", "proj", "query"), enc.parts(enc.weights.data)):
+            if not np.isfinite(part).all():
+                raise NonfiniteParameter(f"model parameter {enc.weights.name}.{name} contains nan/inf")
 
 
 def train_model(
@@ -426,51 +606,61 @@ def train_model(
     return params, trace
 
 
+def _batch_losses(batch: Sequence[TrainSample], news_tokens: Mapping[str, Sequence[str]],
+                  lookup: EmbeddingLookup, params: ModelParams) -> ad.Tensor:
+    """The (S,) per-sample losses of one batch: three autodiff nodes, the
+    news encoder over the batch's distinct news, the user encoder over
+    their rows, and ``sample_loss``."""
+    ids = list(dict.fromkeys(nid for s in batch for nid in (*s.history, s.positive, *s.negatives)))
+    row = {nid: i for i, nid in enumerate(ids)}
+    news = encode_news([news_tokens[nid] for nid in ids], lookup, params)
+    users = encode_user(news, [[row[nid] for nid in s.history] for s in batch], params)
+    return sample_loss(users, news, [[row[s.positive], *(row[nid] for nid in s.negatives)]
+                                     for s in batch])
+
+
 def _train_batch(batch: Sequence[TrainSample], news_tokens: Mapping[str, Sequence[str]],
                  lookup: EmbeddingLookup, params: ModelParams, optimizer: Adam) -> list[float]:
     """One Adam step on one batch; returns the per-sample losses.
 
     The batch's graph is freed on return, before the next batch builds its own.
     """
-    news_cache: dict[str, ad.Tensor] = {}
-
-    def news_vec(nid: str) -> ad.Tensor:
-        vec = news_cache.get(nid)
-        if vec is None:
-            vec = encode_news(news_tokens[nid], lookup, params)
-            news_cache[nid] = vec
-        return vec
-
-    losses = []
-    for sample in batch:
-        history = ad.stack([news_vec(nid) for nid in sample.history])
-        user_vec = encode_user(history, params)
-        cands = [news_vec(sample.positive)]
-        cands.extend(news_vec(nid) for nid in sample.negatives)
-        losses.append(sample_loss(user_vec, cands))
-    batch_loss = ad.mean(ad.stack(losses))
+    losses = _batch_losses(batch, news_tokens, lookup, params)
+    batch_loss = ad.mean(losses)
     if not math.isfinite(batch_loss.item()):
         raise DivergedCost(
             f"training loss became non-finite (learning_rate={optimizer.lr})"
         )
     ad.backward(batch_loss)
     optimizer.step()
-    return [l.item() for l in losses]
+    return losses.data.tolist()
+
+
+def news_vectors(titles: Sequence[Sequence[str]], lookup: EmbeddingLookup,
+                 params: ModelParams) -> np.ndarray:
+    """(B, d_model) news vectors for inference: the training forward, no graph."""
+    return _forward(lookup.matrix, _title_seqs(titles, lookup, params),
+                    params.news, params.config.d_head)[0]
 
 
 def news_vector(tokens: Sequence[str], lookup: EmbeddingLookup, params: ModelParams) -> np.ndarray:
-    """Numeric news vector for inference paths: the training forward, no graph."""
-    rows = title_embedding_rows(tokens, lookup, params.config.max_title_tokens)
-    return _encode(rows, params.news, params.config.d_head)
+    """One title's news vector: a batch of one."""
+    return news_vectors([tokens], lookup, params)[0]
+
+
+def _user_vectors(news: np.ndarray, histories: Sequence[Sequence[int]],
+                  params: ModelParams) -> np.ndarray:
+    return _forward(news, _history_seqs(histories), params.user, params.config.d_head)[0]
 
 
 def user_vector(
     history_vectors: Sequence[np.ndarray], params: ModelParams
 ) -> np.ndarray:
-    """Numeric user vector from already-encoded clicked news; zero if empty."""
+    """Numeric user vector from already-encoded clicked news (a batch of
+    one); zero if empty."""
     if not history_vectors:
         return cold_start_user_vector(params)
-    return _encode(np.stack(history_vectors), params.user, params.config.d_head)
+    return _user_vectors(np.stack(history_vectors), [range(len(history_vectors))], params)[0]
 
 
 def score_impression_logs(
@@ -481,25 +671,27 @@ def score_impression_logs(
 ) -> list[ImpressionResult]:
     """Score every candidate of every impression, preserving input order.
 
-    News vectors are cached per article.  Candidates that cannot be
-    encoded (unknown id or no embeddable token) score 0.0, as does every
-    candidate of a user with no usable history (cold start).
+    The news that any impression needs are encoded in one call, and so
+    are the users.  Candidates that cannot be encoded (unknown id or no
+    embeddable token) score 0.0, as does every candidate of a user with
+    no usable history (cold start).
     """
     cfg = params.config
     encodable = _encodable_ids(news_tokens, lookup, cfg.max_title_tokens)
-    cache: dict[str, np.ndarray] = {}
-
-    def vec(nid: str) -> np.ndarray:
-        out = cache.get(nid)
-        if out is None:
-            out = cache[nid] = news_vector(news_tokens[nid], lookup, params)
-        return out
-
+    histories = [usable_history(log.history, encodable, cfg.max_history) for log in logs]
+    needed = dict.fromkeys(nid for log, history in zip(logs, histories)
+                           for nid in (*history, *(c for c, _ in log.candidates))
+                           if nid in encodable)
+    row = {nid: i for i, nid in enumerate(needed)}
+    news = news_vectors([news_tokens[nid] for nid in needed], lookup, params) if needed else None
+    warm = [i for i, history in enumerate(histories) if history]
+    users = np.zeros((len(logs), cfg.d_model))   # cold start: the zero vector
+    if warm:
+        users[warm] = _user_vectors(news, [[row[nid] for nid in histories[i]] for i in warm],
+                                    params)
     results = []
-    for log in logs:
-        history = usable_history(log.history, encodable, cfg.max_history)
-        uvec = user_vector([vec(nid) for nid in history], params)
-        scores = tuple(float(uvec @ vec(nid)) if nid in encodable else 0.0
+    for i, log in enumerate(logs):
+        scores = tuple(score_click(users[i], news[row[nid]]) if nid in encodable else 0.0
                        for nid, _ in log.candidates)
         results.append(ImpressionResult(
             impression_id=log.impression_id,

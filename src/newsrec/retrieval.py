@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, EmptyCandidatePool, NoKnownTokens
 from .glove import EmbeddingLookup
-from .model import ModelParams, news_vector, usable_history, user_vector
+from .model import (ModelParams, encodable, news_vector, news_vectors, score_click,
+                    usable_history, user_vector)
 from .textprep import TokenizedNews
 
 SNIPPET_WIDTH = 48
@@ -60,21 +61,13 @@ class CorpusIndex:
     """
 
     def __init__(self, corpus: Sequence[TokenizedNews], lookup: EmbeddingLookup, params: ModelParams):
-        self.items: list[TokenizedNews] = []
-        self.by_id: dict[str, int] = {}
-        vectors = []
-        skipped = []
-        for item in corpus:
-            try:
-                vec = news_vector(item.title_tokens, lookup, params)
-            except NoKnownTokens:
-                skipped.append(item.news_id)
-                continue
-            self.by_id[item.news_id] = len(self.items)
-            self.items.append(item)
-            vectors.append(vec)
-        self.matrix = np.stack(vectors) if vectors else np.empty((0, params.config.d_model))
-        self.skipped = tuple(skipped)
+        ok = [encodable(item.title_tokens, lookup, params.config.max_title_tokens)
+              for item in corpus]
+        self.items = [item for item, keep in zip(corpus, ok) if keep]
+        self.by_id = {item.news_id: i for i, item in enumerate(self.items)}
+        self.skipped = tuple(item.news_id for item, keep in zip(corpus, ok) if not keep)
+        self.matrix = (news_vectors([item.title_tokens for item in self.items], lookup, params)
+                       if self.items else np.empty((0, params.config.d_model)))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -119,7 +112,7 @@ def recommend(
         vec = index.vector_of(nid)
         if vec is None:
             continue
-        scored.append((nid, float(uvec @ vec)))
+        scored.append((nid, score_click(uvec, vec)))
     scored.sort(key=lambda e: (-e[1], e[0]))
     return RecommendationList(
         user_id=user_id,

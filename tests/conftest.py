@@ -7,6 +7,7 @@ model training) to a single run for the whole suite.
 import numpy as np
 import pytest
 
+import newsrec.autodiff as ad
 import newsrec.glove as gl
 import newsrec.mind as mind
 import newsrec.model as mdl
@@ -90,3 +91,16 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=np.float64)
     denom = np.maximum(np.abs(want), 1e-8)
     return float(np.max(np.abs(got - want) / denom))
+
+
+def weighted_sum(t, w):
+    """sum(t * w) as an autodiff node: a scalar that depends on every entry of ``t``."""
+    w = np.asarray(w, dtype=np.float64)
+    out = ad.Tensor(np.sum(t.data * w), (t,))
+
+    def bwd(g):
+        if t.requires_grad:
+            t.grad += g * w
+
+    out.bwd = bwd
+    return out

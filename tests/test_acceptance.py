@@ -116,17 +116,11 @@ def test_embedding_cost_matches_direct_summation():
 
 
 def one_impression_loss(params, lookup, title_map, history, pos, negs):
-    cache = {}
-
-    def nv(nid):
-        if nid not in cache:
-            cache[nid] = mdl.encode_news(title_map[nid], lookup, params)
-        return cache[nid]
-
-    hist = ad.stack([nv(n) for n in history])
-    user = mdl.encode_user(hist, params)
-    cands = [nv(pos)] + [nv(n) for n in negs]
-    return mdl.sample_loss(user, cands)
+    """A batch of one sample, built as the trainer builds a batch."""
+    ids = list(dict.fromkeys((*history, pos, *negs)))
+    news = mdl.encode_news([title_map[n] for n in ids], lookup, params)
+    user = mdl.encode_user(news, [[ids.index(n) for n in history]], params)
+    return ad.mean(mdl.sample_loss(user, news, [[ids.index(n) for n in (pos, *negs)]]))
 
 
 def test_attention_chain_gradients_match_finite_differences():

@@ -248,6 +248,45 @@ class TestCorruptInputs:
             codes.add(code)
         assert codes == {0, 3, 5}
 
+    @staticmethod
+    def two_lines_with_a_two_byte_character(path, column):
+        """The first two lines of ``path``, with "é" added to one column of
+        the first, so some cuts split a character."""
+        with open(path, encoding="utf-8") as fh:
+            first, second = fh.readline(), fh.readline()
+        cols = first.split("\t")
+        cols[column] += " café"
+        return ("\t".join(cols) + second).encode("utf-8")
+
+    def test_news_cut_at_every_byte(self, fixture_dir, tmp_path, capsys):
+        blob = self.two_lines_with_a_two_byte_character(fixture_dir.news, 3)
+        cut = tmp_path / "news.tsv"
+        codes = set()
+        for offset in range(len(blob) + 1):
+            cut.write_bytes(blob[:offset])
+            code = cli.main(["prepare", "--news", str(cut), "--behaviors",
+                             fixture_dir.behaviors_train, "--out-dir", str(tmp_path / "prep")])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4, 5), (offset, err)
+            if code:
+                assert str(cut) in err, (offset, err)
+            codes.add(code)
+        assert codes == {0, 3}
+
+    def test_behaviors_cut_at_every_byte(self, fixture_dir, tmp_path, capsys):
+        blob = self.two_lines_with_a_two_byte_character(fixture_dir.behaviors_train, 2)
+        cut = tmp_path / "behaviors.tsv"
+        codes = set()
+        for offset in range(len(blob) + 1):
+            cut.write_bytes(blob[:offset])
+            code = cli.main(["stats", "--news", fixture_dir.news, "--behaviors", str(cut)])
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3, 4, 5), (offset, err)
+            if code == 0:
+                json.loads(out)
+            codes.add(code)
+        assert codes == {0}
+
     def test_malformed_tokenized_line_names_path_and_line(self, pipeline, tmp_path, capsys):
         with open(pipeline["corpus"], encoding="utf-8") as fh:
             lines = fh.readlines()[:3]

@@ -15,7 +15,7 @@ import newsrec.retrieval as ret
 from newsrec.errors import ConfigError, EmptyHistory, InsufficientNegatives, NoKnownTokens
 from newsrec.textprep import TokenizedNews
 
-from conftest import make_lookup, rel_err
+from conftest import make_lookup, rel_err, weighted_sum
 
 RNG = np.random.default_rng(7)
 
@@ -33,13 +33,15 @@ def tiny_params(embed_dim=4, **kw):
 
 
 def naive_attention(x, enc, d_head):
-    """Per-head loop over the column slices h*d_head:(h+1)*d_head."""
+    """Per-head loop over the column slices h*d_head:(h+1)*d_head of Q, K and V."""
+    d_model = enc.d_model
+    Wq, Wk, Wv = (enc.Wqkv[:, i * d_model:(i + 1) * d_model] for i in range(3))
     outs = []
-    for h in range(enc.Wq.shape[1] // d_head):
+    for h in range(d_model // d_head):
         cols = slice(h * d_head, (h + 1) * d_head)
-        q = x @ enc.Wq.data[:, cols]
-        k = x @ enc.Wk.data[:, cols]
-        v = x @ enc.Wv.data[:, cols]
+        q = x @ Wq[:, cols]
+        k = x @ Wk[:, cols]
+        v = x @ Wv[:, cols]
         s = (q @ k.T) / math.sqrt(d_head)
         a = np.exp(s - s.max(axis=1, keepdims=True))
         a /= a.sum(axis=1, keepdims=True)
@@ -48,7 +50,7 @@ def naive_attention(x, enc, d_head):
 
 
 def naive_pool(y, enc):
-    scores = np.tanh(y @ enc.proj.data) @ enc.query.data
+    scores = np.tanh(y @ enc.proj) @ enc.query
     w = np.exp(scores - scores.max())
     w /= w.sum()
     return w @ y
@@ -63,7 +65,7 @@ class TestSelfAttention:
         params = tiny_params()
         x = RNG.normal(size=(1, 4))
         out = mdl.self_attention(x, params.news, 3)[0]
-        want = x @ params.news.Wv.data
+        want = x @ params.news.Wqkv[:, 2 * params.news.d_model:]
         assert rel_err(out, want) <= 1e-12
 
     def test_identical_rows_give_identical_outputs(self):
@@ -122,12 +124,12 @@ class TestEncoders:
     def test_encode_news_rejects_all_oov_title(self):
         lookup = make_lookup(["alpha", "beta"], 4)
         with pytest.raises(NoKnownTokens):
-            mdl.encode_news(["zzz", "qqq"], lookup, tiny_params())
+            mdl.encode_news([["alpha"], ["zzz", "qqq"]], lookup, tiny_params())
 
     def test_encode_news_one_token_title(self):
         lookup = make_lookup(["alpha"], 4)
         params = tiny_params()
-        out = mdl.encode_news(["alpha"], lookup, params).data
+        out = mdl.encode_news([["alpha"]], lookup, params).data[0]
         x = lookup.get("alpha")[None, :]
         assert rel_err(out, naive_encode(x, params.news, 3)) <= 1e-10
 
@@ -135,46 +137,44 @@ class TestEncoders:
         tokens = [f"t{i}" for i in range(9)]
         lookup = make_lookup(tokens, 4)
         params = tiny_params()   # budget of 5 title tokens
-        full = mdl.encode_news(tokens, lookup, params).data
-        head = mdl.encode_news(tokens[:5], lookup, params).data
+        full, head = mdl.encode_news([tokens, tokens[:5]], lookup, params).data
         assert np.array_equal(full, head)
 
     def test_encode_news_skips_unknown_tokens(self):
         lookup = make_lookup(["alpha", "beta"], 4)
         params = tiny_params()
-        mixed = mdl.encode_news(["alpha", "zzz", "beta"], lookup, params).data
-        known = mdl.encode_news(["alpha", "beta"], lookup, params).data
+        mixed, known = mdl.encode_news([["alpha", "zzz", "beta"], ["alpha", "beta"]],
+                                       lookup, params).data
         assert np.array_equal(mixed, known)
 
     def test_encode_news_matches_oracle(self):
         lookup = make_lookup(["a", "b", "c", "d"], 4)
         params = tiny_params()
-        out = mdl.encode_news(["a", "b", "c"], lookup, params).data
+        out = mdl.encode_news([["a", "b", "c"]], lookup, params).data[0]
         x = np.stack([lookup.get(t) for t in ("a", "b", "c")])
         assert rel_err(out, naive_encode(x, params.news, 3)) <= 1e-10
 
     def test_encode_user_single_news(self):
         params = tiny_params()
         h = RNG.normal(size=(1, 6))
-        out = mdl.encode_user(ad.constant(h), params).data
+        out = mdl.encode_user(ad.constant(h), [[0]], params).data[0]
         assert rel_err(out, naive_encode(h, params.user, 3)) <= 1e-10
 
     def test_encode_user_invariant_to_history_order(self):
         params = tiny_params()
         h = RNG.normal(size=(4, 6))
-        out = mdl.encode_user(ad.constant(h), params).data
-        out_p = mdl.encode_user(ad.constant(h[::-1].copy()), params).data
+        out, out_p = mdl.encode_user(ad.constant(h), [[0, 1, 2, 3], [3, 2, 1, 0]], params).data
         assert rel_err(out_p, out) <= 1e-12
 
     def test_encode_user_matches_oracle(self):
         params = tiny_params()
         h = RNG.normal(size=(3, 6))
-        out = mdl.encode_user(ad.constant(h), params).data
+        out = mdl.encode_user(ad.constant(h), [[0, 1, 2]], params).data[0]
         assert rel_err(out, naive_encode(h, params.user, 3)) <= 1e-10
 
     def test_encode_user_rejects_empty_history(self):
         with pytest.raises(EmptyHistory):
-            mdl.encode_user(ad.constant(np.zeros((0, 6))), tiny_params())
+            mdl.encode_user(ad.constant(np.zeros((2, 6))), [[0, 1], []], tiny_params())
 
     def test_cold_start_vector_is_zero(self):
         params = tiny_params()
@@ -186,18 +186,14 @@ class TestEncoders:
 
 class TestScoring:
     def test_orthogonal_vectors_score_zero(self):
-        s = mdl.score_click(ad.constant(np.array([1.0, 0.0])),
-                            ad.constant(np.array([0.0, 1.0])))
-        assert s.item() == 0.0
+        assert mdl.score_click(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_matching_unit_basis_scores_one(self):
         e0 = np.array([1.0, 0.0, 0.0])
-        assert mdl.score_click(ad.constant(e0), ad.constant(e0)).item() == 1.0
+        assert mdl.score_click(e0, e0) == 1.0
 
     def test_hand_inner_product(self):
-        s = mdl.score_click(ad.constant(np.array([1.0, 2.0])),
-                            ad.constant(np.array([3.0, 4.0])))
-        assert s.item() == 11.0
+        assert mdl.score_click(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
 
 
 class TestNceProbability:
@@ -243,27 +239,50 @@ class TestLoss:
         assert mdl.nce_loss([p1, p2]) == pytest.approx(want, rel=1e-14)
 
     def test_sample_loss_equals_negative_log_probability(self):
-        user = ad.constant(RNG.normal(size=4))
-        cands = [ad.constant(RNG.normal(size=4)) for _ in range(5)]
-        loss = mdl.sample_loss(user, cands).item()
-        scores = [float(user.data @ c.data) for c in cands]
-        p = mdl.nce_probability(scores[0], scores[1:])
-        assert loss == pytest.approx(-math.log(p), rel=1e-12)
+        users = ad.constant(RNG.normal(size=(2, 4)))
+        news = ad.constant(RNG.normal(size=(5, 4)))
+        cands = [[0, 1, 2, 3, 4], [3, 0, 4, 1, 2]]
+        losses = mdl.sample_loss(users, news, cands).data
+        assert losses.shape == (2,)
+        for user, row, loss in zip(users.data, cands, losses):
+            scores = [float(user @ news.data[c]) for c in row]
+            p = mdl.nce_probability(scores[0], scores[1:])
+            assert loss == pytest.approx(-math.log(p), rel=1e-12)
+
+
+    def test_sample_loss_is_stable_for_large_scores(self):
+        users = ad.constant(np.array([[10.0, 0.0], [0.0, -10.0]]))
+        news = ad.constant(RNG.normal(size=(4, 2)) * 10)
+        cands = [[0, 1, 2, 3], [3, 2, 1, 0]]
+        losses = mdl.sample_loss(users, news, cands).data
+        for user, row, loss in zip(users.data, cands, losses):
+            scores = news.data[row] @ user
+            want = np.log(np.sum(np.exp(scores - scores.max()))) + scores.max() - scores[0]
+            assert np.isfinite(loss) and loss == pytest.approx(want, rel=1e-12)
+
+    def test_sample_loss_gradients_match_central_differences(self):
+        """Both samples score news row 1, so its gradient is a sum."""
+        users0 = RNG.normal(size=(2, 3))
+        news0 = RNG.normal(size=(4, 3))
+        cands = [[0, 1, 2], [1, 3, 0]]
+        users, news = ad.parameter(users0.copy()), ad.parameter(news0.copy())
+        w = np.array([0.7, -1.3])
+        ad.backward(weighted_sum(mdl.sample_loss(users, news, cands), w))
+
+        def f():
+            return float(mdl.sample_loss(ad.constant(users0), ad.constant(news0), cands).data @ w)
+
+        for arr, got in ((users0, users.grad), (news0, news.grad)):
+            fd = central_differences(f, arr, 1e-6)
+            assert np.max(np.abs(got - fd)) <= 1e-7 * max(1.0, float(np.max(np.abs(fd))))
 
 
 def one_impression_loss(params, lookup, title_map, history, pos, negs):
-    """Forward pass of a single training sample, mirroring the trainer."""
-    cache = {}
-
-    def nv(nid):
-        if nid not in cache:
-            cache[nid] = mdl.encode_news(title_map[nid], lookup, params)
-        return cache[nid]
-
-    hist = ad.stack([nv(n) for n in history])
-    user = mdl.encode_user(hist, params)
-    cands = [nv(pos)] + [nv(n) for n in negs]
-    return mdl.sample_loss(user, cands)
+    """Forward pass of a single training sample: a batch of one, as the trainer builds it."""
+    ids = list(dict.fromkeys((*history, pos, *negs)))
+    news = mdl.encode_news([title_map[n] for n in ids], lookup, params)
+    user = mdl.encode_user(news, [[ids.index(n) for n in history]], params)
+    return ad.mean(mdl.sample_loss(user, news, [[ids.index(n) for n in (pos, *negs)]]))
 
 
 class TestTrainerGradients:
@@ -299,39 +318,157 @@ class TestTrainerGradients:
             worst = max(worst, float(np.max(np.abs(fd - got) / scale)))
         assert worst <= 1e-4
 
-    def test_one_encoder_node_matches_central_differences(self):
-        """The hand-derived backward of one ``_encode_sequence`` node, with
-        respect to its input rows and to each of the encoder's tensors."""
+    def test_one_encoder_node_matches_central_differences(self, monkeypatch):
+        """The hand-derived backward of one user-encoder node over ragged
+        histories in two chunks, with respect to the news rows and to the
+        encoder's weights.  The first chunk holds rows 1 and 2 twice."""
+        monkeypatch.setattr(mdl, "ROW_BUDGET", 6)
         params = tiny_params()
         x0 = RNG.normal(size=(5, 6))
-        w = RNG.normal(size=6)
+        w = RNG.normal(size=(4, 6))
+        histories = [[0, 1], [2], [1, 2], [4, 0, 3, 1, 2]]
         x = ad.parameter(x0.copy())
-        node = mdl._encode_sequence(x, params.user, 3)
-        assert node.parents == (x, *params.user.tensors())
-        ad.backward(ad.dot(node, ad.constant(w)))
+        node = mdl.encode_user(x, histories, params)
+        assert node.parents == (x, params.user.weights)
+        ad.backward(weighted_sum(node, w))
 
         def f():
-            return float(mdl._encode(x0, params.user, 3) @ w)
+            return float(np.sum(mdl.encode_user(ad.constant(x0), histories, params).data * w))
 
-        h = 1e-6
-        for arr, got in [(x0, x.grad)] + [(t.data, t.grad) for t in params.user.tensors()]:
-            fd = np.zeros_like(arr)
-            for idx in np.ndindex(arr.shape):
-                keep = arr[idx]
-                arr[idx] = keep + h
-                up = f()
-                arr[idx] = keep - h
-                down = f()
-                arr[idx] = keep
-                fd[idx] = (up - down) / (2.0 * h)
+        weights = params.user.weights
+        for arr, got in ((x0, x.grad), (weights.data, weights.grad)):
+            fd = central_differences(f, arr, 1e-6)
             assert np.max(np.abs(got - fd)) <= 1e-7 * max(1.0, float(np.max(np.abs(fd))))
 
     def test_constant_input_gets_no_gradient(self):
+        """Word embeddings are inputs, not graph nodes: the news encoder's
+        only parent is its weights."""
+        lookup = make_lookup(["a", "b", "c"], 4)
         params = tiny_params()
-        x = ad.constant(RNG.normal(size=(3, 4)))
-        ad.backward(ad.mean(mdl._encode_sequence(x, params.news, 3)))
-        assert x.grad is None
-        assert all(t.grad is not None for t in params.news.tensors())
+        node = mdl.encode_news([["a", "b"], ["c"]], lookup, params)
+        assert node.parents == (params.news.weights,)
+        ad.backward(ad.mean(node))
+        assert params.news.weights.grad.any()
+
+    def test_encoder_node_backward_runs_once(self):
+        """Its backward overwrites the forward's buffers, so a second one is refused."""
+        lookup = make_lookup(["a", "b"], 4)
+        loss = ad.mean(mdl.encode_news([["a", "b"], ["b"]], lookup, tiny_params()))
+        ad.backward(loss)
+        with pytest.raises(RuntimeError, match="runs once"):
+            ad.backward(loss)
+
+
+def central_differences(f, arr, h):
+    """Central-difference gradient of the scalar ``f()`` in each entry of
+    ``arr``, which is perturbed in place and restored."""
+    fd = np.zeros_like(arr)
+    for idx in np.ndindex(arr.shape):
+        keep = arr[idx]
+        arr[idx] = keep + h
+        up = f()
+        arr[idx] = keep - h
+        down = f()
+        arr[idx] = keep
+        fd[idx] = (up - down) / (2.0 * h)
+    return fd
+
+
+def max_rel(got, want):
+    """Largest absolute difference relative to the largest entry of ``want``."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def ragged_batch():
+    """Three samples over nine news with titles of 1-5 tokens.  Samples
+    share news: N3, in sample 0's history, is sample 2's click, and N2, in
+    sample 1's history, is a negative of sample 0."""
+    tokens = [f"w{i}" for i in range(8)]
+    lookup = make_lookup(tokens, 4, seed=6)
+    title_map = {f"N{i}": tuple(tokens[(i + j) % 8] for j in range(1 + i % 5)) for i in range(9)}
+    batch = [
+        mdl.TrainSample(history=("N0", "N3", "N4"), positive="N1", negatives=("N2", "N5")),
+        mdl.TrainSample(history=("N2", "N8"), positive="N6", negatives=("N0", "N7")),
+        mdl.TrainSample(history=("N5", "N6", "N7", "N8"), positive="N3", negatives=("N1", "N4")),
+    ]
+    return lookup, title_map, batch
+
+
+class TestBatchedEncoders:
+    """Length-sorted packing: many chunks, several lengths per chunk."""
+
+    def test_batch_gradients_match_central_differences(self, monkeypatch):
+        monkeypatch.setattr(mdl, "ROW_BUDGET", 4)
+        packs = []
+        pack = mdl._pack
+
+        def spy(lengths):
+            chunks = pack(lengths)
+            packs.append([lengths[c].tolist() for c in chunks])
+            return chunks
+
+        monkeypatch.setattr(mdl, "_pack", spy)
+        lookup, title_map, batch = ragged_batch()
+        params = tiny_params()
+
+        def loss():
+            return ad.mean(mdl._batch_losses(batch, title_map, lookup, params))
+
+        ad.backward(loss())
+        news_chunks, user_chunks = packs[:2]
+        assert len(news_chunks) >= 3 and len(user_chunks) >= 3
+        assert any(len(set(chunk)) > 1 for chunk in news_chunks)
+        worst = 0.0
+        for tensor in params.tensors():
+            got = tensor.grad.copy()
+            fd = central_differences(lambda: loss().item(), tensor.data, 1e-4)
+            scale = np.maximum(np.maximum(np.abs(fd), np.abs(got)), 1.0)
+            worst = max(worst, float(np.max(np.abs(fd - got) / scale)))
+        assert worst <= 1e-4
+
+    def test_ragged_batch_matches_per_head_oracle(self, monkeypatch):
+        monkeypatch.setattr(mdl, "ROW_BUDGET", 4)
+        lookup, title_map, batch = ragged_batch()
+        params = tiny_params()
+        ids = sorted(title_map)
+        news = mdl.encode_news([title_map[n] for n in ids], lookup, params)
+        for nid, got in zip(ids, news.data):
+            x = np.stack([lookup.get(t) for t in title_map[nid]])
+            assert max_rel(got, naive_encode(x, params.news, 3)) <= 1e-12
+        histories = [[ids.index(n) for n in s.history] for s in batch]
+        users = mdl.encode_user(news, histories, params)
+        for rows, got in zip(histories, users.data):
+            assert max_rel(got, naive_encode(news.data[rows], params.user, 3)) <= 1e-12
+
+    def test_vectors_do_not_depend_on_batch_order_or_row_budget(self, monkeypatch):
+        lookup, title_map, batch = ragged_batch()
+        params = tiny_params()
+        ids = sorted(title_map)
+        perm = np.random.default_rng(3)
+
+        def encode(order, budget):
+            monkeypatch.setattr(mdl, "ROW_BUDGET", budget)
+            news = mdl.encode_news([title_map[ids[i]] for i in order], lookup, params)
+            at = {ids[i]: row for row, i in enumerate(order)}
+            users = mdl.encode_user(news, [[at[n] for n in s.history] for s in batch], params)
+            return dict(zip([ids[i] for i in order], news.data)), users.data
+
+        want_news, want_users = encode(list(range(len(ids))), 1024)
+        for order in (list(range(len(ids)))[::-1], perm.permutation(len(ids)).tolist()):
+            for budget in (1, 4, 1024):
+                news, users = encode(order, budget)
+                assert all(np.array_equal(news[n], want_news[n]) for n in ids)
+                assert np.array_equal(users, want_users)
+
+    def test_corpus_index_equals_row_by_row_news_vectors(self, monkeypatch):
+        monkeypatch.setattr(mdl, "ROW_BUDGET", 4)
+        lookup, title_map, _ = ragged_batch()
+        params = tiny_params()
+        corpus = [TokenizedNews(nid, "c", "s", toks, (), " ".join(toks), "")
+                  for nid, toks in title_map.items()]
+        index = ret.CorpusIndex(corpus, lookup, params)
+        want = np.stack([mdl.news_vector(item.title_tokens, lookup, params) for item in corpus])
+        assert np.array_equal(index.matrix, want)
 
 
 def planted_setup(seed=0):
@@ -545,11 +682,12 @@ class TestCheckpoint:
         parts = [b"NRECMDL1", struct.pack("<I", len(header)), header]
         for enc in (params.news, params.user):
             for h in range(cfg.heads):
-                cols = slice(h * cfg.d_head, (h + 1) * cfg.d_head)
-                for w in (enc.Wq, enc.Wk, enc.Wv):
-                    parts.append(np.ascontiguousarray(w.data[:, cols], dtype="<f4").tobytes())
-            parts.append(enc.proj.data.astype("<f4").tobytes())
-            parts.append(enc.query.data.astype("<f4").tobytes())
+                for qkv in range(3):
+                    first = qkv * cfg.d_model + h * cfg.d_head
+                    block = enc.Wqkv[:, first:first + cfg.d_head]
+                    parts.append(np.ascontiguousarray(block, dtype="<f4").tobytes())
+            parts.append(enc.proj.astype("<f4").tobytes())
+            parts.append(enc.query.astype("<f4").tobytes())
         return b"".join(parts)
 
     def test_bytes_follow_per_head_qkv_order(self, tmp_path):
