@@ -18,9 +18,11 @@ attention runs once per group of equal-length sequences as (sequences,
 heads, length, d_head) products, so no row attends to padding and
 nothing is masked.
 Pooling is a segment softmax over each sequence's rows.  In training a
-batch is four autodiff nodes: the news encoder over the batch's distinct
-titles, the user encoder over rows of its output, ``sample_loss`` and the
-mean.
+batch is four autodiff nodes over the two encoders' weights: the news
+encoder over the batch's distinct titles, the user encoder over rows of
+its output, ``sample_loss`` and the mean.  Each but the mean carries a
+backward derived here by hand; inference calls the same forward and
+builds no node.
 """
 
 from __future__ import annotations
@@ -118,9 +120,6 @@ class EncoderParams:
     def query(self) -> np.ndarray:
         return self.parts(self.weights.data)[2]
 
-    def tensors(self) -> list[ad.Tensor]:
-        return [self.weights]
-
 
 @dataclass(slots=True)
 class ModelParams:
@@ -130,7 +129,7 @@ class ModelParams:
     user: EncoderParams
 
     def tensors(self) -> list[ad.Tensor]:
-        return self.news.tensors() + self.user.tensors()
+        return [self.news.weights, self.user.weights]
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -154,17 +153,17 @@ def _encoder_shapes(input_dim: int, cfg: ModelConfig) -> list[tuple[int, ...]]:
     return [(cfg.heads, 3, input_dim, cfg.d_head), (cfg.d_model, cfg.d_attn), (cfg.d_attn,)]
 
 
-def _make_encoder(block: np.ndarray, proj: np.ndarray, query: np.ndarray, tag: str) -> EncoderParams:
+def _make_encoder(block: np.ndarray, proj: np.ndarray, query: np.ndarray) -> EncoderParams:
     weights = np.concatenate([_from_head_major(block).ravel(), proj.ravel(), query])
-    return EncoderParams(ad.parameter(weights, tag), d_in=block.shape[2],
+    return EncoderParams(ad.Tensor(weights), d_in=block.shape[2],
                          d_model=proj.shape[0], d_attn=proj.shape[1])
 
 
-def _init_encoder(rng: np.random.Generator, input_dim: int, cfg: ModelConfig, tag: str) -> EncoderParams:
+def _init_encoder(rng: np.random.Generator, input_dim: int, cfg: ModelConfig) -> EncoderParams:
     block, proj, query = _encoder_shapes(input_dim, cfg)
     return _make_encoder(_glorot(rng, input_dim, cfg.d_head, block),
                          _glorot(rng, cfg.d_model, cfg.d_attn, proj),
-                         _glorot(rng, cfg.d_attn, 1, query), tag)
+                         _glorot(rng, cfg.d_attn, 1, query))
 
 
 def init_params(embed_dim: int, config: ModelConfig) -> ModelParams:
@@ -173,8 +172,8 @@ def init_params(embed_dim: int, config: ModelConfig) -> ModelParams:
     if embed_dim < 1:
         raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
     rng = np.random.default_rng(config.seed)
-    news = _init_encoder(rng, embed_dim, config, "news")
-    user = _init_encoder(rng, config.d_model, config, "user")
+    news = _init_encoder(rng, embed_dim, config)
+    user = _init_encoder(rng, config.d_model, config)
     return ModelParams(embed_dim=embed_dim, config=config, news=news, user=user)
 
 
@@ -356,7 +355,7 @@ def _encoder_node(source: np.ndarray | ad.Tensor, seqs: Sequence[np.ndarray],
     def bwd(g):
         if not tape:
             raise RuntimeError("an encoder node's backward runs once: it reuses the forward's buffers")
-        _backward(g, data, tape, enc, d_head, source.grad if linked and source.requires_grad else None)
+        _backward(g, data, tape, enc, d_head, source.grad if linked else None)
         tape.clear()
 
     out.bwd = bwd
@@ -451,25 +450,23 @@ def sample_loss(users: ad.Tensor, news: ad.Tensor, candidates: np.ndarray) -> ad
     def bwd(g):
         d_scores = e * (g / total)[:, None]
         d_scores[:, 0] -= g
-        if users.requires_grad:
-            users.grad += (d_scores[:, None, :] @ vecs)[:, 0]
-        if news.requires_grad:
-            np.add.at(news.grad, cand, d_scores[:, :, None] * users.data[:, None, :])
+        users.grad += (d_scores[:, None, :] @ vecs)[:, 0]
+        np.add.at(news.grad, cand, d_scores[:, :, None] * users.data[:, None, :])
 
     out.bwd = bwd
     return out
 
 
 class Adam:
-    """Adam with bias correction; operates on autodiff parameter tensors."""
+    """Adam with bias correction; steps each tensor's data along its ``grad``."""
 
-    def __init__(self, params: Sequence[ad.Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: Sequence[ad.Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -480,8 +477,6 @@ class Adam:
         b2c = 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            if g is None:
-                continue
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -558,10 +553,10 @@ def build_train_samples(
 
 
 def _check_finite(params: ModelParams) -> None:
-    for enc in (params.news, params.user):
+    for tag, enc in (("news", params.news), ("user", params.user)):
         for name, part in zip(("Wqkv", "proj", "query"), enc.parts(enc.weights.data)):
             if not np.isfinite(part).all():
-                raise NonfiniteParameter(f"model parameter {enc.weights.name}.{name} contains nan/inf")
+                raise NonfiniteParameter(f"model parameter {tag}.{name} contains nan/inf")
 
 
 def train_model(
@@ -569,7 +564,6 @@ def train_model(
     news_tokens: Mapping[str, Sequence[str]],
     lookup: EmbeddingLookup,
     config: ModelConfig,
-    params: ModelParams | None = None,
 ) -> tuple[ModelParams, list[float]]:
     """Fit both encoders with Adam; returns (params, per-epoch mean loss).
 
@@ -577,13 +571,7 @@ def train_model(
     One seed drives initialization, negative sampling, and the per-epoch
     shuffle, so identical inputs give identical parameters.
     """
-    config.validate()
-    if params is None:
-        params = init_params(lookup.dim, config)
-    elif params.embed_dim != lookup.dim:
-        raise ConfigError(
-            f"model expects {params.embed_dim}-dim embeddings, lookup provides {lookup.dim}"
-        )
+    params = init_params(lookup.dim, config)
     seeds = np.random.SeedSequence(config.seed).spawn(2)
     sample_rng = np.random.default_rng(seeds[0])
     shuffle_rng = np.random.default_rng(seeds[1])
@@ -627,7 +615,7 @@ def _train_batch(batch: Sequence[TrainSample], news_tokens: Mapping[str, Sequenc
     """
     losses = _batch_losses(batch, news_tokens, lookup, params)
     batch_loss = ad.mean(losses)
-    if not math.isfinite(batch_loss.item()):
+    if not math.isfinite(batch_loss.data):
         raise DivergedCost(
             f"training loss became non-finite (learning_rate={optimizer.lr})"
         )
@@ -719,7 +707,7 @@ def save_model(path: str, params: ModelParams) -> None:
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     chunks = [MODEL_MAGIC, struct.pack("<I", len(blob)), blob]
     for enc in (params.news, params.user):
-        for arr in (_to_head_major(enc, params.config.heads), enc.proj.data, enc.query.data):
+        for arr in (_to_head_major(enc, params.config.heads), enc.proj, enc.query):
             chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     write_text_atomic(path, b"".join(chunks))
 
@@ -754,5 +742,5 @@ def load_model(path: str) -> ModelParams:
     arrays = [part.reshape(shape) for part, shape
               in zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
     return ModelParams(embed_dim=embed_dim, config=config,
-                       news=_make_encoder(*arrays[:3], "news"),
-                       user=_make_encoder(*arrays[3:], "user"))
+                       news=_make_encoder(*arrays[:3]),
+                       user=_make_encoder(*arrays[3:]))

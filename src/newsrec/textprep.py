@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 from .errors import AllTokensRemoved, InputError, MissingInput
-from .mind import NewsArticle
+from .mind import NewsArticle, write_text_atomic
 from .porter import stem
 
 STOPWORDS_ENV_VAR = "NEWSREC_STOPWORDS"
@@ -200,8 +200,6 @@ def parse_tokenized_line(line: str) -> TokenizedNews:
 
 
 def save_tokenized(path: str, corpus: Sequence[TokenizedNews]) -> None:
-    from .mind import write_text_atomic
-
     write_text_atomic(path, "".join(format_tokenized_line(n) + "\n" for n in corpus))
 
 

@@ -99,8 +99,7 @@ def weighted_sum(t, w):
     out = ad.Tensor(np.sum(t.data * w), (t,))
 
     def bwd(g):
-        if t.requires_grad:
-            t.grad += g * w
+        t.grad += g * w
 
     out.bwd = bwd
     return out

@@ -1,5 +1,7 @@
-"""The compiled AdaGrad sweep and its pure-numpy fallback must agree."""
+"""The AdaGrad sweep: the compiled kernel and its pure-numpy fallback agree,
+and one sweep steps along the gradient that the finite-difference check vouches for."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import newsrec._kernels as kern
+import newsrec.glove as gl
 
 
 def make_instance(seed, vocab_size=12, dim=6, nnz=40):
@@ -94,9 +97,39 @@ def test_dispatcher_uses_a_real_backend():
 def test_env_flag_forces_numpy_backend():
     env = dict(os.environ)
     env[kern.PURE_NUMPY_ENV_VAR] = "1"
+    # the child imports newsrec from where this process did, installed or not
+    src = os.path.dirname(os.path.dirname(kern.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-c",
          "import newsrec._kernels as k; print(k.backend_name(), k.HAS_NUMBA)"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.split() == ["numpy", "False"]
+
+
+def test_sweep_over_disjoint_entries_steps_by_the_checked_gradient():
+    """With no row and no column repeated, each update of one sweep starts
+    from the initial state, so from unit accumulators the sweep is one
+    plain gradient step: the gradient the finite-difference check vouches
+    for (``glove_cost_grads``), scaled by ``-lr``."""
+    rng = np.random.default_rng(11)
+    vocab_size, nnz, lr = 15, 9, 0.05
+    config = gl.GloveConfig(dim=6, x_max=10.0, learning_rate=lr)
+    matrix = gl.CooccurrenceMatrix(vocab_size=vocab_size,
+                                   rows=rng.permutation(vocab_size)[:nnz],
+                                   cols=rng.permutation(vocab_size)[:nnz],
+                                   vals=rng.uniform(0.5, 30.0, size=nnz))
+    table = gl.init_table(vocab_size, config.dim, seed=4)
+    cost, grads = gl.glove_cost_grads(table, matrix, config)
+    after = {f.name: getattr(table, f.name).copy() for f in dataclasses.fields(table)}
+    got = kern.adagrad_sweep(rng.permutation(nnz), matrix.rows, matrix.cols,
+                             gl.cost_weight(matrix.vals, config.x_max, config.alpha),
+                             np.log(matrix.vals), after["W"], after["Wt"], after["b"], after["bt"],
+                             after["accW"], after["accWt"], after["accb"], after["accbt"], lr)
+    # the sweep sums the cost in visit order, glove_cost_grads by np.sum
+    assert got == pytest.approx(cost, rel=1e-14)
+    for key, grad in grads.items():
+        before = getattr(table, key)
+        np.testing.assert_allclose(after[key] - before, -lr * grad, rtol=0, atol=1e-15, err_msg=key)
+        np.testing.assert_allclose(after["acc" + key], 1.0 + grad * grad, rtol=1e-14, err_msg=key)

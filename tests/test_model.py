@@ -157,24 +157,24 @@ class TestEncoders:
     def test_encode_user_single_news(self):
         params = tiny_params()
         h = RNG.normal(size=(1, 6))
-        out = mdl.encode_user(ad.constant(h), [[0]], params).data[0]
+        out = mdl.encode_user(ad.Tensor(h), [[0]], params).data[0]
         assert rel_err(out, naive_encode(h, params.user, 3)) <= 1e-10
 
     def test_encode_user_invariant_to_history_order(self):
         params = tiny_params()
         h = RNG.normal(size=(4, 6))
-        out, out_p = mdl.encode_user(ad.constant(h), [[0, 1, 2, 3], [3, 2, 1, 0]], params).data
+        out, out_p = mdl.encode_user(ad.Tensor(h), [[0, 1, 2, 3], [3, 2, 1, 0]], params).data
         assert rel_err(out_p, out) <= 1e-12
 
     def test_encode_user_matches_oracle(self):
         params = tiny_params()
         h = RNG.normal(size=(3, 6))
-        out = mdl.encode_user(ad.constant(h), [[0, 1, 2]], params).data[0]
+        out = mdl.encode_user(ad.Tensor(h), [[0, 1, 2]], params).data[0]
         assert rel_err(out, naive_encode(h, params.user, 3)) <= 1e-10
 
     def test_encode_user_rejects_empty_history(self):
         with pytest.raises(EmptyHistory):
-            mdl.encode_user(ad.constant(np.zeros((2, 6))), [[0, 1], []], tiny_params())
+            mdl.encode_user(ad.Tensor(np.zeros((2, 6))), [[0, 1], []], tiny_params())
 
     def test_cold_start_vector_is_zero(self):
         params = tiny_params()
@@ -239,8 +239,8 @@ class TestLoss:
         assert mdl.nce_loss([p1, p2]) == pytest.approx(want, rel=1e-14)
 
     def test_sample_loss_equals_negative_log_probability(self):
-        users = ad.constant(RNG.normal(size=(2, 4)))
-        news = ad.constant(RNG.normal(size=(5, 4)))
+        users = ad.Tensor(RNG.normal(size=(2, 4)))
+        news = ad.Tensor(RNG.normal(size=(5, 4)))
         cands = [[0, 1, 2, 3, 4], [3, 0, 4, 1, 2]]
         losses = mdl.sample_loss(users, news, cands).data
         assert losses.shape == (2,)
@@ -251,8 +251,8 @@ class TestLoss:
 
 
     def test_sample_loss_is_stable_for_large_scores(self):
-        users = ad.constant(np.array([[10.0, 0.0], [0.0, -10.0]]))
-        news = ad.constant(RNG.normal(size=(4, 2)) * 10)
+        users = ad.Tensor(np.array([[10.0, 0.0], [0.0, -10.0]]))
+        news = ad.Tensor(RNG.normal(size=(4, 2)) * 10)
         cands = [[0, 1, 2, 3], [3, 2, 1, 0]]
         losses = mdl.sample_loss(users, news, cands).data
         for user, row, loss in zip(users.data, cands, losses):
@@ -265,12 +265,12 @@ class TestLoss:
         users0 = RNG.normal(size=(2, 3))
         news0 = RNG.normal(size=(4, 3))
         cands = [[0, 1, 2], [1, 3, 0]]
-        users, news = ad.parameter(users0.copy()), ad.parameter(news0.copy())
+        users, news = ad.Tensor(users0.copy()), ad.Tensor(news0.copy())
         w = np.array([0.7, -1.3])
         ad.backward(weighted_sum(mdl.sample_loss(users, news, cands), w))
 
         def f():
-            return float(mdl.sample_loss(ad.constant(users0), ad.constant(news0), cands).data @ w)
+            return float(mdl.sample_loss(ad.Tensor(users0), ad.Tensor(news0), cands).data @ w)
 
         for arr, got in ((users0, users.grad), (news0, news.grad)):
             fd = central_differences(f, arr, 1e-6)
@@ -298,22 +298,22 @@ class TestTrainerGradients:
 
         loss = one_impression_loss(params, *args)
         ad.backward(loss)
-        analytic = {t.name: t.grad.copy() for t in params.tensors()}
+        analytic = [t.grad.copy() for t in params.tensors()]
 
         h = 1e-4
         worst = 0.0
-        for tensor in params.tensors():
+        for tensor, grad in zip(params.tensors(), analytic):
             flat = tensor.data.reshape(-1)
             fd = np.zeros_like(flat)
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + h
-                up = one_impression_loss(params, *args).item()
+                up = float(one_impression_loss(params, *args).data)
                 flat[i] = keep - h
-                down = one_impression_loss(params, *args).item()
+                down = float(one_impression_loss(params, *args).data)
                 flat[i] = keep
                 fd[i] = (up - down) / (2.0 * h)
-            got = analytic[tensor.name].reshape(-1)
+            got = grad.reshape(-1)
             scale = np.maximum(np.maximum(np.abs(fd), np.abs(got)), 1.0)
             worst = max(worst, float(np.max(np.abs(fd - got) / scale)))
         assert worst <= 1e-4
@@ -327,13 +327,13 @@ class TestTrainerGradients:
         x0 = RNG.normal(size=(5, 6))
         w = RNG.normal(size=(4, 6))
         histories = [[0, 1], [2], [1, 2], [4, 0, 3, 1, 2]]
-        x = ad.parameter(x0.copy())
+        x = ad.Tensor(x0.copy())
         node = mdl.encode_user(x, histories, params)
         assert node.parents == (x, params.user.weights)
         ad.backward(weighted_sum(node, w))
 
         def f():
-            return float(np.sum(mdl.encode_user(ad.constant(x0), histories, params).data * w))
+            return float(np.sum(mdl.encode_user(ad.Tensor(x0), histories, params).data * w))
 
         weights = params.user.weights
         for arr, got in ((x0, x.grad), (weights.data, weights.grad)):
@@ -421,7 +421,7 @@ class TestBatchedEncoders:
         worst = 0.0
         for tensor in params.tensors():
             got = tensor.grad.copy()
-            fd = central_differences(lambda: loss().item(), tensor.data, 1e-4)
+            fd = central_differences(lambda: float(loss().data), tensor.data, 1e-4)
             scale = np.maximum(np.maximum(np.abs(fd), np.abs(got)), 1.0)
             worst = max(worst, float(np.max(np.abs(fd - got) / scale)))
         assert worst <= 1e-4
