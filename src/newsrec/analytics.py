@@ -7,10 +7,12 @@ corpus order.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import EmptyCorpus, UnknownCategory
 from .textprep import TokenizedNews
@@ -92,22 +94,26 @@ def title_length_histogram(corpus: Sequence[TokenizedNews], use_raw_titles: bool
     return TitleLengthHistogram(counts=dict(counts), use_raw_titles=use_raw_titles)
 
 
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text with newline line ends; a field holding a comma or a quote is
+    quoted, so a token such as ``1,000`` stays one field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def categories_csv(dist: CategoryDistribution) -> str:
-    lines = ["category,subcategory,count"]
-    lines.extend(f"{cat},{sub},{n}" for cat, sub, n in dist.rows)
-    return "\n".join(lines) + "\n"
+    return _csv(("category", "subcategory", "count"), dist.rows)
 
 
 def wordfreq_csv(table: WordFrequencyTable) -> str:
-    lines = ["token,count"]
-    lines.extend(f"{tok},{n}" for tok, n in table.rows)
-    return "\n".join(lines) + "\n"
+    return _csv(("token", "count"), table.rows)
 
 
 def title_hist_csv(hist: TitleLengthHistogram) -> str:
-    lines = ["length,count"]
-    lines.extend(f"{length},{hist.counts[length]}" for length in sorted(hist.counts))
-    return "\n".join(lines) + "\n"
+    return _csv(("length", "count"), sorted(hist.counts.items()))
 
 
 def analytics_json(

@@ -95,10 +95,6 @@ def _emit(args, manifest: RunManifest, name: str, text: str) -> str:
     return path
 
 
-def _news_tokens(corpus: Sequence[tp.TokenizedNews]) -> dict[str, tuple[str, ...]]:
-    return {item.news_id: item.title_tokens for item in corpus}
-
-
 def _load_model(args) -> tuple[gl.EmbeddingLookup, mdl.ModelParams]:
     """Load ``--embeddings`` and ``--model``; their widths must agree."""
     lookup = gl.load_embeddings(args.embeddings)
@@ -147,11 +143,7 @@ def cmd_train_glove(args, cfg: AppConfig, manifest: RunManifest) -> None:
     with manifest.phase("cooccurrence"):
         matrix = gl.build_cooccurrence(documents, vocab, window=cfg.glove.window)
     with manifest.phase("train"):
-        if cfg.glove.epochs == 0:
-            table = gl.init_table(len(vocab), cfg.glove.dim, cfg.glove.seed)
-            trace: list[float] = []
-        else:
-            table, trace = gl.glove_train(matrix, cfg.glove)
+        table, trace = gl.glove_train(matrix, cfg.glove)
     lookup = gl.EmbeddingLookup.from_table(vocab, table)
     if args.format == "text":
         emb_path = _out_path(args, "embeddings.txt")
@@ -176,7 +168,8 @@ def cmd_train_model(args, cfg: AppConfig, manifest: RunManifest) -> None:
         if not logs:
             raise InputError(f"{args.behaviors}: no parseable impression logs")
     with manifest.phase("train"):
-        params, trace = mdl.train_model(logs, _news_tokens(corpus), lookup, cfg.model)
+        news_tokens = {item.news_id: item.title_tokens for item in corpus}
+        params, trace = mdl.train_model(logs, news_tokens, lookup, cfg.model)
     model_path = _out_path(args, "model.bin")
     mdl.save_model(model_path, params)
     manifest.add_output(model_path)
@@ -195,7 +188,8 @@ def cmd_evaluate(args, cfg: AppConfig, manifest: RunManifest) -> None:
         if not logs:
             raise InputError(f"{args.behaviors}: no parseable impression logs")
     with manifest.phase("score"):
-        results = mdl.score_impression_logs(logs, _news_tokens(corpus), lookup, params)
+        index = ret.CorpusIndex(corpus, lookup, params)
+        results = mdl.score_impression_logs(logs, index.by_id, index.matrix, params)
     with manifest.phase("metrics"):
         report = met.evaluate(results)
     _emit(args, manifest, "metrics.json", report.to_json())

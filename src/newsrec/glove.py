@@ -328,14 +328,16 @@ def glove_train(
 
     Each epoch visits every stored entry once in a seeded shuffled order.
     The reported cost per epoch sums the weighted squared residuals as seen
-    just before each update.  A non-finite cost aborts training.
+    just before each update.  A non-finite cost aborts training.  Zero
+    epochs return the seeded initialization, even for a matrix with no
+    entries.
     """
     config.validate()
-    if matrix.nnz == 0:
-        raise EmptyCorpus("cannot train embeddings: co-occurrence matrix has no entries")
     table = init_table(matrix.vocab_size, config.dim, config.seed)
     if config.epochs == 0:
         return table, []
+    if matrix.nnz == 0:
+        raise EmptyCorpus("cannot train embeddings: co-occurrence matrix has no entries")
     rng = np.random.default_rng(config.seed)
     fweight = cost_weight(matrix.vals, config.x_max, config.alpha)
     logx = np.log(matrix.vals)

@@ -5,8 +5,9 @@ parallel list of model scores.  ``evaluate`` macro-averages across
 impressions, skipping degenerate ones (no positive or no negative), and
 uses compensated summation so the averages do not drift on large runs.
 
-Ranking convention: candidates are ordered by score descending; equal
-scores keep their original candidate order (stable sort).  AUC instead
+Ranking convention: MRR and nDCG rank candidates by
+``mind.ranks_from_scores``, the ranks ``prediction.txt`` holds: score
+descending, equal scores in their original candidate order.  AUC instead
 treats ties as half-wins, matching the usual pairwise definition.
 """
 
@@ -20,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AllDegenerate, DegenerateLabels, NoPositive, ShapeMismatch
+from .mind import ranks_from_scores
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,21 +72,10 @@ def auc(labels: Sequence[int], scores: Sequence[float]) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _descending_order(scores: Sequence[float]) -> np.ndarray:
-    """Indices by score descending; equal scores keep input order."""
-    s = np.asarray(scores, dtype=np.float64)
-    return np.argsort(-s, kind="stable")
-
-
 def mrr(labels: Sequence[int], scores: Sequence[float]) -> float:
     """Mean reciprocal rank over all positives in the impression."""
     _check_pair(labels, scores)
-    order = _descending_order(scores)
-    recips = [
-        1.0 / rank
-        for rank, idx in enumerate(order, start=1)
-        if labels[idx] == 1
-    ]
+    recips = [1.0 / rank for rank, lab in zip(ranks_from_scores(scores), labels) if lab == 1]
     if not recips:
         raise NoPositive("MRR needs at least one positive label")
     return math.fsum(recips) / len(recips)
@@ -101,11 +92,10 @@ def ndcg_at(labels: Sequence[int], scores: Sequence[float], k: int) -> float:
         raise ShapeMismatch(f"k must be >= 1, got {k}")
     if not any(lab == 1 for lab in labels):
         raise NoPositive("nDCG needs at least one positive label")
-    order = _descending_order(scores)
     depth = min(k, len(labels))
     dcg = math.fsum(
-        (2.0 ** labels[order[r - 1]] - 1.0) / math.log2(r + 1.0)
-        for r in range(1, depth + 1)
+        (2.0 ** lab - 1.0) / math.log2(rank + 1.0)
+        for rank, lab in zip(ranks_from_scores(scores), labels) if rank <= depth
     )
     ideal = sorted(labels, reverse=True)
     idcg = math.fsum(

@@ -241,6 +241,8 @@ def ranks_from_scores(scores: Sequence[float]) -> list[int]:
     """1-based rank of each candidate under descending score.
 
     Ties keep original candidate order, so [0.9, 0.1, 0.5] -> [1, 3, 2].
+    This is the one ranking rule: ``prediction.txt`` holds these ranks and
+    ``metrics.mrr`` and ``metrics.ndcg_at`` score them.
     """
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     ranks = [0] * len(scores)

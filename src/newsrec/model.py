@@ -23,6 +23,11 @@ encoder over the batch's distinct titles, the user encoder over rows of
 its output, ``sample_loss`` and the mean.  Each but the mean carries a
 backward derived here by hand; inference calls the same forward and
 builds no node.
+
+Inference encodes each news item once: ``retrieval.CorpusIndex`` holds
+the ``news_vectors`` of a whole corpus, and ``evaluate``, ``recommend`` and
+``similar`` all score from it.  ``user_vectors`` encodes a batch of users
+from rows of that table, a cold-start user as the zero vector.
 """
 
 from __future__ import annotations
@@ -411,11 +416,6 @@ def score_click(user_vec: np.ndarray, news_vec: np.ndarray) -> float:
     return float(user_vec @ news_vec)
 
 
-def cold_start_user_vector(params: ModelParams) -> np.ndarray:
-    """Users with no usable history score candidates from the zero vector."""
-    return np.zeros(params.config.d_model)
-
-
 def nce_probability(pos_score: float, neg_scores: Sequence[float]) -> float:
     """exp(pos) / (exp(pos) + sum exp(neg)), computed with max subtraction."""
     scores = [float(pos_score)] + [float(s) for s in neg_scores]
@@ -491,15 +491,6 @@ class TrainSample:
     negatives: tuple[str, ...]
 
 
-def _encodable_ids(news_tokens: Mapping[str, Sequence[str]], lookup: EmbeddingLookup,
-                   max_tokens: int) -> set[str]:
-    ok = set()
-    for nid, tokens in news_tokens.items():
-        if encodable(tokens, lookup, max_tokens):
-            ok.add(nid)
-    return ok
-
-
 def usable_history(history: Sequence[str], usable: Container[str], max_history: int) -> tuple[str, ...]:
     """The clicks a user is encoded from, the same in training, evaluation
     and ``recommend``: keep the usable ids, then the last ``max_history``."""
@@ -520,16 +511,17 @@ def build_train_samples(
     drawn with replacement and a warning is issued (once).  Impressions
     with no usable history or no encodable negative yield no samples.
     """
-    encodable = _encodable_ids(news_tokens, lookup, config.max_title_tokens)
+    usable = {nid for nid, tokens in news_tokens.items()
+              if encodable(tokens, lookup, config.max_title_tokens)}
     samples: list[TrainSample] = []
     warned = False
     k = config.negatives
     for log in logs:
-        history = usable_history(log.history, encodable, config.max_history)
+        history = usable_history(log.history, usable, config.max_history)
         if not history:
             continue
-        positives = [nid for nid, lab in log.candidates if lab == 1 and nid in encodable]
-        pool = [nid for nid, lab in log.candidates if lab == 0 and nid in encodable]
+        positives = [nid for nid, lab in log.candidates if lab == 1 and nid in usable]
+        pool = [nid for nid, lab in log.candidates if lab == 0 and nid in usable]
         if not positives or not pool:
             continue
         for pos in positives:
@@ -636,50 +628,41 @@ def news_vector(tokens: Sequence[str], lookup: EmbeddingLookup, params: ModelPar
     return news_vectors([tokens], lookup, params)[0]
 
 
-def _user_vectors(news: np.ndarray, histories: Sequence[Sequence[int]],
-                  params: ModelParams) -> np.ndarray:
-    return _forward(news, _history_seqs(histories), params.user, params.config.d_head)[0]
-
-
-def user_vector(
-    history_vectors: Sequence[np.ndarray], params: ModelParams
-) -> np.ndarray:
-    """Numeric user vector from already-encoded clicked news (a batch of
-    one); zero if empty."""
-    if not history_vectors:
-        return cold_start_user_vector(params)
-    return _user_vectors(np.stack(history_vectors), [range(len(history_vectors))], params)[0]
+def user_vectors(news: np.ndarray, histories: Sequence[Sequence[int]],
+                 params: ModelParams) -> np.ndarray:
+    """(S, d_model) user vectors for inference, history s a list of rows of
+    the (B, d_model) ``news``: the training forward, no graph.  A user
+    with no usable click (cold start) gets the zero vector."""
+    users = np.zeros((len(histories), params.config.d_model))
+    warm = [i for i, history in enumerate(histories) if len(history)]
+    if warm:
+        users[warm] = _forward(news, _history_seqs([histories[i] for i in warm]),
+                               params.user, params.config.d_head)[0]
+    return users
 
 
 def score_impression_logs(
     logs: Sequence[ImpressionLog],
-    news_tokens: Mapping[str, Sequence[str]],
-    lookup: EmbeddingLookup,
+    by_id: Mapping[str, int],
+    news: np.ndarray,
     params: ModelParams,
 ) -> list[ImpressionResult]:
     """Score every candidate of every impression, preserving input order.
 
-    The news that any impression needs are encoded in one call, and so
-    are the users.  Candidates that cannot be encoded (unknown id or no
-    embeddable token) score 0.0, as does every candidate of a user with
-    no usable history (cold start).
+    ``news`` holds the vectors of the encodable news and ``by_id`` maps a
+    news id to its row; ``evaluate`` passes the ``retrieval.CorpusIndex``
+    that ``recommend`` and ``similar`` use.  The users are encoded in one
+    call.  Candidates without a row (unknown id or no embeddable token)
+    score 0.0, as does every candidate of a user with no usable history
+    (cold start).
     """
     cfg = params.config
-    encodable = _encodable_ids(news_tokens, lookup, cfg.max_title_tokens)
-    histories = [usable_history(log.history, encodable, cfg.max_history) for log in logs]
-    needed = dict.fromkeys(nid for log, history in zip(logs, histories)
-                           for nid in (*history, *(c for c, _ in log.candidates))
-                           if nid in encodable)
-    row = {nid: i for i, nid in enumerate(needed)}
-    news = news_vectors([news_tokens[nid] for nid in needed], lookup, params) if needed else None
-    warm = [i for i, history in enumerate(histories) if history]
-    users = np.zeros((len(logs), cfg.d_model))   # cold start: the zero vector
-    if warm:
-        users[warm] = _user_vectors(news, [[row[nid] for nid in histories[i]] for i in warm],
-                                    params)
+    histories = [[by_id[nid] for nid in usable_history(log.history, by_id, cfg.max_history)]
+                 for log in logs]
+    users = user_vectors(news, histories, params)
     results = []
-    for i, log in enumerate(logs):
-        scores = tuple(score_click(users[i], news[row[nid]]) if nid in encodable else 0.0
+    for log, user in zip(logs, users):
+        scores = tuple(score_click(user, news[by_id[nid]]) if nid in by_id else 0.0
                        for nid, _ in log.candidates)
         results.append(ImpressionResult(
             impression_id=log.impression_id,

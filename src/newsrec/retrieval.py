@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, EmptyCandidatePool, NoKnownTokens
 from .glove import EmbeddingLookup
 from .model import (ModelParams, encodable, news_vector, news_vectors, score_click,
-                    usable_history, user_vector)
+                    usable_history, user_vectors)
 from .textprep import TokenizedNews
 
 SNIPPET_WIDTH = 48
@@ -90,7 +90,8 @@ def recommend(
     """Top candidates for a user, scored by dot product with their vector.
 
     The user is encoded from ``model.usable_history`` of their clicks, as
-    in training, and ``generated_from`` counts those clicks.  History items
+    in training and ``evaluate``, by ``model.user_vectors`` over the
+    index's rows; ``generated_from`` counts those clicks.  History items
     are removed from the pool before ranking.  A user whose history has no
     encodable item gets the cold-start zero vector (every score is then 0.0
     and ordering falls back to news id).  Entries sort by descending score,
@@ -101,7 +102,7 @@ def recommend(
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
     history = usable_history(user_history, index.by_id, params.config.max_history)
-    uvec = user_vector([index.vector_of(nid) for nid in history], params)
+    (uvec,) = user_vectors(index.matrix, [[index.by_id[nid] for nid in history]], params)
     history_set = set(user_history)
     scored = []
     seen = set()

@@ -1,5 +1,7 @@
 """Exact-counting summaries: categories, word frequencies, title lengths."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -130,6 +132,14 @@ class TestSerialization:
         table = an.word_frequencies([item("N1", "c", title=("flu", "flu"), abstract=())],
                                     "c", top_k=5)
         assert an.wordfreq_csv(table) == "token,count\nflu,2\n"
+
+    def test_comma_and_quote_fields_stay_one_field(self):
+        corpus = [item("N1", 'say "hi", all', title=("1,000", "flu"), abstract=())]
+        table = an.word_frequencies(corpus, 'say "hi", all', top_k=5)
+        words = list(csv.reader(io.StringIO(an.wordfreq_csv(table))))
+        assert words == [["token", "count"], ["1,000", "1"], ["flu", "1"]]
+        rows = list(csv.reader(io.StringIO(an.categories_csv(an.category_distribution(corpus)))))
+        assert rows == [["category", "subcategory", "count"], ['say "hi", all', "golf", "1"]]
 
     def test_title_hist_csv_sorted_by_length(self):
         corpus = [item("N1", raw_title="a b c d e f g"), item("N2", raw_title="a b c d")]

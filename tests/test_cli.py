@@ -5,7 +5,7 @@ import json
 import os
 import stat
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ import newsrec.cli as cli
 import newsrec.glove as gl
 import newsrec.mind as mind
 import newsrec.model as mdl
+import newsrec.textprep as tp
 
 GLOVE_FLAGS = ["--dim", "12", "--window", "4", "--x-max", "20", "--min-count", "1",
                "--epochs", "10", "--seed", "3"]
@@ -415,6 +416,18 @@ class TestTrainGlove:
         with open(os.path.join(out, "glove_trace.csv")) as fh:
             assert fh.read() == "epoch,cost\n"
 
+    def test_zero_epochs_without_cooccurring_pairs_writes_initialization(self, tmp_path):
+        corpus = str(tmp_path / "tokenized.tsv")
+        tp.save_tokenized(corpus, [tp.TokenizedNews(f"N{i}", "c", "s", (word,), (), word, "")
+                                   for i, word in enumerate(("alpha", "beta", "gamma"))])
+        out = str(tmp_path / "glove0")
+        flags = ["--corpus", corpus, "--out-dir", out, "--dim", "4", "--min-count", "1"]
+        assert cli.main(["train-glove", *flags, "--epochs", "0", "--seed", "3"]) == 0
+        lookup = gl.load_embeddings(os.path.join(out, "embeddings.txt"))
+        table = gl.init_table(3, 4, seed=3)
+        assert np.array_equal(lookup.matrix, (table.W + table.Wt).astype(np.float32))
+        assert cli.main(["train-glove", *flags, "--epochs", "1"]) == 5
+
     def test_binary_format_round_trips(self, pipeline, tmp_path):
         out = str(tmp_path / "glovebin")
         assert cli.main(["train-glove", "--corpus", pipeline["corpus"],
@@ -453,6 +466,21 @@ class TestEvaluate:
         sizes = {log.impression_id: len(log.candidates) for log in logs}
         for impression_id, ranks in preds:
             assert sorted(ranks) == list(range(1, sizes[impression_id] + 1))
+
+    def test_unreferenced_news_leaves_outputs_unchanged(self, pipeline, fixture_dir, tmp_path):
+        corpus = tp.load_tokenized(pipeline["corpus"])
+        extra = replace(corpus[0], news_id="NEXTRA")
+        bigger = str(tmp_path / "tokenized.tsv")
+        tp.save_tokenized(bigger, [extra, *corpus])
+        out = str(tmp_path / "eval")
+        assert cli.main(["evaluate", "--corpus", bigger,
+                         "--behaviors", fixture_dir.behaviors_test,
+                         "--embeddings", pipeline["embeddings"], "--model", pipeline["model_bin"],
+                         "--out-dir", out]) == 0
+        for name in ("metrics.json", "prediction.txt"):
+            with open(os.path.join(out, name), "rb") as got, \
+                    open(os.path.join(pipeline["eval"], name), "rb") as want:
+                assert got.read() == want.read(), name
 
 
 class TestQueries:

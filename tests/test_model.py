@@ -176,12 +176,16 @@ class TestEncoders:
         with pytest.raises(EmptyHistory):
             mdl.encode_user(ad.Tensor(np.zeros((2, 6))), [[0, 1], []], tiny_params())
 
-    def test_cold_start_vector_is_zero(self):
+    def test_user_vectors_batch_equals_each_user_alone(self):
         params = tiny_params()
-        v = mdl.cold_start_user_vector(params)
-        assert v.shape == (6,)
-        assert not v.any()
-        assert mdl.user_vector([], params).tolist() == v.tolist()
+        news = RNG.normal(size=(5, 6))
+        histories = [[0, 2], [], [4], [1, 2, 3, 4], []]
+        users = mdl.user_vectors(news, histories, params)
+        assert users.shape == (5, 6)
+        for history, got in zip(histories, users):
+            (alone,) = mdl.user_vectors(news[history], [range(len(history))], params)
+            assert np.array_equal(got, alone)
+        assert not users[1].any() and not users[4].any()
 
 
 class TestScoring:
@@ -471,6 +475,13 @@ class TestBatchedEncoders:
         assert np.array_equal(index.matrix, want)
 
 
+def title_index(title_map, lookup, params):
+    """The ``CorpusIndex`` of ``title_map``'s titles, as ``evaluate`` builds it."""
+    corpus = [TokenizedNews(nid, "c", "s", toks, (), " ".join(toks), "")
+              for nid, toks in title_map.items()]
+    return ret.CorpusIndex(corpus, lookup, params)
+
+
 def planted_setup(seed=0):
     """Two topic groups; each user clicks only inside their own group."""
     rng = np.random.default_rng(seed)
@@ -565,7 +576,8 @@ class TestScoreImpressions:
         params = tiny_params()
         from newsrec.mind import ImpressionLog
         log = ImpressionLog("1", "U1", "t", ("N0",), (("N1", 1), ("NOPE", 0)))
-        (result,) = mdl.score_impression_logs([log], title_map, lookup, params)
+        index = title_index(title_map, lookup, params)
+        (result,) = mdl.score_impression_logs([log], index.by_id, index.matrix, params)
         assert result.scores[1] == 0.0
         assert result.scores[0] != 0.0
         assert result.labels == (1, 0)
@@ -575,17 +587,19 @@ class TestScoreImpressions:
         params = tiny_params()
         from newsrec.mind import ImpressionLog
         log = ImpressionLog("1", "U1", "t", (), (("N1", 1), ("N2", 0)))
-        (result,) = mdl.score_impression_logs([log], title_map, lookup, params)
+        index = title_index(title_map, lookup, params)
+        (result,) = mdl.score_impression_logs([log], index.by_id, index.matrix, params)
         assert result.scores == (0.0, 0.0)
 
     def test_scores_are_user_dot_news(self):
         logs, title_map, lookup = planted_setup()
         params = tiny_params()
         log = logs[0]
-        (result,) = mdl.score_impression_logs([log], title_map, lookup, params)
+        index = title_index(title_map, lookup, params)
+        (result,) = mdl.score_impression_logs([log], index.by_id, index.matrix, params)
         hvecs = [mdl.news_vector(title_map[n], lookup, params)
                  for n in log.history[-params.config.max_history:]]
-        uvec = mdl.user_vector(hvecs, params)
+        (uvec,) = mdl.user_vectors(np.stack(hvecs), [range(len(hvecs))], params)
         for (nid, _), got in zip(log.candidates, result.scores):
             want = float(uvec @ mdl.news_vector(title_map[nid], lookup, params))
             assert got == pytest.approx(want, rel=1e-12)
@@ -593,17 +607,15 @@ class TestScoreImpressions:
     def test_inference_builds_no_graph(self, monkeypatch):
         logs, title_map, lookup = planted_setup()
         params = tiny_params()
-        corpus = [TokenizedNews(nid, "c", "s", toks, (), " ".join(toks), "")
-                  for nid, toks in title_map.items()]
 
         def no_tensor(*args, **kwargs):
             raise AssertionError("inference built an autodiff tensor")
 
         monkeypatch.setattr(ad, "Tensor", no_tensor)
         vec = mdl.news_vector(title_map["N0"], lookup, params)
-        mdl.user_vector([vec, vec], params)
-        mdl.score_impression_logs(logs, title_map, lookup, params)
-        ret.CorpusIndex(corpus, lookup, params)
+        mdl.user_vectors(np.stack([vec, vec]), [[0, 1], []], params)
+        index = title_index(title_map, lookup, params)
+        mdl.score_impression_logs(logs, index.by_id, index.matrix, params)
 
 
 class TestUsableHistory:
@@ -620,19 +632,17 @@ class TestUsableHistory:
         want = ("N2", "N3")
         assert mdl.usable_history(history, {"N1", "N2", "N3"}, 2) == want
         log = ImpressionLog("1", "U1", "t", history, (("P", 1), ("G1", 0), ("G2", 0)))
-        corpus = [TokenizedNews(nid, "c", "s", toks, (), " ".join(toks), "")
-                  for nid, toks in title_map.items()]
-        index = ret.CorpusIndex(corpus, lookup, params)
+        index = title_index(title_map, lookup, params)
 
         (sample,) = mdl.build_train_samples([log], title_map, lookup, params.config,
                                             np.random.default_rng(0))
         assert sample.history == want
 
-        uvec = mdl.user_vector([mdl.news_vector(title_map[n], lookup, params) for n in want],
-                               params)
+        hvecs = np.stack([mdl.news_vector(title_map[n], lookup, params) for n in want])
+        (uvec,) = mdl.user_vectors(hvecs, [range(len(want))], params)
         cands = [nid for nid, _ in log.candidates]
         expected = [float(uvec @ mdl.news_vector(title_map[n], lookup, params)) for n in cands]
-        (result,) = mdl.score_impression_logs([log], title_map, lookup, params)
+        (result,) = mdl.score_impression_logs([log], index.by_id, index.matrix, params)
         assert list(result.scores) == expected
 
         rec = ret.recommend(history, cands, index, params, top_n=3)

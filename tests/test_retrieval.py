@@ -68,7 +68,7 @@ class TestRecommend:
     def test_entries_sorted_by_recomputed_scores(self):
         items, lookup, params, index = crafted_index()
         rec = ret.recommend(["N1", "N4"], [i.news_id for i in items], index, params)
-        uvec = mdl.user_vector([index.vector_of("N1"), index.vector_of("N4")], params)
+        (uvec,) = mdl.user_vectors(index.matrix, [[index.by_id["N1"], index.by_id["N4"]]], params)
         for nid, score in rec.entries:
             assert score == pytest.approx(float(uvec @ index.vector_of(nid)), rel=1e-12)
         scores = [s for _, s in rec.entries]
