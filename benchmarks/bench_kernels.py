@@ -5,8 +5,7 @@ Usage:
                                         [--nnz 200000] [--sweeps 3]
 
 The compiled path is warmed up once before timing so JIT compilation is
-excluded. With NEWSREC_PURE_NUMPY=1 (or numba absent) only the fallback
-is timed.
+excluded. Without numba only the fallback is timed.
 """
 
 import argparse
@@ -67,7 +66,7 @@ def main():
           f"  final cost {np_cost:.6f}")
 
     if not kern.HAS_NUMBA:
-        print("  numba      : unavailable (not installed or NEWSREC_PURE_NUMPY set)")
+        print("  numba      : unavailable (not installed)")
         return
 
     small = make_instance(8, args.dim, 16, seed=1)

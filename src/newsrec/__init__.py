@@ -5,108 +5,7 @@ stopword removal, stemming), train GloVe word embeddings, train an
 attention-based news/user click model, evaluate rankings (AUC, MRR,
 nDCG@k), and serve recommendation / similarity queries plus corpus
 analytics, all behind the ``newsrec`` command-line tool.
+
+The submodules are the API (``from newsrec import glove``,
+``newsrec.model.train_model``); the package root re-exports nothing.
 """
-
-from .analytics import (
-    CategoryDistribution,
-    TitleLengthHistogram,
-    WordFrequencyTable,
-    category_distribution,
-    title_length_histogram,
-    word_frequencies,
-)
-from .errors import NewsrecError
-from .glove import (
-    CooccurrenceMatrix,
-    EmbeddingLookup,
-    EmbeddingTable,
-    GloveConfig,
-    Vocabulary,
-    build_cooccurrence,
-    build_vocab,
-    glove_cost,
-    glove_train,
-    load_embeddings,
-)
-from .metrics import ImpressionResult, MetricReport, auc, evaluate, mrr, ndcg_at
-from .mind import (
-    DatasetStats,
-    ImpressionLog,
-    NewsArticle,
-    compute_stats,
-    load_behaviors,
-    load_news,
-    ranks_from_scores,
-    split_user_data,
-    write_predictions,
-)
-from .model import (
-    ModelConfig,
-    ModelParams,
-    encode_news,
-    encode_user,
-    init_params,
-    load_model,
-    nce_probability,
-    save_model,
-    score_click,
-    train_model,
-)
-from .retrieval import RecommendationList, SimilarityResult, recommend, similar_news
-from .textprep import CleanReport, TokenizedNews, clean_corpus, normalize_text, tokenize
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CategoryDistribution",
-    "CleanReport",
-    "CooccurrenceMatrix",
-    "DatasetStats",
-    "EmbeddingLookup",
-    "EmbeddingTable",
-    "GloveConfig",
-    "ImpressionLog",
-    "ImpressionResult",
-    "MetricReport",
-    "ModelConfig",
-    "ModelParams",
-    "NewsArticle",
-    "NewsrecError",
-    "RecommendationList",
-    "SimilarityResult",
-    "TitleLengthHistogram",
-    "TokenizedNews",
-    "Vocabulary",
-    "WordFrequencyTable",
-    "auc",
-    "build_cooccurrence",
-    "build_vocab",
-    "category_distribution",
-    "clean_corpus",
-    "compute_stats",
-    "encode_news",
-    "encode_user",
-    "evaluate",
-    "glove_cost",
-    "glove_train",
-    "init_params",
-    "load_behaviors",
-    "load_embeddings",
-    "load_model",
-    "load_news",
-    "mrr",
-    "nce_probability",
-    "ndcg_at",
-    "normalize_text",
-    "ranks_from_scores",
-    "recommend",
-    "save_model",
-    "score_click",
-    "similar_news",
-    "split_user_data",
-    "title_length_histogram",
-    "tokenize",
-    "train_model",
-    "word_frequencies",
-    "write_predictions",
-]

@@ -2,35 +2,28 @@
 
 The only loop that dominates training time is the per-entry AdaGrad sweep
 over the nonzero co-occurrence entries, so that is the one kernel with a
-compiled variant.  Set ``NEWSREC_PURE_NUMPY=1`` to force the fallback (it
-is also used automatically when numba is not installed).  Both paths run
-the same update sequence; they agree to floating-point roundoff and each
-is bitwise deterministic on its own.
+compiled variant.  ``adagrad_sweep`` runs it when numba can be imported,
+and the fallback otherwise.  Both paths run the same update sequence; they
+agree to floating-point roundoff and each is bitwise deterministic on its
+own.
 
 ``benchmarks/bench_kernels.py`` times one against the other.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+# Selects nothing: perfbench/run.py reads this name to record the variable in
+# its environment report, so it stays until that report drops it.
 PURE_NUMPY_ENV_VAR = "NEWSREC_PURE_NUMPY"
 
+try:
+    from numba import njit
 
-def _pure_numpy_forced() -> bool:
-    return os.environ.get(PURE_NUMPY_ENV_VAR, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-HAS_NUMBA = False
-if not _pure_numpy_forced():
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        pass
+    HAS_NUMBA = True
+except ImportError:
+    HAS_NUMBA = False
 
 
 def backend_name() -> str:

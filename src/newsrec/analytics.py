@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyCorpus, UnknownCategory
+from .errors import ConfigError, EmptyCorpus, UnknownCategory
 from .textprep import TokenizedNews
 
 
@@ -62,8 +62,10 @@ def word_frequencies(corpus: Sequence[TokenizedNews], category: str, top_k: int 
     """Most frequent title+abstract tokens within one category.
 
     Rows sort by descending count, ties lexicographically; at most
-    ``top_k`` rows are kept.
+    ``top_k`` (at least 1) rows are kept.
     """
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
     if not corpus:
         raise EmptyCorpus("cannot summarize an empty corpus")
     present = {item.category for item in corpus}

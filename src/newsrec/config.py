@@ -29,6 +29,8 @@ class RunSettings:
         check_field_types(self)
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -51,7 +53,7 @@ def _build(cls, section: str, raw: dict):
     allowed = [f.name for f in dataclasses.fields(cls)]
     _check_fields(section, raw, allowed)
     try:
-        return cls(**{**{f.name: getattr(cls(), f.name) for f in dataclasses.fields(cls)}, **raw})
+        return cls(**raw)
     except TypeError as exc:
         raise ConfigError(f"bad config section {section!r}: {exc}") from exc
 

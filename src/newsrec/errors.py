@@ -82,10 +82,6 @@ class EmptyVocabulary(DegenerateDataError):
     pass
 
 
-class EmptyRow(DegenerateDataError):
-    pass
-
-
 class NonfiniteParameter(NumericError):
     pass
 

@@ -26,7 +26,6 @@ from .errors import (
     ConfigError,
     DivergedCost,
     EmptyCorpus,
-    EmptyRow,
     EmptyVocabulary,
     NonfiniteParameter,
     check_field_types,
@@ -45,7 +44,6 @@ class Vocabulary:
     """
 
     tokens: tuple[str, ...]
-    counts: tuple[int, ...]
     index: dict[str, int] = field(compare=False)
 
     def __len__(self) -> int:
@@ -53,9 +51,6 @@ class Vocabulary:
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
-
-    def id_of(self, token: str) -> int | None:
-        return self.index.get(token)
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """Map tokens to ids, silently dropping out-of-vocabulary ones."""
@@ -75,9 +70,7 @@ def build_vocab(documents: Iterable[Sequence[str]], min_count: int = 1) -> Vocab
         )
     kept.sort(key=lambda item: (-item[1], item[0]))
     tokens = tuple(tok for tok, _ in kept)
-    vocab_counts = tuple(n for _, n in kept)
-    index = {tok: i for i, tok in enumerate(tokens)}
-    return Vocabulary(tokens=tokens, counts=vocab_counts, index=index)
+    return Vocabulary(tokens=tokens, index={tok: i for i, tok in enumerate(tokens)})
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,25 +89,6 @@ class CooccurrenceMatrix:
     @property
     def nnz(self) -> int:
         return int(self.rows.size)
-
-    def value(self, i: int, j: int) -> float:
-        lo = np.searchsorted(self.rows, i, side="left")
-        hi = np.searchsorted(self.rows, i, side="right")
-        k = lo + np.searchsorted(self.cols[lo:hi], j, side="left")
-        if k < hi and self.cols[k] == j:
-            return float(self.vals[k])
-        return 0.0
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.searchsorted(self.rows, i, side="left")
-        hi = np.searchsorted(self.rows, i, side="right")
-        return self.cols[lo:hi], self.vals[lo:hi]
-
-    def to_dict(self) -> dict[tuple[int, int], float]:
-        return {
-            (int(i), int(j)): float(v)
-            for i, j, v in zip(self.rows, self.cols, self.vals)
-        }
 
 
 def _doc_pair_arrays(ids: np.ndarray, window: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
@@ -179,15 +153,6 @@ def build_cooccurrence(
     return _accumulate_pairs(chunks, len(vocab))
 
 
-def cooccurrence_probabilities(matrix: CooccurrenceMatrix, i: int) -> dict[int, float]:
-    """P(j | i) over the stored entries of row i."""
-    cols, vals = matrix.row(i)
-    if cols.size == 0:
-        raise EmptyRow(f"row {i} has no stored co-occurrences")
-    total = math.fsum(vals.tolist())
-    return {int(j): float(v) / total for j, v in zip(cols, vals)}
-
-
 @dataclass(frozen=True, slots=True)
 class GloveConfig:
     dim: int = 50
@@ -215,6 +180,8 @@ class GloveConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.min_count < 1:
             raise ConfigError(f"min_count must be >= 1, got {self.min_count}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -274,10 +241,11 @@ def cost_weight(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:
     return np.where(x < x_max, (x / x_max) ** alpha, 1.0)
 
 
-def glove_cost(table: EmbeddingTable, matrix: CooccurrenceMatrix, config: GloveConfig) -> float:
-    table.check_finite()
-    if matrix.nnz == 0:
-        return 0.0
+def _weighted_residuals(
+    table: EmbeddingTable, matrix: CooccurrenceMatrix, config: GloveConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per stored entry: the weight f(x_ij) and the residual
+    w_i . wt_j + b_i + bt_j - log x_ij."""
     i = matrix.rows
     j = matrix.cols
     diff = (
@@ -286,7 +254,14 @@ def glove_cost(table: EmbeddingTable, matrix: CooccurrenceMatrix, config: GloveC
         + table.bt[j]
         - np.log(matrix.vals)
     )
-    fw = cost_weight(matrix.vals, config.x_max, config.alpha)
+    return cost_weight(matrix.vals, config.x_max, config.alpha), diff
+
+
+def glove_cost(table: EmbeddingTable, matrix: CooccurrenceMatrix, config: GloveConfig) -> float:
+    table.check_finite()
+    if matrix.nnz == 0:
+        return 0.0
+    fw, diff = _weighted_residuals(table, matrix, config)
     return float(np.sum(fw * diff * diff))
 
 
@@ -305,13 +280,7 @@ def glove_cost_grads(
         return 0.0, grads
     i = matrix.rows
     j = matrix.cols
-    diff = (
-        np.einsum("nd,nd->n", table.W[i], table.Wt[j])
-        + table.b[i]
-        + table.bt[j]
-        - np.log(matrix.vals)
-    )
-    fw = cost_weight(matrix.vals, config.x_max, config.alpha)
+    fw, diff = _weighted_residuals(table, matrix, config)
     cost = float(np.sum(fw * diff * diff))
     g = 2.0 * fw * diff
     np.add.at(grads["W"], i, g[:, None] * table.Wt[j])
@@ -394,36 +363,30 @@ class EmbeddingLookup:
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
-    def get(self, token: str) -> np.ndarray | None:
-        i = self.index.get(token)
-        if i is None:
-            return None
-        return self.matrix[i]
-
     @classmethod
     def from_table(cls, vocab: Vocabulary, table: EmbeddingTable) -> "EmbeddingLookup":
         if len(vocab) != table.vocab_size:
             raise ConfigError(
                 f"vocabulary size {len(vocab)} does not match table size {table.vocab_size}"
             )
-        return cls(
-            tokens=vocab.tokens,
-            matrix=table.word_vectors(),
-            index={tok: i for i, tok in enumerate(vocab.tokens)},
-        )
+        return cls(tokens=vocab.tokens, matrix=table.word_vectors(), index=vocab.index)
 
     @classmethod
-    def from_rows(cls, tokens: Sequence[str], matrix: np.ndarray) -> "EmbeddingLookup":
+    def from_rows(cls, tokens: Sequence[str], matrix: np.ndarray,
+                  source: str = "embedding matrix") -> "EmbeddingLookup":
+        """Rows of ``matrix`` keyed by ``tokens``; ``source`` names the file
+        in the error raised for a mismatched shape or a repeated token."""
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
             raise ConfigError(
-                f"embedding matrix shape {matrix.shape} does not match {len(tokens)} tokens"
+                f"{source}: shape {matrix.shape} does not match {len(tokens)} tokens"
             )
-        return cls(
-            tokens=tuple(tokens),
-            matrix=matrix,
-            index={tok: i for i, tok in enumerate(tokens)},
-        )
+        index: dict[str, int] = {}
+        for i, tok in enumerate(tokens):
+            if tok in index:
+                raise ConfigError(f"{source}: token {tok!r} occurs more than once")
+            index[tok] = i
+        return cls(tokens=tuple(tokens), matrix=matrix, index=index)
 
 
 def _format_value(v: float) -> str:
@@ -496,7 +459,7 @@ def load_embeddings_text(path: str) -> EmbeddingLookup:
         raise ConfigError(f"embedding file {path} has tokens but no vector components")
     if len(widths) != 1:
         raise ConfigError(f"embedding file {path} has inconsistent row widths {sorted(widths)}")
-    return EmbeddingLookup.from_rows(tokens, np.vstack(rows))
+    return EmbeddingLookup.from_rows(tokens, np.vstack(rows), path)
 
 
 def save_embeddings_binary(path: str, lookup: EmbeddingLookup, config: GloveConfig | None = None) -> None:
@@ -540,7 +503,7 @@ def load_embeddings_binary(path: str) -> EmbeddingLookup:
         raise ConfigError(
             f"{path} sidecar lists {len(tokens)} tokens but the checkpoint stores {vocab_size} rows"
         )
-    return EmbeddingLookup.from_rows(tokens, matrix)
+    return EmbeddingLookup.from_rows(tokens, matrix, path)
 
 
 def load_embeddings(path: str) -> EmbeddingLookup:

@@ -18,7 +18,6 @@ Neither file carries a header row.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -52,13 +51,6 @@ class ImpressionLog:
 
     def clicked(self) -> tuple[str, ...]:
         return tuple(nid for nid, label in self.candidates if label == 1)
-
-
-@dataclass(frozen=True, slots=True)
-class UserSplit:
-    user_id: str
-    history_news: tuple[str, ...]
-    recent_news: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,25 +194,6 @@ def user_click_sequences(logs: Sequence[ImpressionLog]) -> dict[str, list[str]]:
             sequences[log.user_id] = seq
         seq.extend(log.clicked())
     return sequences
-
-
-def split_user_data(logs: Sequence[ImpressionLog], recent_fraction: float = 0.2) -> list[UserSplit]:
-    """Split each user's clicked news into history (older) and recent (newer).
-
-    The chronologically last ``ceil(recent_fraction * n)`` clicks become
-    the recent list; a single-click user therefore has an empty history.
-    """
-    if not 0.0 < recent_fraction < 1.0:
-        raise ValueError(f"recent_fraction must be in (0,1), got {recent_fraction}")
-    splits = []
-    for user_id, clicks in user_click_sequences(logs).items():
-        if not clicks:
-            splits.append(UserSplit(user_id, (), ()))
-            continue
-        n_recent = math.ceil(recent_fraction * len(clicks))
-        cut = len(clicks) - n_recent
-        splits.append(UserSplit(user_id, tuple(clicks[:cut]), tuple(clicks[cut:])))
-    return splits
 
 
 def compute_stats(news: Sequence[NewsArticle], logs: Sequence[ImpressionLog]) -> DatasetStats:

@@ -89,6 +89,8 @@ class ModelConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -422,13 +424,6 @@ def nce_probability(pos_score: float, neg_scores: Sequence[float]) -> float:
     m = max(scores)
     exps = [math.exp(s - m) for s in scores]
     return exps[0] / math.fsum(exps)
-
-
-def nce_loss(probabilities: Sequence[float]) -> float:
-    """Mean negative log probability over a batch of NCE probabilities."""
-    if len(probabilities) == 0:
-        raise AllDegenerate("cannot average a loss over zero samples")
-    return math.fsum(-math.log(p) for p in probabilities) / len(probabilities)
 
 
 def sample_loss(users: ad.Tensor, news: ad.Tensor, candidates: np.ndarray) -> ad.Tensor:

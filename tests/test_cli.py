@@ -137,6 +137,32 @@ class TestConfigHandling:
         assert f"{field} must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-glove", "train-model"])
+    def test_negative_seed_flag_exits_2_without_outputs(self, pipeline, fixture_dir, tmp_path,
+                                                        capsys, command):
+        out = tmp_path / "out"
+        inputs = ["--corpus", pipeline["corpus"]]
+        if command == "train-model":
+            inputs += ["--behaviors", fixture_dir.behaviors_train,
+                       "--embeddings", pipeline["embeddings"]]
+        assert cli.main([command, *inputs, "--out-dir", str(out), "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["glove", "model", "run"])
+    def test_negative_seed_in_config_exits_2_without_outputs(self, pipeline, fixture_dir,
+                                                             tmp_path, capsys, section):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({section: {"seed": -1}}))
+        out = tmp_path / "out"
+        code = cli.main(["train-model", "--corpus", pipeline["corpus"],
+                         "--behaviors", fixture_dir.behaviors_train,
+                         "--embeddings", pipeline["embeddings"],
+                         "--out-dir", str(out), "--config", str(cfg)])
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_float_fields_accept_json_integers(self, pipeline, tmp_path):
         cfg = tmp_path / "ints.json"
         cfg.write_text(json.dumps({"glove": {"x_max": 20, "learning_rate": 1, "alpha": 1}}))
@@ -544,6 +570,14 @@ class TestAnalyticsCommand:
             header, *rows = fh.read().splitlines()
         assert header == "category,subcategory,count"
         assert sum(int(r.rsplit(",", 1)[1]) for r in rows) == 60
+
+    @pytest.mark.parametrize("top_k", ["0", "-3"])
+    def test_top_k_below_one_exits_2_without_outputs(self, pipeline, tmp_path, capsys, top_k):
+        out = tmp_path / "ana"
+        assert cli.main(["analytics", "--corpus", pipeline["corpus"],
+                         "--top-k", top_k, "--out-dir", str(out)]) == 2
+        assert f"top_k must be >= 1, got {top_k}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStats:

@@ -1,12 +1,14 @@
 """Vocabulary, co-occurrence counting, cost/gradients, training, checkpoints."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import newsrec.glove as gl
-from newsrec.errors import EmptyRow, EmptyVocabulary
+from newsrec.errors import ConfigError, EmptyVocabulary
 
 from conftest import rel_err
 
@@ -22,6 +24,12 @@ def random_matrix(rng, vocab_size, max_entries):
         cols=(keys % vocab_size).astype(np.int64),
         vals=rng.uniform(0.1, 50.0, size=n),
     )
+
+
+def entries(matrix):
+    """The stored (row, col) -> value entries of a co-occurrence matrix."""
+    coords = zip(matrix.rows.tolist(), matrix.cols.tolist())
+    return dict(zip(coords, matrix.vals.tolist()))
 
 
 def random_table(rng, vocab_size, dim):
@@ -46,8 +54,8 @@ def oracle_cost(table, matrix, config):
 class TestVocabulary:
     def test_frequency_then_index(self):
         vocab = gl.build_vocab([["a", "b", "a"]], min_count=1)
-        assert vocab.id_of("a") == 0
-        assert vocab.id_of("b") == 1
+        assert vocab.index == {"a": 0, "b": 1}
+        assert vocab.tokens == ("a", "b")
         assert len(vocab) == 2
 
     def test_min_count_filters_everything(self):
@@ -56,8 +64,7 @@ class TestVocabulary:
 
     def test_frequency_tie_breaks_lexicographically(self):
         vocab = gl.build_vocab([["y", "x"]], min_count=1)
-        assert vocab.id_of("x") == 0
-        assert vocab.id_of("y") == 1
+        assert vocab.index == {"x": 0, "y": 1}
 
     def test_encode_drops_oov(self):
         vocab = gl.build_vocab([["a", "a", "b"]], min_count=2)
@@ -68,17 +75,14 @@ class TestCooccurrence:
     def test_adjacent_pairs_window_one(self):
         vocab = gl.build_vocab([["a", "b", "a"]])
         m = gl.build_cooccurrence([["a", "b", "a"]], vocab, window=1)
-        a, b = vocab.id_of("a"), vocab.id_of("b")
-        assert m.value(a, b) == 2.0
-        assert m.value(b, a) == 2.0
-        assert m.value(a, a) == 0.0
+        a, b = vocab.index["a"], vocab.index["b"]
+        assert entries(m) == {(a, b): 2.0, (b, a): 2.0}
 
     def test_distance_two_pair_gets_half_weight_once(self):
         vocab = gl.build_vocab([["a", "b", "a"]])
         m = gl.build_cooccurrence([["a", "b", "a"]], vocab, window=2)
-        a, b = vocab.id_of("a"), vocab.id_of("b")
-        assert m.value(a, b) == 2.0
-        assert m.value(a, a) == 0.5
+        a, b = vocab.index["a"], vocab.index["b"]
+        assert entries(m) == {(a, b): 2.0, (b, a): 2.0, (a, a): 0.5}
 
     def test_empty_corpus_gives_empty_matrix(self):
         vocab = gl.build_vocab([["a", "b"]])
@@ -96,39 +100,11 @@ class TestCooccurrence:
                 for _ in range(40)]
         vocab = gl.build_vocab(docs)
         m = gl.build_cooccurrence(docs, vocab, window=4)
-        d = m.to_dict()
+        keys = m.rows * m.vocab_size + m.cols
+        assert np.all(np.diff(keys) > 0)   # sorted by (row, col), no duplicates
+        d = entries(m)
         for (i, j), v in d.items():
             assert d[(j, i)] == pytest.approx(v, abs=0)
-
-
-class TestProbabilities:
-    def matrix_from(self, entries, vocab_size=4):
-        items = sorted(entries.items())
-        return gl.CooccurrenceMatrix(
-            vocab_size=vocab_size,
-            rows=np.array([i for (i, _), _ in items], dtype=np.int64),
-            cols=np.array([j for (_, j), _ in items], dtype=np.int64),
-            vals=np.array([v for _, v in items], dtype=np.float64),
-        )
-
-    def test_symmetric_row(self):
-        m = self.matrix_from({(0, 1): 2.0, (0, 2): 2.0})
-        assert gl.cooccurrence_probabilities(m, 0) == {1: 0.5, 2: 0.5}
-
-    def test_skewed_row(self):
-        m = self.matrix_from({(0, 1): 3.0, (0, 2): 1.0})
-        assert gl.cooccurrence_probabilities(m, 0) == {1: 0.75, 2: 0.25}
-
-    def test_empty_row_raises(self):
-        m = self.matrix_from({(0, 1): 1.0})
-        with pytest.raises(EmptyRow):
-            gl.cooccurrence_probabilities(m, 2)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        m = random_matrix(rng, vocab_size=6, max_entries=30)
-        for i in sorted(set(m.rows.tolist())):
-            assert math.fsum(gl.cooccurrence_probabilities(m, i).values()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCost:
@@ -254,13 +230,14 @@ class TestLookup:
         m = gl.build_cooccurrence([["flu", "shot", "flu"]], vocab, window=2)
         table, _ = gl.glove_train(m, gl.GloveConfig(dim=4, epochs=3, seed=1))
         lookup = gl.EmbeddingLookup.from_table(vocab, table)
-        i = vocab.id_of("flu")
-        assert np.array_equal(lookup.get("flu"), table.W[i] + table.Wt[i])
-        assert np.isfinite(lookup.get("flu")).all()
+        i = vocab.index["flu"]
+        vec = lookup.matrix[lookup.index["flu"]]
+        assert np.array_equal(vec, table.W[i] + table.Wt[i])
+        assert np.isfinite(vec).all()
 
     def test_oov_returns_none(self):
         lookup = gl.EmbeddingLookup.from_rows(["a"], np.ones((1, 2)))
-        assert lookup.get("zzz") is None
+        assert lookup.index.get("zzz") is None
         assert "zzz" not in lookup
 
 
@@ -296,6 +273,24 @@ class TestCheckpoints:
         b = gl.load_embeddings(bpath)
         assert t.tokens == b.tokens
         assert np.array_equal(t.matrix, b.matrix)
+
+    def test_text_file_with_repeated_token_is_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        gl.save_embeddings_text(str(path), self.small_lookup())
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: token 'beta' occurs")):
+            gl.load_embeddings(str(path))
+
+    def test_binary_sidecar_with_repeated_token_is_rejected(self, tmp_path):
+        path = str(tmp_path / "emb.bin")
+        gl.save_embeddings_binary(path, self.small_lookup())
+        meta = gl.read_sidecar(path)
+        meta["tokens"][2] = "alpha"
+        with open(gl.sidecar_path(path), "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: token 'alpha' occurs")):
+            gl.load_embeddings(path)
 
     def test_sidecar_records_config(self, tmp_path):
         path = str(tmp_path / "emb.txt")

@@ -2,9 +2,6 @@
 and one sweep steps along the gradient that the finite-difference check vouches for."""
 
 import dataclasses
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -92,20 +89,6 @@ def test_dispatcher_uses_a_real_backend():
     state = make_instance(3)
     costs, _ = run_sweep(kern.adagrad_sweep, state)
     assert all(np.isfinite(c) for c in costs)
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ)
-    env[kern.PURE_NUMPY_ENV_VAR] = "1"
-    # the child imports newsrec from where this process did, installed or not
-    src = os.path.dirname(os.path.dirname(kern.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import newsrec._kernels as k; print(k.backend_name(), k.HAS_NUMBA)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.split() == ["numpy", "False"]
 
 
 def test_sweep_over_disjoint_entries_steps_by_the_checked_gradient():

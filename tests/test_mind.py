@@ -80,40 +80,6 @@ def test_behavior_round_trip():
     assert logs2 == logs
 
 
-def test_split_user_data_takes_ceil_recent_fraction():
-    logs, _ = mind.parse_behaviors([
-        "1\tU1\tt1\t\ta-1 x-0",
-        "2\tU1\tt2\t\tb-1 x-0",
-        "3\tU1\tt3\t\tc-1 x-0",
-        "4\tU1\tt4\t\td-1 x-0",
-    ])
-    (split,) = mind.split_user_data(logs, recent_fraction=0.25)
-    assert split.history_news == ("a", "b", "c")
-    assert split.recent_news == ("d",)
-
-
-def test_split_user_data_single_click_goes_recent():
-    logs, _ = mind.parse_behaviors(["1\tU1\tt\t\ta-1 x-0"])
-    (split,) = mind.split_user_data(logs, recent_fraction=0.5)
-    assert split.history_news == ()
-    assert split.recent_news == ("a",)
-
-
-def test_split_user_data_empty_input():
-    assert mind.split_user_data([], recent_fraction=0.2) == []
-
-
-def test_split_user_data_preserves_click_multiset():
-    logs, _ = mind.parse_behaviors([
-        "1\tU1\tt1\t\ta-1 b-1 x-0",
-        "2\tU1\tt2\t\tc-1 x-0",
-        "3\tU2\tt1\t\td-1 x-0",
-    ])
-    clicks = mind.user_click_sequences(logs)
-    for split in mind.split_user_data(logs, recent_fraction=0.4):
-        assert list(split.history_news) + list(split.recent_news) == clicks[split.user_id]
-
-
 def test_compute_stats_empty_corpora():
     stats = mind.compute_stats([], [])
     assert (stats.users, stats.news, stats.impressions) == (0, 0, 0)

@@ -3,13 +3,11 @@
 import json
 import math
 import struct
-import warnings
 
 import numpy as np
 import pytest
 
 import newsrec.autodiff as ad
-import newsrec.glove as gl
 import newsrec.model as mdl
 import newsrec.retrieval as ret
 from newsrec.errors import ConfigError, EmptyHistory, InsufficientNegatives, NoKnownTokens
@@ -130,7 +128,7 @@ class TestEncoders:
         lookup = make_lookup(["alpha"], 4)
         params = tiny_params()
         out = mdl.encode_news([["alpha"]], lookup, params).data[0]
-        x = lookup.get("alpha")[None, :]
+        x = lookup.matrix[[lookup.index["alpha"]]]
         assert rel_err(out, naive_encode(x, params.news, 3)) <= 1e-10
 
     def test_encode_news_truncates_to_token_budget(self):
@@ -151,7 +149,7 @@ class TestEncoders:
         lookup = make_lookup(["a", "b", "c", "d"], 4)
         params = tiny_params()
         out = mdl.encode_news([["a", "b", "c"]], lookup, params).data[0]
-        x = np.stack([lookup.get(t) for t in ("a", "b", "c")])
+        x = lookup.matrix[[lookup.index[t] for t in ("a", "b", "c")]]
         assert rel_err(out, naive_encode(x, params.news, 3)) <= 1e-10
 
     def test_encode_user_single_news(self):
@@ -227,20 +225,29 @@ class TestNceProbability:
             assert abs(base - shifted) <= 1e-12
 
 
+def batch_loss(users, news, candidates):
+    """The loss one training batch minimizes: the mean of ``sample_loss``."""
+    return float(ad.mean(mdl.sample_loss(ad.Tensor(np.asarray(users, dtype=float)),
+                                         ad.Tensor(np.asarray(news, dtype=float)),
+                                         candidates)).data)
+
+
 class TestLoss:
     def test_uniform_batch_loss_is_log_five(self):
-        p = mdl.nce_probability(0.0, [0.0] * 4)
-        assert mdl.nce_loss([p]) == pytest.approx(math.log(5.0), rel=1e-15)
+        news = RNG.normal(size=(5, 2))
+        assert batch_loss([[0.0, 0.0]], news, [[0, 1, 2, 3, 4]]) == pytest.approx(
+            math.log(5.0), rel=1e-15)
 
     def test_certain_predictions_give_zero_loss(self):
-        assert mdl.nce_loss([1.0, 1.0]) == 0.0
+        news = [[1000.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+        assert batch_loss([[1.0, 0.0], [1.0, 0.0]], news, [[0, 1, 2], [0, 2, 1]]) == 0.0
 
     def test_two_item_hand_batch(self):
+        """Scores (0, 0, 0) and (1, 0, 2): p = 1/3 and e / (e + 1 + e^2)."""
         e = math.e
-        p1 = mdl.nce_probability(0.0, [0.0] * 4)
-        p2 = mdl.nce_probability(1.0, [0.0, 2.0])
-        want = (-math.log(0.2) - math.log(e / (e + 1.0 + e * e))) / 2.0
-        assert mdl.nce_loss([p1, p2]) == pytest.approx(want, rel=1e-14)
+        want = (math.log(3.0) - math.log(e / (e + 1.0 + e * e))) / 2.0
+        got = batch_loss([[0.0], [1.0]], [[1.0], [0.0], [2.0]], [[0, 1, 2], [0, 1, 2]])
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_sample_loss_equals_negative_log_probability(self):
         users = ad.Tensor(RNG.normal(size=(2, 4)))
@@ -437,7 +444,7 @@ class TestBatchedEncoders:
         ids = sorted(title_map)
         news = mdl.encode_news([title_map[n] for n in ids], lookup, params)
         for nid, got in zip(ids, news.data):
-            x = np.stack([lookup.get(t) for t in title_map[nid]])
+            x = lookup.matrix[[lookup.index[t] for t in title_map[nid]]]
             assert max_rel(got, naive_encode(x, params.news, 3)) <= 1e-12
         histories = [[ids.index(n) for n in s.history] for s in batch]
         users = mdl.encode_user(news, histories, params)
