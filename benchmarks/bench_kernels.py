@@ -1,9 +1,12 @@
 """Benchmark the AdaGrad sweep: numba-compiled kernel vs pure-numpy fallback.
 
 Usage:
-    python3 benchmarks/bench_kernels.py [--vocab 5000] [--dim 100]
-                                        [--nnz 200000] [--sweeps 3]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--vocab 5000] [--dim 100]
+                                                       [--nnz 200000] [--sweeps 3]
 
+The pure-numpy fallback is run-vectorized: it updates runs of entries with
+distinct rows and distinct columns at once, with results bitwise equal to
+the per-entry order. The numba kernel agrees with it only to roundoff.
 The compiled path is warmed up once before timing so JIT compilation is
 excluded. Without numba only the fallback is timed.
 """

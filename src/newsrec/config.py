@@ -50,6 +50,8 @@ def _check_fields(section: str, raw: dict, allowed) -> None:
 
 
 def _build(cls, section: str, raw: dict):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {section!r} must be a JSON object")
     allowed = [f.name for f in dataclasses.fields(cls)]
     _check_fields(section, raw, allowed)
     try:

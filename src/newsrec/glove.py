@@ -434,9 +434,14 @@ def save_embeddings_text(path: str, lookup: EmbeddingLookup, config: GloveConfig
     _write_sidecar(path, config, format="text")
 
 
+_TEXT_CHUNK_LINES = 256  # lines converted per vectorized parse; bounds the strings held
+
+
 def load_embeddings_text(path: str) -> EmbeddingLookup:
     tokens: list[str] = []
-    rows: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
+    fields: list[list[str]] = []
+    linenos: list[int] = []
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -445,21 +450,41 @@ def load_embeddings_text(path: str) -> EmbeddingLookup:
                     continue
                 parts = line.split(" ")
                 tokens.append(parts[0])
-                try:
-                    rows.append(np.array([np.float32(p) for p in parts[1:]], dtype=np.float64))
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{path}:{lineno}: embedding component is not a number: {exc}") from exc
+                fields.append(parts[1:])
+                linenos.append(lineno)
+                if len(fields) == _TEXT_CHUNK_LINES:
+                    blocks.extend(_parse_components(path, fields, linenos))
+                    fields, linenos = [], []
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not valid UTF-8: {exc}") from exc
+    if fields:
+        blocks.extend(_parse_components(path, fields, linenos))
     if not tokens:
         raise EmptyVocabulary(f"embedding file {path} has no rows")
-    widths = {r.size for r in rows}
-    if widths == {0}:
+    widths = sorted({block.shape[1] for block in blocks})
+    if widths == [0]:
         raise ConfigError(f"embedding file {path} has tokens but no vector components")
     if len(widths) != 1:
-        raise ConfigError(f"embedding file {path} has inconsistent row widths {sorted(widths)}")
-    return EmbeddingLookup.from_rows(tokens, np.vstack(rows), path)
+        raise ConfigError(f"embedding file {path} has inconsistent row widths {widths}")
+    return EmbeddingLookup.from_rows(tokens, np.vstack(blocks), path)
+
+
+def _parse_components(path: str, fields: list[list[str]], linenos: list[int]) -> list[np.ndarray]:
+    """Float32 blocks of the number strings in ``fields``: one block when
+    they convert in one call, else one block per line, so that a bad
+    component is named by its line and ragged rows reach the width check."""
+    try:
+        return [np.array(fields, dtype=np.float32)]
+    except ValueError:
+        pass
+    blocks = []
+    for lineno, parts in zip(linenos, fields):
+        try:
+            blocks.append(np.array([[np.float32(p) for p in parts]], dtype=np.float32))
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: embedding component is not a number: {exc}") from exc
+    return blocks
 
 
 def save_embeddings_binary(path: str, lookup: EmbeddingLookup, config: GloveConfig | None = None) -> None:

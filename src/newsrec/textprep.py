@@ -123,21 +123,38 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
-def normalize_text(text: str, stopwords: frozenset[str]) -> list[str]:
-    """tokenize -> stopword removal -> stem."""
-    return [stem(tok) for tok in remove_stopwords(tokenize(text), stopwords)]
+def normalize_text(
+    text: str, stopwords: frozenset[str], stems: dict[str, str] | None = None
+) -> list[str]:
+    """tokenize -> stopword removal -> stem.
+
+    ``stems`` memoizes token -> stem and may be shared across calls;
+    ``stem`` runs only for tokens not in it yet.
+    """
+    if stems is None:
+        stems = {}
+    out = []
+    for tok in remove_stopwords(tokenize(text), stopwords):
+        stemmed = stems.get(tok)
+        if stemmed is None:
+            stemmed = stems[tok] = stem(tok)
+        out.append(stemmed)
+    return out
 
 
-def preprocess_article(article: NewsArticle, stopwords: frozenset[str]) -> TokenizedNews:
+def preprocess_article(
+    article: NewsArticle, stopwords: frozenset[str], stems: dict[str, str] | None = None
+) -> TokenizedNews:
     """Normalize one cleaned article's title and abstract independently.
 
     Raises AllTokensRemoved when the title normalizes to nothing; such
-    records are meant to be dropped by the caller.
+    records are meant to be dropped by the caller.  ``stems`` is passed on
+    to :func:`normalize_text`.
     """
-    title_tokens = normalize_text(article.title, stopwords)
+    title_tokens = normalize_text(article.title, stopwords, stems)
     if not title_tokens:
         raise AllTokensRemoved(f"title of {article.news_id} reduced to zero tokens")
-    abstract_tokens = normalize_text(article.abstract, stopwords)
+    abstract_tokens = normalize_text(article.abstract, stopwords, stems)
     return TokenizedNews(
         news_id=article.news_id,
         category=article.category,
@@ -155,12 +172,14 @@ def preprocess_corpus(
     """Map preprocess_article over a cleaned corpus.
 
     Returns the tokenized records plus the count of records dropped
-    because their title normalized away entirely.
+    because their title normalized away entirely.  Stems are memoized for
+    the length of this call only, so each distinct token is stemmed once.
     """
     out, dropped = [], 0
+    stems: dict[str, str] = {}
     for article in articles:
         try:
-            out.append(preprocess_article(article, stopwords))
+            out.append(preprocess_article(article, stopwords, stems))
         except AllTokensRemoved:
             dropped += 1
     return out, dropped

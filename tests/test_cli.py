@@ -97,6 +97,19 @@ class TestConfigHandling:
         assert code == 2
         assert "wrongname" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, value", [("glove", 5), ("model", None), ("run", [1])])
+    def test_non_object_config_section_exits_2(self, fixture_dir, tmp_path, capsys,
+                                                section, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: value}))
+        out = tmp_path / "out"
+        code = cli.main(["prepare", "--news", fixture_dir.news,
+                         "--behaviors", fixture_dir.behaviors_train,
+                         "--out-dir", str(out), "--config", str(cfg)])
+        assert code == 2
+        assert f"config section {section!r} must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_value_exits_2_without_partial_outputs(self, pipeline, tmp_path, capsys):
         out = tmp_path / "glove-bad"
         code = cli.main(["train-glove", "--corpus", pipeline["corpus"],

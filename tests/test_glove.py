@@ -282,6 +282,39 @@ class TestCheckpoints:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: token 'beta' occurs")):
             gl.load_embeddings(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("a 1 2\nb 3\n", " has inconsistent row widths [1, 2]"),
+        ("a 1 2\nb 3 x\n", ":2: embedding component is not a number"),
+        ("a 1 x\nb 3\n", ":1: embedding component is not a number"),
+        ("a\nb\n", " has tokens but no vector components"),
+    ])
+    def test_malformed_text_file_names_path_and_fault(self, tmp_path, text, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}{message}")):
+            gl.load_embeddings(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("a 1 2\nb 3 4\nc 5 6\nd 7\n", " has inconsistent row widths [1, 2]"),
+        ("a 1 2\nb 3 4\nc 5 6\nd 7 x\n", ":4: embedding component is not a number"),
+    ])
+    def test_faults_are_found_past_the_first_parse_chunk(self, tmp_path, monkeypatch,
+                                                         text, message):
+        monkeypatch.setattr(gl, "_TEXT_CHUNK_LINES", 2)
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}{message}")):
+            gl.load_embeddings(str(path))
+
+    def test_text_round_trip_over_several_parse_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gl, "_TEXT_CHUNK_LINES", 2)
+        lookup = self.small_lookup()
+        path = str(tmp_path / "emb.txt")
+        gl.save_embeddings_text(path, lookup)
+        back = gl.load_embeddings_text(path)
+        assert back.tokens == lookup.tokens
+        assert np.array_equal(back.matrix, lookup.matrix.astype(np.float32).astype(np.float64))
+
     def test_binary_sidecar_with_repeated_token_is_rejected(self, tmp_path):
         path = str(tmp_path / "emb.bin")
         gl.save_embeddings_binary(path, self.small_lookup())

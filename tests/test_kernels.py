@@ -1,5 +1,6 @@
-"""The AdaGrad sweep: the compiled kernel and its pure-numpy fallback agree,
-and one sweep steps along the gradient that the finite-difference check vouches for."""
+"""The AdaGrad sweep: the run-vectorized numpy fallback is bitwise the
+per-entry loop, the compiled kernel agrees with it, and one sweep steps along
+the gradient that the finite-difference check vouches for."""
 
 import dataclasses
 
@@ -44,6 +45,79 @@ def run_sweep(fn, state, lr=0.05, repeats=3):
         for _ in range(repeats)
     ]
     return costs, s
+
+
+PARAMS = ("W", "Wt", "b", "bt", "accW", "accWt", "accb", "accbt")
+
+
+def per_entry_sweep(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt, accb, accbt, lr):
+    """Reference oracle: GloVe's AdaGrad, one co-occurrence entry at a time."""
+    total = 0.0
+    for idx in order:
+        i = rows[idx]
+        j = cols[idx]
+        wi = W[i]
+        wtj = Wt[j]
+        diff = float(wi @ wtj) + b[i] + bt[j] - logx[idx]
+        fw = fweight[idx]
+        total += fw * diff * diff
+        g = 2.0 * fw * diff
+        gw = g * wtj
+        gwt = g * wi
+        W[i] = wi - lr * gw / np.sqrt(accW[i])
+        Wt[j] = wtj - lr * gwt / np.sqrt(accWt[j])
+        accW[i] += gw * gw
+        accWt[j] += gwt * gwt
+        b[i] -= lr * g / np.sqrt(accb[i])
+        accb[i] += g * g
+        bt[j] -= lr * g / np.sqrt(accbt[j])
+        accbt[j] += g * g
+    return total
+
+
+def assert_bitwise_per_entry(state):
+    costs_ref, ref = run_sweep(per_entry_sweep, state)
+    costs, got = run_sweep(kern.adagrad_sweep_numpy, state)
+    assert costs == costs_ref
+    for key in PARAMS:
+        assert np.array_equal(got[key], ref[key]), key
+
+
+def with_one_row(state):
+    state["rows"][:] = 1
+    return state
+
+
+def with_order(state, order):
+    state["order"] = np.asarray(order, dtype=np.int64)
+    return state
+
+
+@pytest.mark.parametrize("state", [
+    *(make_instance(seed) for seed in range(5)),
+    make_instance(5, vocab_size=3, dim=4, nnz=9),
+    make_instance(6, vocab_size=3, dim=4, nnz=6),
+    with_one_row(make_instance(7)),
+    with_order(make_instance(8), [17]),
+    with_order(make_instance(9), [4, 4, 0, 9, 31, 0, 12, 4]),
+], ids=["seed0", "seed1", "seed2", "seed3", "seed4", "vocab3_full", "vocab3_sparse",
+        "one_row", "single_entry", "entry_twice"])
+def test_numpy_sweep_is_bitwise_the_per_entry_loop(state):
+    assert_bitwise_per_entry(state)
+
+
+def test_runs_cut_at_block_edges_change_nothing(monkeypatch):
+    monkeypatch.setattr(kern, "_BLOCK", 7)
+    assert_bitwise_per_entry(
+        with_order(make_instance(11), np.r_[np.arange(40), np.arange(40)[::-1]]))
+
+
+def test_empty_order_returns_zero_and_touches_nothing():
+    state = with_order(make_instance(10), [])
+    costs, got = run_sweep(kern.adagrad_sweep_numpy, state, repeats=1)
+    assert costs == [0.0]
+    for key in PARAMS:
+        assert np.array_equal(got[key], state[key]), key
 
 
 def test_numpy_sweep_is_deterministic():

@@ -1,5 +1,7 @@
 """Cleaning, tokenization, stopword removal, and stemming behavior."""
 
+from collections import Counter
+
 import pytest
 
 import newsrec.textprep as tp
@@ -168,6 +170,43 @@ class TestPreprocess:
     def test_token_order_preserved(self, stopwords):
         news = tp.preprocess_article(art("N1", "alpha beta gamma delta"), stopwords)
         assert news.title_tokens == ("alpha", "beta", "gamma", "delta")
+
+
+class TestStemMemo:
+    ARTICLES = [
+        art("N1", "Runners running in the running season", abstract="The runner runs."),
+        art("N2", "to be or not to be", abstract="Running is never stemmed here."),
+        art("N3", "Seasonal runs for seasoned runners", abstract="Runs, running; RUNNING!"),
+        art("N4", "Running running running running"),
+    ]
+
+    def test_corpus_matches_articlewise_preprocessing_without_memo(self, stopwords):
+        expected, dropped = [], 0
+        for article in self.ARTICLES:
+            try:
+                expected.append(tp.preprocess_article(article, stopwords))
+            except AllTokensRemoved:
+                dropped += 1
+        assert tp.preprocess_corpus(self.ARTICLES, stopwords) == (expected, dropped)
+        assert dropped == 1
+
+    def test_each_distinct_surviving_token_is_stemmed_once(self, stopwords, monkeypatch):
+        calls = Counter()
+
+        def counting_stem(token):
+            calls[token] += 1
+            return stem(token)
+
+        monkeypatch.setattr(tp, "stem", counting_stem)
+        tp.preprocess_corpus(self.ARTICLES, stopwords)
+        surviving = set()
+        for article in self.ARTICLES:
+            title = tp.remove_stopwords(tp.tokenize(article.title), stopwords)
+            if title:  # an emptied title drops the record before its abstract
+                surviving.update(title)
+                surviving.update(tp.remove_stopwords(tp.tokenize(article.abstract), stopwords))
+        assert calls == Counter(surviving)
+        assert "never" not in calls
 
 
 def test_tokenized_file_round_trip(tmp_path, stopwords):
