@@ -147,12 +147,11 @@ def cmd_train_glove(args, cfg: AppConfig, manifest: RunManifest) -> None:
     lookup = gl.EmbeddingLookup.from_table(vocab, table)
     if args.format == "text":
         emb_path = _out_path(args, "embeddings.txt")
-        gl.save_embeddings_text(emb_path, lookup, cfg.glove)
+        gl.save_embeddings_text(emb_path, lookup)
     else:
         emb_path = _out_path(args, "embeddings.bin")
-        gl.save_embeddings_binary(emb_path, lookup, cfg.glove)
+        gl.save_embeddings_binary(emb_path, lookup)
     manifest.add_output(emb_path)
-    manifest.add_output(gl.sidecar_path(emb_path))
     _emit(args, manifest, "glove_trace.csv", gl.cost_trace_csv(trace))
     last = f", final cost {trace[-1]:.6f}" if trace else ""
     print(f"train-glove: {len(vocab)} tokens, {matrix.nnz} pairs, "

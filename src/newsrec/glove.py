@@ -8,15 +8,17 @@ word/context vectors and biases by minimizing
 
 with per-parameter AdaGrad.  Only stored (nonzero) entries contribute.
 The final vector for a word is ``w + wt``.
+
+The vectors are saved either as text, one ``token v1 ... vd`` line per
+word as in the GloVe release, or as a self-contained binary checkpoint
+that holds its token list in its header.  Training settings are not
+saved with them; the run manifest records them.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,9 +32,9 @@ from .errors import (
     NonfiniteParameter,
     check_field_types,
 )
-from .mind import write_text_atomic
+from .mind import read_checkpoint, write_checkpoint, write_text_atomic
 
-BINARY_MAGIC = b"NRECGLV1"
+BINARY_MAGIC = b"NRECGLV2"
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,7 +377,8 @@ class EmbeddingLookup:
     def from_rows(cls, tokens: Sequence[str], matrix: np.ndarray,
                   source: str = "embedding matrix") -> "EmbeddingLookup":
         """Rows of ``matrix`` keyed by ``tokens``; ``source`` names the file
-        in the error raised for a mismatched shape or a repeated token."""
+        in the error raised for a mismatched shape, a repeated token or a
+        nan/inf component."""
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
             raise ConfigError(
@@ -386,6 +389,10 @@ class EmbeddingLookup:
             if tok in index:
                 raise ConfigError(f"{source}: token {tok!r} occurs more than once")
             index[tok] = i
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            tok = tokens[int(np.argmin(finite))]
+            raise ConfigError(f"{source}: token {tok!r} has a nan or infinite component")
         return cls(tokens=tuple(tokens), matrix=matrix, index=index)
 
 
@@ -393,34 +400,7 @@ def _format_value(v: float) -> str:
     return np.format_float_positional(np.float32(v), unique=True, trim="0")
 
 
-def sidecar_path(path: str) -> str:
-    """The ``.meta.json`` file that travels with the embedding file ``path``."""
-    return os.path.splitext(path)[0] + ".meta.json"
-
-
-def _write_sidecar(path: str, config: GloveConfig | None, **meta) -> None:
-    if config is not None:
-        meta["config"] = asdict(config)
-    write_text_atomic(sidecar_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def read_sidecar(path: str) -> dict | None:
-    """The sidecar's JSON object, or None when there is none; a garbled
-    sidecar raises ConfigError naming it."""
-    sidecar = sidecar_path(path)
-    if not os.path.exists(sidecar):
-        return None
-    try:
-        with open(sidecar, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{sidecar} is truncated or garbled: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{sidecar} must hold a JSON object")
-    return meta
-
-
-def save_embeddings_text(path: str, lookup: EmbeddingLookup, config: GloveConfig | None = None) -> None:
+def save_embeddings_text(path: str, lookup: EmbeddingLookup) -> None:
     """One line per token: token then float32-precision components.
 
     Components are printed with just enough digits to round-trip their
@@ -431,7 +411,6 @@ def save_embeddings_text(path: str, lookup: EmbeddingLookup, config: GloveConfig
     for tok, row in zip(lookup.tokens, m32):
         lines.append(tok + " " + " ".join(_format_value(v) for v in row))
     write_text_atomic(path, "\n".join(lines) + "\n")
-    _write_sidecar(path, config, format="text")
 
 
 _TEXT_CHUNK_LINES = 256  # lines converted per vectorized parse; bounds the strings held
@@ -487,54 +466,34 @@ def _parse_components(path: str, fields: list[list[str]], linenos: list[int]) ->
     return blocks
 
 
-def save_embeddings_binary(path: str, lookup: EmbeddingLookup, config: GloveConfig | None = None) -> None:
-    """Magic, vocab size, dim, then row-major little-endian float32 data.
-
-    Tokens and training settings travel in the ``.meta.json`` sidecar.
-    """
-    m32 = np.ascontiguousarray(lookup.matrix, dtype="<f4")
-    payload = BINARY_MAGIC + struct.pack("<II", len(lookup.tokens), lookup.dim) + m32.tobytes()
-    write_text_atomic(path, payload)
-    _write_sidecar(path, config, format="binary", tokens=list(lookup.tokens))
+def save_embeddings_binary(path: str, lookup: EmbeddingLookup) -> None:
+    """A ``mind.write_checkpoint`` file: magic ``NRECGLV2``, the header
+    ``{"dim": d, "tokens": [...]}``, then the rows as float32."""
+    write_checkpoint(path, BINARY_MAGIC, {"dim": lookup.dim, "tokens": list(lookup.tokens)},
+                     [lookup.matrix])
 
 
 def load_embeddings_binary(path: str) -> EmbeddingLookup:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(BINARY_MAGIC)] != BINARY_MAGIC:
-        raise ConfigError(f"{path} is not an embedding checkpoint (bad magic)")
-    offset = len(BINARY_MAGIC) + 8
-    if len(blob) < offset:
-        raise ConfigError(f"{path} is {len(blob)} bytes, shorter than its {offset}-byte header")
-    vocab_size, dim = struct.unpack_from("<II", blob, len(BINARY_MAGIC))
-    if vocab_size == 0:
-        raise EmptyVocabulary(f"embedding file {path} has no rows")
-    if dim == 0:
-        raise ConfigError(f"{path} stores 0-dim vectors")
-    expect = vocab_size * dim * 4
-    if len(blob) - offset != expect:
-        raise ConfigError(
-            f"{path} payload is {len(blob) - offset} bytes, expected {expect} for {vocab_size}x{dim}"
-        )
-    matrix = np.frombuffer(blob, dtype="<f4", count=vocab_size * dim, offset=offset)
-    matrix = matrix.reshape(vocab_size, dim).astype(np.float64)
-    meta = read_sidecar(path)
-    if meta is None or "tokens" not in meta:
-        raise ConfigError(f"{path} is missing its .meta.json sidecar with the token list")
-    tokens = meta["tokens"]
+    """Read a ``save_embeddings_binary`` file; a garbled header or a
+    payload that is not its rows raises ConfigError naming ``path``."""
+    header, values = read_checkpoint(path, BINARY_MAGIC, "an embedding checkpoint")
+    tokens, dim = header.get("tokens"), header.get("dim")
     if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
-        raise ConfigError(f"{sidecar_path(path)}: tokens must be a list of strings")
-    if len(tokens) != vocab_size:
-        raise ConfigError(
-            f"{path} sidecar lists {len(tokens)} tokens but the checkpoint stores {vocab_size} rows"
-        )
-    return EmbeddingLookup.from_rows(tokens, matrix, path)
+        raise ConfigError(f"{path}: header tokens must be a list of strings")
+    if not tokens:
+        raise EmptyVocabulary(f"embedding file {path} has no rows")
+    if type(dim) is not int or dim < 1:
+        raise ConfigError(f"{path}: header dim must be an integer >= 1, got {dim!r}")
+    if values.size != len(tokens) * dim:
+        raise ConfigError(f"{path} holds {values.size} values, not {len(tokens)} rows of {dim}")
+    return EmbeddingLookup.from_rows(tokens, values.reshape(len(tokens), dim), path)
 
 
 def load_embeddings(path: str) -> EmbeddingLookup:
-    """Load either checkpoint format, sniffing the binary magic."""
+    """Load either format: a file that starts with ``NRECGLV`` is binary,
+    so an older ``NRECGLV1`` file gets the bad-magic error."""
     with open(path, "rb") as fh:
         head = fh.read(len(BINARY_MAGIC))
-    if head == BINARY_MAGIC:
+    if head.startswith(BINARY_MAGIC[:-1]):
         return load_embeddings_binary(path)
     return load_embeddings_text(path)

@@ -14,16 +14,24 @@ follow the public MIND distribution:
                    impressions: space-separated ``<news_id>-<0|1>`` tokens)
 
 Neither file carries a header row.
+
+Every output is written by ``write_text_atomic``; the binary checkpoints
+(``model.bin``, ``embeddings.bin``) share one container,
+``write_checkpoint``/``read_checkpoint``.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import struct
 import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import MissingInput, NotAPermutation
+import numpy as np
+
+from .errors import ConfigError, MissingInput, NotAPermutation
 
 NEWS_COLUMNS = 8
 BEHAVIOR_COLUMNS = 5
@@ -282,3 +290,41 @@ def write_text_atomic(path: str, data: str | bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_checkpoint(path: str, magic: bytes, header: dict,
+                     arrays: Iterable[np.ndarray]) -> None:
+    """Write a binary checkpoint atomically: ``magic``, the byte length of
+    the header as ``<I``, the header as sorted-key UTF-8 JSON, then each
+    array's values in turn as little-endian float32."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    chunks = [magic, struct.pack("<I", len(blob)), blob]
+    chunks.extend(np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays)
+    write_text_atomic(path, b"".join(chunks))
+
+
+def read_checkpoint(path: str, magic: bytes, what: str) -> tuple[dict, np.ndarray]:
+    """The header and the flat float32 payload of a ``write_checkpoint``
+    file; another magic, a cut or garbled header, a header that is not a
+    JSON object or a payload that is not whole float32 values raises
+    ConfigError naming ``path`` (``what`` says what the file should be)."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[: len(magic)] != magic:
+        raise ConfigError(f"{path} is not {what}: it starts with "
+                          f"{blob[: len(magic)]!r}, not {magic!r}")
+    start = len(magic) + 4
+    try:
+        (size,) = struct.unpack_from("<I", blob, len(magic))
+        if len(blob) < start + size:
+            raise ValueError(f"{size}-byte header, {len(blob) - start} bytes left")
+        header = json.loads(blob[start : start + size].decode("utf-8"))
+    except (struct.error, UnicodeDecodeError, ValueError) as exc:
+        raise ConfigError(f"{path} has a truncated or garbled header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ConfigError(f"{path} has a header that is not a JSON object")
+    offset = start + size
+    if (len(blob) - offset) % 4:
+        raise ConfigError(f"{path} holds {len(blob) - offset} payload bytes, "
+                          "not whole float32 values")
+    return header, np.frombuffer(blob, dtype="<f4", offset=offset)

@@ -32,9 +32,7 @@ from rows of that table, a cold-start user as the zero vector.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Container, Mapping, Sequence
@@ -54,7 +52,7 @@ from .errors import (
 )
 from .glove import EmbeddingLookup
 from .metrics import ImpressionResult
-from .mind import ImpressionLog, write_text_atomic
+from .mind import ImpressionLog, read_checkpoint, write_checkpoint
 
 MODEL_MAGIC = b"NRECMDL1"
 # Rows of one packed chunk of sequences: bounds the memory an encoder
@@ -418,14 +416,6 @@ def score_click(user_vec: np.ndarray, news_vec: np.ndarray) -> float:
     return float(user_vec @ news_vec)
 
 
-def nce_probability(pos_score: float, neg_scores: Sequence[float]) -> float:
-    """exp(pos) / (exp(pos) + sum exp(neg)), computed with max subtraction."""
-    scores = [float(pos_score)] + [float(s) for s in neg_scores]
-    m = max(scores)
-    exps = [math.exp(s - m) for s in scores]
-    return exps[0] / math.fsum(exps)
-
-
 def sample_loss(users: ad.Tensor, news: ad.Tensor, candidates: np.ndarray) -> ad.Tensor:
     """-log p per sample, as one autodiff node of shape (S,).
 
@@ -674,51 +664,43 @@ def loss_trace_csv(trace: Sequence[float]) -> str:
 
 
 def save_model(path: str, params: ModelParams) -> None:
-    """Header (magic, length-prefixed config JSON) then tensors as
-    little-endian float32: news encoder Q, K, V as (heads, 3, d_in, d_head)
-    per-head blocks, then proj and query; user encoder the same.
+    """A ``mind.write_checkpoint`` file: magic ``NRECMDL1``, the config
+    JSON with ``embed_dim``, then the tensors: news encoder Q, K, V as
+    (heads, 3, d_in, d_head) per-head blocks, then proj and query; user
+    encoder the same.
 
     The per-head order is the on-disk format only; in memory each of Q, K
     and V is one (d_in, heads*d_head) tensor.
     """
     header = dict(asdict(params.config), embed_dim=params.embed_dim)
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    chunks = [MODEL_MAGIC, struct.pack("<I", len(blob)), blob]
-    for enc in (params.news, params.user):
-        for arr in (_to_head_major(enc, params.config.heads), enc.proj, enc.query):
-            chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    write_text_atomic(path, b"".join(chunks))
+    write_checkpoint(path, MODEL_MAGIC, header,
+                     [arr for enc in (params.news, params.user)
+                      for arr in (_to_head_major(enc, params.config.heads), enc.proj, enc.query)])
 
 
 def load_model(path: str) -> ModelParams:
     """Read a ``save_model`` checkpoint; any truncated or garbled part of
-    the file raises ConfigError naming ``path``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise ConfigError(f"{path} is not a model checkpoint (bad magic)")
-    start = len(MODEL_MAGIC) + 4
+    the file, or a nan/inf parameter, raises ConfigError naming ``path``."""
+    raw, values = read_checkpoint(path, MODEL_MAGIC, "a model checkpoint")
     try:
-        (json_len,) = struct.unpack_from("<I", blob, len(MODEL_MAGIC))
-        raw = json.loads(blob[start : start + json_len].decode("utf-8"))
         embed_dim = int(raw["embed_dim"])
         if embed_dim < 1:
             raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
         config = replace(ModelConfig(), **{f.name: raw[f.name] for f in fields(ModelConfig)
                                            if f.name in raw}).validate()
         shapes = _encoder_shapes(embed_dim, config) + _encoder_shapes(config.d_model, config)
-    except (ConfigError, struct.error, UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path} has a truncated or garbled header: {exc}") from exc
-    offset = start + json_len
+    except (ConfigError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path} has a garbled header: {exc}") from exc
     sizes = [math.prod(shape) for shape in shapes]
-    if len(blob) - offset != 4 * sum(sizes):
+    if values.size != sum(sizes):
         raise ConfigError(
-            f"{path} holds {len(blob) - offset} tensor bytes where its config needs "
+            f"{path} holds {4 * values.size} tensor bytes where its config needs "
             f"{4 * sum(sizes)}; the checkpoint is truncated or has trailing bytes"
         )
-    values = np.frombuffer(blob, dtype="<f4", offset=offset).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{path} holds nan or infinite parameters")
     arrays = [part.reshape(shape) for part, shape
-              in zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
+              in zip(np.split(values.astype(np.float64), np.cumsum(sizes)[:-1]), shapes)]
     return ModelParams(embed_dim=embed_dim, config=config,
                        news=_make_encoder(*arrays[:3]),
                        user=_make_encoder(*arrays[3:]))

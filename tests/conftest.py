@@ -4,6 +4,8 @@ Session scope keeps the expensive pieces (corpus generation, GloVe and
 model training) to a single run for the whole suite.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,16 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=np.float64)
     denom = np.maximum(np.abs(want), 1e-8)
     return float(np.max(np.abs(got - want) / denom))
+
+
+def nce_probability(pos_score, neg_scores):
+    """Reference click probability exp(pos) / (exp(pos) + sum exp(neg)),
+    one score at a time with max subtraction: the oracle ``model.sample_loss``
+    (-log of it, vectorized) is checked against."""
+    scores = [float(pos_score)] + [float(s) for s in neg_scores]
+    m = max(scores)
+    exps = [math.exp(s - m) for s in scores]
+    return exps[0] / math.fsum(exps)
 
 
 def weighted_sum(t, w):

@@ -25,6 +25,8 @@ import newsrec.synth as synth
 import newsrec.textprep as tp
 from newsrec import cli
 
+from conftest import nce_probability
+
 
 def report(index: int, label: str, ok: bool, detail: str = "") -> bool:
     tail = f" ({detail})" if detail else ""
@@ -224,27 +226,34 @@ def test_ranking_metrics_match_oracles():
 
 
 def test_click_probability_identities():
+    """Identities of the reference click probability, and ``sample_loss``,
+    the loss training minimizes, equal to -log of it on the same draws."""
     uniform_ok = all(
-        mdl.nce_probability(0.7, [0.7] * k) == 1.0 / (k + 1) for k in range(1, 9)
+        nce_probability(0.7, [0.7] * k) == 1.0 / (k + 1) for k in range(1, 9)
     )
     rng = np.random.default_rng(15)
     shift_gap = 0.0
+    loss_gap = 0.0
+    one_user = ad.Tensor(np.ones((1, 1)))
     for _ in range(50):
         k = int(rng.integers(1, 9))
         scores = rng.uniform(-5.0, 5.0, size=k + 1)
         c = float(rng.uniform(-50.0, 50.0))
-        p0 = mdl.nce_probability(scores[0], scores[1:])
-        p1 = mdl.nce_probability(scores[0] + c, scores[1:] + c)
+        p0 = nce_probability(scores[0], scores[1:])
+        p1 = nce_probability(scores[0] + c, scores[1:] + c)
         shift_gap = max(shift_gap, abs(p0 - p1))
+        loss = mdl.sample_loss(one_user, ad.Tensor(scores[:, None]),
+                               np.arange(k + 1)[None]).data[0]
+        loss_gap = max(loss_gap, abs(loss + math.log(p0)) / -math.log(p0))
     extremes = [
-        mdl.nce_probability(1e3, [-1e3, 0.0, 1e3]),
-        mdl.nce_probability(-1e3, [1e3, 1e3]),
+        nce_probability(1e3, [-1e3, 0.0, 1e3]),
+        nce_probability(-1e3, [1e3, 1e3]),
     ]
     overflow_ok = all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in extremes)
-    ok = uniform_ok and shift_gap <= 1e-12 and overflow_ok
+    ok = uniform_ok and shift_gap <= 1e-12 and overflow_ok and loss_gap <= 1e-12
     assert report(5, "click-probability identities", ok,
                   f"uniform exact={uniform_ok}, shift gap {shift_gap:.2e}, "
-                  f"overflow safe={overflow_ok}")
+                  f"overflow safe={overflow_ok}, sample_loss rel gap {loss_gap:.2e}")
 
 
 # ------------------------------------------------------------- preprocessing

@@ -206,53 +206,68 @@ class TestCorruptInputs:
         mdl.save_model(model, mdl.init_params(2, mdl.ModelConfig(heads=1, d_head=2, d_attn=2)))
         return emb, model
 
-    def test_embeddings_binary_and_sidecar_cut_at_every_byte(self, pipeline, tmp_path, capsys,
-                                                            small_binary):
+    def test_embeddings_binary_cut_at_every_byte(self, pipeline, tmp_path, capsys, small_binary):
         emb, model = small_binary
-        sidecar = gl.sidecar_path(emb)
-        for path, want_codes in ((emb, {0, 2, 5}), (sidecar, {0, 2})):
-            with open(path, "rb") as fh:
-                blob = fh.read()
-            codes = set()
-            for offset in range(len(blob) + 1):
-                with open(path, "wb") as fh:
-                    fh.write(blob[:offset])
-                code = self.similar(pipeline, tmp_path, embeddings=emb, model=model)
-                err = capsys.readouterr().err
-                assert code in (0, 2, 5), (path, offset, err)
-                if code:
-                    assert path in err, (offset, err)
-                codes.add(code)
-            assert codes == want_codes, path
+        with open(emb, "rb") as fh:
+            blob = fh.read()
+        codes = set()
+        for offset in range(len(blob) + 1):
+            with open(emb, "wb") as fh:
+                fh.write(blob[:offset])
+            code = self.similar(pipeline, tmp_path, embeddings=emb, model=model)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 5), (offset, err)
+            if code:
+                assert emb in err, (offset, err)
+            codes.add(code)
+        assert codes == {0, 2, 5}
 
-    @pytest.mark.parametrize("case", ["zero_rows", "zero_dim", "tokens_not_a_list",
-                                      "sidecar_not_utf8", "sidecar_not_an_object"])
+    @pytest.mark.parametrize("case", ["zero_rows", "zero_dim", "ragged_payload",
+                                      "trailing_row", "tokens_not_a_list", "header_not_utf8",
+                                      "header_not_an_object", "repeated_token",
+                                      "older_format"])
     def test_garbled_embeddings_binary_exits_2_or_5(self, pipeline, tmp_path, capsys,
                                                     small_binary, case):
         emb, model = small_binary
-        sidecar = gl.sidecar_path(emb)
-        with open(sidecar, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        named, want = sidecar, 2
+        header, values = mind.read_checkpoint(emb, gl.BINARY_MAGIC, "embeddings")
+        tokens, want = header["tokens"], 2
         if case == "zero_rows":
-            with open(emb, "wb") as fh:
-                fh.write(gl.BINARY_MAGIC + struct.pack("<II", 0, 2))
-            named, want = emb, 5
+            header, values, want = {"dim": 2, "tokens": []}, values[:0], 5
         elif case == "zero_dim":
-            with open(emb, "wb") as fh:
-                fh.write(gl.BINARY_MAGIC + struct.pack("<II", len(meta["tokens"]), 0))
-            named = emb
+            header, values = {"dim": 0, "tokens": tokens}, values[:0]
+        elif case == "ragged_payload":
+            values = values[:-1]
+        elif case == "trailing_row":
+            values = np.concatenate([values, values[:header["dim"]]])
         elif case == "tokens_not_a_list":
-            with open(sidecar, "w", encoding="utf-8") as fh:
-                json.dump(dict(meta, tokens=5), fh)
-        elif case == "sidecar_not_utf8":
-            with open(sidecar, "wb") as fh:
-                fh.write(b"\xff" + json.dumps(meta).encode("utf-8"))
-        else:
-            with open(sidecar, "w", encoding="utf-8") as fh:
-                json.dump(meta["tokens"], fh)
+            header = dict(header, tokens=5)
+        elif case == "header_not_an_object":
+            header = tokens
+        elif case == "repeated_token":
+            header = dict(header, tokens=tokens[:-1] + tokens[:1])
+        mind.write_checkpoint(emb, gl.BINARY_MAGIC, header, [values])
+        if case == "header_not_utf8":
+            with open(emb, "r+b") as fh:
+                fh.seek(len(gl.BINARY_MAGIC) + 4)
+                fh.write(b"\xff")
+        elif case == "older_format":
+            with open(emb, "wb") as fh:
+                fh.write(b"NRECGLV1" + struct.pack("<II", len(tokens), 2) + values.tobytes())
         assert self.similar(pipeline, tmp_path, embeddings=emb, model=model) == want
-        assert named in capsys.readouterr().err
+        assert emb in capsys.readouterr().err
+
+    def test_non_finite_embeddings_exit_2(self, pipeline, fixture_dir, tmp_path, capsys):
+        with open(pipeline["embeddings"], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        token, _, rest = lines[0].split(" ", 2)
+        emb = tmp_path / "embeddings.txt"
+        emb.write_text("".join([f"{token} nan {rest}", *lines[1:]]), encoding="utf-8")
+        assert cli.main(["evaluate", "--corpus", pipeline["corpus"],
+                         "--behaviors", fixture_dir.behaviors_test, "--embeddings", str(emb),
+                         "--model", pipeline["model_bin"],
+                         "--out-dir", str(tmp_path / "eval")]) == 2
+        assert f"{emb}: token {token!r} has a nan" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_model_and_embedding_dimensions_must_agree(self, pipeline, fixture_dir, tmp_path,
                                                        capsys):
@@ -431,7 +446,7 @@ class TestAtomicOutputs:
             os.umask(old)
         capsys.readouterr()
         modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
-        assert "model.bin" in modes and "embeddings.meta.json" in modes
+        assert "model.bin" in modes and "embeddings.bin" in modes
         assert set(modes.values()) == {0o640}, modes
 
     def test_failed_write_leaves_no_tmp_file(self, tmp_path, trained):
@@ -467,7 +482,9 @@ class TestTrainGlove:
         assert np.array_equal(lookup.matrix, (table.W + table.Wt).astype(np.float32))
         assert cli.main(["train-glove", *flags, "--epochs", "1"]) == 5
 
-    def test_binary_format_round_trips(self, pipeline, tmp_path):
+    def test_binary_format_round_trips(self, pipeline, fixture_dir, tmp_path):
+        """Binary embeddings load as the text ones do, and ``evaluate``
+        writes the same bytes from either."""
         out = str(tmp_path / "glovebin")
         assert cli.main(["train-glove", "--corpus", pipeline["corpus"],
                          "--out-dir", out, "--format", "binary", *GLOVE_FLAGS]) == 0
@@ -475,6 +492,23 @@ class TestTrainGlove:
         text = gl.load_embeddings(pipeline["embeddings"])
         assert binary.tokens == text.tokens
         assert np.array_equal(binary.matrix, text.matrix)
+        evaluated = tmp_path / "eval"
+        assert cli.main(["evaluate", "--corpus", pipeline["corpus"],
+                         "--behaviors", fixture_dir.behaviors_test,
+                         "--embeddings", os.path.join(out, "embeddings.bin"),
+                         "--model", pipeline["model_bin"], "--out-dir", str(evaluated)]) == 0
+        for name in ("prediction.txt", "metrics.json"):
+            with open(os.path.join(pipeline["eval"], name), "rb") as fh:
+                assert (evaluated / name).read_bytes() == fh.read(), name
+
+    def test_writes_only_embeddings_trace_and_manifest(self, pipeline, tmp_path):
+        out = tmp_path / "glovebin"
+        assert cli.main(["train-glove", "--corpus", pipeline["corpus"], "--out-dir", str(out),
+                         "--format", "binary", "--min-count", "1", "--epochs", "0"]) == 0
+        assert sorted(os.listdir(out)) == ["embeddings.bin", "glove_trace.csv",
+                                           "manifest_train_glove.json"]
+        assert sorted(os.listdir(pipeline["glove"])) == ["embeddings.txt", "glove_trace.csv",
+                                                         "manifest_train_glove.json"]
 
     def test_manifest_records_digests_and_backend(self, pipeline):
         manifest = json.loads(open(os.path.join(

@@ -1,13 +1,14 @@
 """Vocabulary, co-occurrence counting, cost/gradients, training, checkpoints."""
 
-import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 
 import newsrec.glove as gl
+import newsrec.mind as mind
 from newsrec.errors import ConfigError, EmptyVocabulary
 
 from conftest import rel_err
@@ -250,7 +251,7 @@ class TestCheckpoints:
     def test_text_round_trip(self, tmp_path):
         lookup = self.small_lookup()
         path = str(tmp_path / "emb.txt")
-        gl.save_embeddings_text(path, lookup, gl.GloveConfig(dim=5))
+        gl.save_embeddings_text(path, lookup)
         back = gl.load_embeddings_text(path)
         assert back.tokens == lookup.tokens
         assert np.array_equal(back.matrix, lookup.matrix.astype(np.float32).astype(np.float64))
@@ -258,7 +259,7 @@ class TestCheckpoints:
     def test_binary_round_trip(self, tmp_path):
         lookup = self.small_lookup()
         path = str(tmp_path / "emb.bin")
-        gl.save_embeddings_binary(path, lookup, gl.GloveConfig(dim=5))
+        gl.save_embeddings_binary(path, lookup)
         back = gl.load_embeddings_binary(path)
         assert back.tokens == lookup.tokens
         assert np.array_equal(back.matrix, lookup.matrix.astype(np.float32).astype(np.float64))
@@ -315,19 +316,38 @@ class TestCheckpoints:
         assert back.tokens == lookup.tokens
         assert np.array_equal(back.matrix, lookup.matrix.astype(np.float32).astype(np.float64))
 
-    def test_binary_sidecar_with_repeated_token_is_rejected(self, tmp_path):
-        path = str(tmp_path / "emb.bin")
-        gl.save_embeddings_binary(path, self.small_lookup())
-        meta = gl.read_sidecar(path)
-        meta["tokens"][2] = "alpha"
-        with open(gl.sidecar_path(path), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh)
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: token 'alpha' occurs")):
-            gl.load_embeddings(path)
+    def test_binary_bytes_follow_the_container_layout(self, tmp_path):
+        """Magic, ``<I`` header length, sorted-key JSON header, then the
+        rows as little-endian float32."""
+        lookup = self.small_lookup()
+        path = tmp_path / "emb.bin"
+        gl.save_embeddings_binary(str(path), lookup)
+        header = b'{"dim": 5, "tokens": ["alpha", "beta", "gamma"]}'
+        want = (b"NRECGLV2" + struct.pack("<I", len(header)) + header
+                + lookup.matrix.astype("<f4").tobytes())
+        assert path.read_bytes() == want
 
-    def test_sidecar_records_config(self, tmp_path):
-        path = str(tmp_path / "emb.txt")
-        gl.save_embeddings_text(path, self.small_lookup(), gl.GloveConfig(dim=5, window=3))
-        meta = gl.read_sidecar(path)
-        assert meta["config"]["dim"] == 5
-        assert meta["config"]["window"] == 3
+    def write_binary(self, path, header, matrix):
+        mind.write_checkpoint(str(path), gl.BINARY_MAGIC, header, [matrix])
+
+    def test_binary_header_with_repeated_token_is_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        self.write_binary(path, {"dim": 5, "tokens": ["alpha", "beta", "alpha"]},
+                          self.small_lookup().matrix)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: token 'alpha' occurs")):
+            gl.load_embeddings(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_text_file_with_non_finite_component_is_rejected(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"a 1 2\nb 3 {value}\nc 5 6\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: token 'b' has a nan")):
+            gl.load_embeddings(str(path))
+
+    def test_binary_file_with_nan_row_is_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        matrix = self.small_lookup().matrix
+        matrix[1:] = np.nan
+        self.write_binary(path, {"dim": 5, "tokens": ["alpha", "beta", "gamma"]}, matrix)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: token 'beta' has a nan")):
+            gl.load_embeddings(str(path))

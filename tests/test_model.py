@@ -13,7 +13,7 @@ import newsrec.retrieval as ret
 from newsrec.errors import ConfigError, EmptyHistory, InsufficientNegatives, NoKnownTokens
 from newsrec.textprep import TokenizedNews
 
-from conftest import make_lookup, rel_err, weighted_sum
+from conftest import make_lookup, nce_probability, rel_err, weighted_sum
 
 RNG = np.random.default_rng(7)
 
@@ -199,18 +199,20 @@ class TestScoring:
 
 
 class TestNceProbability:
+    """The reference probability that ``sample_loss`` is checked against."""
+
     def test_uniform_scores_give_one_over_k_plus_one(self):
         for k in range(1, 9):
-            assert mdl.nce_probability(0.0, [0.0] * k) == 1.0 / (k + 1)
+            assert nce_probability(0.0, [0.0] * k) == 1.0 / (k + 1)
 
     def test_huge_positive_score_does_not_overflow(self):
-        p = mdl.nce_probability(1000.0, [0.0, 0.0, 0.0, 0.0])
+        p = nce_probability(1000.0, [0.0, 0.0, 0.0, 0.0])
         assert p == pytest.approx(1.0, abs=1e-12)
         assert math.isfinite(p)
 
     def test_hand_value(self):
         e = math.e
-        p = mdl.nce_probability(1.0, [0.0, 2.0])
+        p = nce_probability(1.0, [0.0, 2.0])
         assert p == pytest.approx(e / (e + 1.0 + e * e), rel=1e-12)
         assert p == pytest.approx(0.2447, abs=5e-5)
 
@@ -220,8 +222,8 @@ class TestNceProbability:
             pos = float(rng.normal())
             negs = rng.normal(size=4).tolist()
             c = float(rng.normal() * 100)
-            base = mdl.nce_probability(pos, negs)
-            shifted = mdl.nce_probability(pos + c, [s + c for s in negs])
+            base = nce_probability(pos, negs)
+            shifted = nce_probability(pos + c, [s + c for s in negs])
             assert abs(base - shifted) <= 1e-12
 
 
@@ -257,7 +259,7 @@ class TestLoss:
         assert losses.shape == (2,)
         for user, row, loss in zip(users.data, cands, losses):
             scores = [float(user @ news.data[c]) for c in row]
-            p = mdl.nce_probability(scores[0], scores[1:])
+            p = nce_probability(scores[0], scores[1:])
             assert loss == pytest.approx(-math.log(p), rel=1e-12)
 
 
@@ -733,6 +735,14 @@ class TestCheckpoint:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NRECMDL1" + struct.pack("<I", len(header)) + header + b"\0" * 64)
         with pytest.raises(ConfigError, match="bad.bin"):
+            mdl.load_model(str(path))
+
+    def test_non_finite_parameter_is_a_config_error(self, tmp_path):
+        params = tiny_params()
+        params.user.weights.data[-1] = np.inf
+        path = tmp_path / "nan.bin"
+        mdl.save_model(str(path), params)
+        with pytest.raises(ConfigError, match="nan.bin holds nan or infinite"):
             mdl.load_model(str(path))
 
     def test_oversized_header_length_is_a_config_error(self, tmp_path):
