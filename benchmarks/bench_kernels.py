@@ -1,14 +1,12 @@
-"""Benchmark the AdaGrad sweep: numba-compiled kernel vs pure-numpy fallback.
+"""Benchmark the GloVe AdaGrad sweep on a seeded synthetic instance.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--vocab 5000] [--dim 100]
                                                        [--nnz 200000] [--sweeps 3]
 
-The pure-numpy fallback is run-vectorized: it updates runs of entries with
-distinct rows and distinct columns at once, with results bitwise equal to
-the per-entry order. The numba kernel agrees with it only to roundoff.
-The compiled path is warmed up once before timing so JIT compilation is
-excluded. Without numba only the fallback is timed.
+The sweep is run-vectorized: it updates runs of entries with distinct rows
+and distinct columns at once, with results bitwise equal to the per-entry
+order.
 """
 
 import argparse
@@ -61,23 +59,10 @@ def main():
     args = parser.parse_args()
 
     state = make_instance(args.vocab, args.dim, args.nnz)
-    print(f"vocab {args.vocab}, dim {args.dim}, nnz {args.nnz}, "
-          f"{args.sweeps} sweeps, backend '{kern.backend_name()}'")
-
-    np_secs, np_cost = time_sweeps(kern.adagrad_sweep_numpy, state, args.sweeps)
-    print(f"  pure numpy : {np_secs:8.3f}s  ({args.sweeps * args.nnz / np_secs:12.0f} updates/s)"
-          f"  final cost {np_cost:.6f}")
-
-    if not kern.HAS_NUMBA:
-        print("  numba      : unavailable (not installed)")
-        return
-
-    small = make_instance(8, args.dim, 16, seed=1)
-    time_sweeps(kern._adagrad_sweep_jit, small, 1)  # compile outside the timer
-    nb_secs, nb_cost = time_sweeps(kern._adagrad_sweep_jit, state, args.sweeps)
-    print(f"  numba njit : {nb_secs:8.3f}s  ({args.sweeps * args.nnz / nb_secs:12.0f} updates/s)"
-          f"  final cost {nb_cost:.6f}")
-    print(f"  speedup    : {np_secs / nb_secs:8.2f}x")
+    print(f"vocab {args.vocab}, dim {args.dim}, nnz {args.nnz}, {args.sweeps} sweeps")
+    secs, cost = time_sweeps(kern.adagrad_sweep, state, args.sweeps)
+    print(f"  {secs:8.3f}s  ({args.sweeps * args.nnz / secs:12.0f} updates/s)"
+          f"  final cost {cost:.6f}")
 
 
 if __name__ == "__main__":

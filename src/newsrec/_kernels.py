@@ -1,19 +1,14 @@
-"""Hot numeric kernels: numba-compiled fast path, pure-numpy fallback.
+"""The GloVe AdaGrad sweep, in numpy.
 
-The only loop that dominates training time is the per-entry AdaGrad sweep
-over the nonzero co-occurrence entries, so that is the one kernel with a
-compiled variant.  ``adagrad_sweep`` runs it when numba can be imported,
-and the fallback otherwise.
+The one loop that dominates embedding training is the per-entry AdaGrad
+sweep over the nonzero co-occurrence entries.  ``adagrad_sweep`` runs it
+run-vectorized: it cuts the visit order into maximal runs of consecutive
+entries with distinct rows and distinct columns and does each run as one
+gather, compute and scatter.  Its results are bitwise those of visiting
+the entries one at a time, so a seed gives the same vectors on every
+machine with the same numpy and BLAS.
 
-The fallback is run-vectorized: it cuts the visit order into maximal runs
-of consecutive entries with distinct rows and distinct columns and does
-each run as one gather, compute and scatter.  Its results are bitwise
-those of visiting the entries one at a time.  The compiled kernel runs
-the same update sequence but accumulates dot products in its own order,
-so it agrees with the fallback to floating-point roundoff; each path is
-bitwise deterministic on its own.
-
-``benchmarks/bench_kernels.py`` times one against the other.
+``benchmarks/bench_kernels.py`` times it.
 """
 
 from __future__ import annotations
@@ -24,16 +19,12 @@ import numpy as np
 # its environment report, so it stays until that report drops it.
 PURE_NUMPY_ENV_VAR = "NEWSREC_PURE_NUMPY"
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-
+# Chooses nothing, there being one sweep: perfbench/run.py calls this to
+# record a backend in its environment report, so it stays until that report
+# drops it.
 def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    return "numpy"
 
 
 _BLOCK = 1 << 16  # entries of ``order`` split into runs at a time
@@ -93,7 +84,7 @@ def _unstack(table, word, word_bias, context, context_bias):
     context[:], context_bias[:] = table[vocab:, :d], table[vocab:, d]
 
 
-def adagrad_sweep_numpy(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt, accb, accbt, lr):
+def adagrad_sweep(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt, accb, accbt, lr):
     """One AdaGrad sweep over co-occurrence entries, in ``order``.
 
     Updates all parameter and accumulator arrays in place and returns the
@@ -137,46 +128,3 @@ def adagrad_sweep_numpy(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, ac
     _unstack(P, W, b, Wt, bt)
     _unstack(A, accW, accb, accWt, accbt)
     return total
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _adagrad_sweep_jit(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt, accb, accbt, lr):  # pragma: no cover - numba
-        d = W.shape[1]
-        total = 0.0
-        for t in range(order.shape[0]):
-            idx = order[t]
-            i = rows[idx]
-            j = cols[idx]
-            dot = 0.0
-            for k in range(d):
-                dot += W[i, k] * Wt[j, k]
-            diff = dot + b[i] + bt[j] - logx[idx]
-            fw = fweight[idx]
-            total += fw * diff * diff
-            g = 2.0 * fw * diff
-            for k in range(d):
-                wik = W[i, k]
-                wtjk = Wt[j, k]
-                gw = g * wtjk
-                gwt = g * wik
-                W[i, k] = wik - lr * gw / np.sqrt(accW[i, k])
-                Wt[j, k] = wtjk - lr * gwt / np.sqrt(accWt[j, k])
-                accW[i, k] += gw * gw
-                accWt[j, k] += gwt * gwt
-            b[i] -= lr * g / np.sqrt(accb[i])
-            accb[i] += g * g
-            bt[j] -= lr * g / np.sqrt(accbt[j])
-            accbt[j] += g * g
-        return total
-
-
-def adagrad_sweep(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt, accb, accbt, lr):
-    if HAS_NUMBA:
-        return _adagrad_sweep_jit(
-            order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt, accb, accbt, lr
-        )
-    return adagrad_sweep_numpy(
-        order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt, accb, accbt, lr
-    )

@@ -39,7 +39,6 @@ from . import mind
 from . import model as mdl
 from . import retrieval as ret
 from . import textprep as tp
-from ._kernels import backend_name
 from .config import AppConfig, apply_overrides, load_config
 from .errors import ConfigError, InputError, MissingInput, NewsrecError
 from .manifest import RunManifest
@@ -384,7 +383,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _resolve_config(args)
         manifest = RunManifest(
             command=args.command,
-            config=dict(asdict(cfg), kernel_backend=backend_name()),
+            config=asdict(cfg),
             seed=cfg.run.seed,
             threads=cfg.run.threads,
         )

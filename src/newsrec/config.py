@@ -69,7 +69,7 @@ def load_config(path: str | None) -> AppConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

@@ -10,6 +10,7 @@ traceback.
 
 import dataclasses
 import numbers
+import sys
 
 
 class NewsrecError(Exception):
@@ -24,10 +25,11 @@ class ConfigError(NewsrecError):
 
 def check_field_types(config) -> None:
     """Raise ConfigError for a field of the dataclass ``config`` whose value
-    does not fit its ``int`` or ``float`` annotation.
+    does not fit its ``int``, ``float`` or ``str`` annotation.
 
-    An int field takes only integers, a float field any real number; a bool
-    is neither.  None passes where the annotation allows it.
+    An int field takes only integers, a float field any finite real number
+    and a str field only a string; a bool is none of them.  None passes
+    where the annotation allows it.
     """
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
@@ -37,7 +39,11 @@ def check_field_types(config) -> None:
         if "int" in kinds:
             want, ok = "an integer", isinstance(value, numbers.Integral)
         elif "float" in kinds:
-            want, ok = "a number", isinstance(value, numbers.Real)
+            # not nan, an infinity or an int beyond the float range
+            want = "a finite number"
+            ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+        elif "str" in kinds:
+            want, ok = "a string", isinstance(value, str)
         else:
             continue
         if isinstance(value, bool) or not ok:

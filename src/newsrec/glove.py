@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import adagrad_sweep, backend_name
+from ._kernels import adagrad_sweep
 from .errors import (
     ConfigError,
     DivergedCost,
@@ -334,7 +334,7 @@ def glove_train(
         if not math.isfinite(cost):
             raise DivergedCost(
                 f"training cost became non-finite at epoch {epoch + 1} "
-                f"(learning_rate={config.learning_rate}, backend={backend_name()})"
+                f"(learning_rate={config.learning_rate})"
             )
         trace.append(float(cost))
     table.check_finite()

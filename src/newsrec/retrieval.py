@@ -92,10 +92,11 @@ def recommend(
     The user is encoded from ``model.usable_history`` of their clicks, as
     in training and ``evaluate``, by ``model.user_vectors`` over the
     index's rows; ``generated_from`` counts those clicks.  History items
-    are removed from the pool before ranking.  A user whose history has no
-    encodable item gets the cold-start zero vector (every score is then 0.0
-    and ordering falls back to news id).  Entries sort by descending score,
-    ties by ascending news id.
+    and ids not in the index are removed from the pool before ranking, and
+    a pool left with nothing raises ``EmptyCandidatePool``.  A user whose
+    history has no encodable item gets the cold-start zero vector (every
+    score is then 0.0 and ordering falls back to news id).  Entries sort by
+    descending score, ties by ascending news id.
     """
     if not candidate_pool:
         raise EmptyCandidatePool("candidate pool is empty")
@@ -106,14 +107,22 @@ def recommend(
     history_set = set(user_history)
     scored = []
     seen = set()
+    clicked = unknown = 0
     for nid in candidate_pool:
-        if nid in history_set or nid in seen:
+        if nid in seen:
             continue
         seen.add(nid)
-        vec = index.vector_of(nid)
-        if vec is None:
-            continue
-        scored.append((nid, score_click(uvec, vec)))
+        if nid in history_set:
+            clicked += 1
+        elif (vec := index.vector_of(nid)) is None:
+            unknown += 1
+        else:
+            scored.append((nid, score_click(uvec, vec)))
+    if not scored:
+        raise EmptyCandidatePool(
+            f"no candidate left to score: of {len(seen)} distinct pool ids, {unknown} are "
+            f"not in the corpus index and {clicked} are in the user's history"
+        )
     scored.sort(key=lambda e: (-e[1], e[0]))
     return RecommendationList(
         user_id=user_id,

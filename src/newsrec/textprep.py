@@ -118,8 +118,11 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
     else:
         if not os.path.isfile(path):
             raise MissingInput(f"stopword lexicon not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 

@@ -150,14 +150,18 @@ class TestConfigHandling:
         assert f"{field} must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train-glove", "train-model"])
-    def test_negative_seed_flag_exits_2_without_outputs(self, pipeline, fixture_dir, tmp_path,
-                                                        capsys, command):
-        out = tmp_path / "out"
+    def trainer_inputs(self, command, pipeline, fixture_dir):
         inputs = ["--corpus", pipeline["corpus"]]
         if command == "train-model":
             inputs += ["--behaviors", fixture_dir.behaviors_train,
                        "--embeddings", pipeline["embeddings"]]
+        return inputs
+
+    @pytest.mark.parametrize("command", ["train-glove", "train-model"])
+    def test_negative_seed_flag_exits_2_without_outputs(self, pipeline, fixture_dir, tmp_path,
+                                                        capsys, command):
+        out = tmp_path / "out"
+        inputs = self.trainer_inputs(command, pipeline, fixture_dir)
         assert cli.main([command, *inputs, "--out-dir", str(out), "--seed", "-1"]) == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
@@ -174,6 +178,56 @@ class TestConfigHandling:
                          "--out-dir", str(out), "--config", str(cfg)])
         assert code == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("command, field, value", [
+        ("train-glove", "x_max", float("inf")), ("train-glove", "learning_rate", float("nan")),
+        ("train-glove", "alpha", float("-inf")), ("train-glove", "x_max", 10 ** 400),
+        ("train-model", "learning_rate", float("nan")),
+        ("train-model", "learning_rate", float("-inf")),
+    ], ids=["x_max_inf", "glove_lr_nan", "alpha_minus_inf", "x_max_huge_int", "model_lr_nan",
+            "model_lr_minus_inf"])
+    def test_non_finite_float_setting_exits_2_without_outputs(
+            self, pipeline, fixture_dir, tmp_path, capsys, command, field, value, route):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({command[len("train-"):]: {field: value}}))
+        setting = ([f"--{field.replace('_', '-')}={value}"] if route == "flag"
+                   else ["--config", str(cfg)])
+        out = tmp_path / "out"
+        inputs = self.trainer_inputs(command, pipeline, fixture_dir)
+        assert cli.main([command, *inputs, "--out-dir", str(out), *setting]) == 2
+        assert f"{field} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blob, message", [
+        (b'{"run": {"stopwords": ["a"]}}', "stopwords must be a string, got ['a']"),
+        (b'{"run": {"stopwords": 0}}', "stopwords must be a string, got 0"),
+        (b'{"glove": {"dim": "\xff"}}', "is not valid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100_000, "is not valid JSON: maximum recursion depth exceeded"),
+    ], ids=["stopwords_list", "stopwords_int", "not_utf8", "nested_too_deep"])
+    def test_bad_config_file_exits_2_without_outputs(self, fixture_dir, tmp_path, capsys,
+                                                     blob, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(blob)
+        out = tmp_path / "out"
+        code = cli.main(["prepare", "--news", fixture_dir.news,
+                         "--behaviors", fixture_dir.behaviors_train,
+                         "--out-dir", str(out), "--config", str(cfg)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_stopword_lexicon_exits_3_without_outputs(self, fixture_dir, tmp_path,
+                                                               capsys):
+        lexicon = tmp_path / "stop.txt"
+        lexicon.write_bytes(b"the\n\xffa\n")
+        out = tmp_path / "out"
+        code = cli.main(["prepare", "--news", fixture_dir.news,
+                         "--behaviors", fixture_dir.behaviors_train,
+                         "--out-dir", str(out), "--stopwords", str(lexicon)])
+        assert code == 3
+        assert f"{lexicon} is not valid UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
     def test_float_fields_accept_json_integers(self, pipeline, tmp_path):
@@ -510,11 +564,11 @@ class TestTrainGlove:
         assert sorted(os.listdir(pipeline["glove"])) == ["embeddings.txt", "glove_trace.csv",
                                                          "manifest_train_glove.json"]
 
-    def test_manifest_records_digests_and_backend(self, pipeline):
+    def test_manifest_records_digests_and_config(self, pipeline):
         manifest = json.loads(open(os.path.join(
             pipeline["glove"], "manifest_train_glove.json")).read())
         assert manifest["command"] == "train-glove"
-        assert manifest["config"]["kernel_backend"] in ("numba", "numpy")
+        assert sorted(manifest["config"]) == ["glove", "model", "run"]
         assert any(name.endswith("tokenized.tsv") for name in manifest["inputs"])
         assert any(name.endswith("embeddings.txt") for name in manifest["outputs"])
         for digest in manifest["outputs"].values():
@@ -584,6 +638,21 @@ class TestQueries:
                          "--out-dir", str(tmp_path / "rec")])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("pool, reason", [
+        ("ZZZ,YYY,ZZZ", "of 2 distinct pool ids, 2 are not in the corpus index and 0"),
+        ("N2,N1,N2", "of 2 distinct pool ids, 0 are not in the corpus index and 2"),
+    ], ids=["unknown_ids", "history_only"])
+    def test_recommend_with_nothing_to_score_exits_5(self, pipeline, tmp_path, capsys,
+                                                      pool, reason):
+        out = tmp_path / "rec"
+        code = cli.main(["recommend", "--corpus", pipeline["corpus"],
+                         "--embeddings", pipeline["embeddings"],
+                         "--model", pipeline["model_bin"], "--history", "N1,N2",
+                         "--pool", pool, "--out-dir", str(out)])
+        assert code == 5
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
 
     def test_similar_renders_neighbors_with_distances(self, pipeline, tmp_path, capsys):
         out = str(tmp_path / "sim")

@@ -1,6 +1,6 @@
-"""The AdaGrad sweep: the run-vectorized numpy fallback is bitwise the
-per-entry loop, the compiled kernel agrees with it, and one sweep steps along
-the gradient that the finite-difference check vouches for."""
+"""The AdaGrad sweep: the run-vectorized sweep is bitwise the per-entry
+loop, and one sweep steps along the gradient that the finite-difference
+check vouches for."""
 
 import dataclasses
 
@@ -77,7 +77,7 @@ def per_entry_sweep(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt,
 
 def assert_bitwise_per_entry(state):
     costs_ref, ref = run_sweep(per_entry_sweep, state)
-    costs, got = run_sweep(kern.adagrad_sweep_numpy, state)
+    costs, got = run_sweep(kern.adagrad_sweep, state)
     assert costs == costs_ref
     for key in PARAMS:
         assert np.array_equal(got[key], ref[key]), key
@@ -114,7 +114,7 @@ def test_runs_cut_at_block_edges_change_nothing(monkeypatch):
 
 def test_empty_order_returns_zero_and_touches_nothing():
     state = with_order(make_instance(10), [])
-    costs, got = run_sweep(kern.adagrad_sweep_numpy, state, repeats=1)
+    costs, got = run_sweep(kern.adagrad_sweep, state, repeats=1)
     assert costs == [0.0]
     for key in PARAMS:
         assert np.array_equal(got[key], state[key]), key
@@ -122,8 +122,8 @@ def test_empty_order_returns_zero_and_touches_nothing():
 
 def test_numpy_sweep_is_deterministic():
     state = make_instance(0)
-    costs1, s1 = run_sweep(kern.adagrad_sweep_numpy, state)
-    costs2, s2 = run_sweep(kern.adagrad_sweep_numpy, state)
+    costs1, s1 = run_sweep(kern.adagrad_sweep, state)
+    costs2, s2 = run_sweep(kern.adagrad_sweep, state)
     assert costs1 == costs2
     assert np.array_equal(s1["W"], s2["W"])
     assert np.array_equal(s1["accb"], s2["accb"])
@@ -131,38 +131,8 @@ def test_numpy_sweep_is_deterministic():
 
 def test_sweep_reduces_cost():
     state = make_instance(1)
-    costs, _ = run_sweep(kern.adagrad_sweep_numpy, state, repeats=6)
+    costs, _ = run_sweep(kern.adagrad_sweep, state, repeats=6)
     assert costs[-1] < costs[0]
-
-
-@pytest.mark.skipif(not kern.HAS_NUMBA, reason="numba not installed")
-def test_compiled_sweep_matches_numpy_to_roundoff():
-    # dot-product accumulation order differs between the backends, so
-    # agreement is to roundoff, not bitwise; each backend is bitwise
-    # deterministic on its own
-    state = make_instance(2)
-    costs_np, s_np = run_sweep(kern.adagrad_sweep_numpy, state)
-    costs_nb, s_nb = run_sweep(kern._adagrad_sweep_jit, state)
-    np.testing.assert_allclose(costs_np, costs_nb, rtol=1e-12, atol=0.0)
-    for key in ("W", "Wt", "b", "bt", "accW", "accWt", "accb", "accbt"):
-        np.testing.assert_allclose(s_np[key], s_nb[key], rtol=1e-10, atol=1e-13, err_msg=key)
-
-
-@pytest.mark.skipif(not kern.HAS_NUMBA, reason="numba not installed")
-def test_compiled_sweep_is_deterministic():
-    state = make_instance(4)
-    costs1, s1 = run_sweep(kern._adagrad_sweep_jit, state)
-    costs2, s2 = run_sweep(kern._adagrad_sweep_jit, state)
-    assert costs1 == costs2
-    assert np.array_equal(s1["W"], s2["W"])
-    assert np.array_equal(s1["accb"], s2["accb"])
-
-
-def test_dispatcher_uses_a_real_backend():
-    assert kern.backend_name() in ("numba", "numpy")
-    state = make_instance(3)
-    costs, _ = run_sweep(kern.adagrad_sweep, state)
-    assert all(np.isfinite(c) for c in costs)
 
 
 def test_sweep_over_disjoint_entries_steps_by_the_checked_gradient():

@@ -54,11 +54,10 @@ class TestCorpusIndex:
 
 
 class TestRecommend:
-    def test_pool_equal_to_history_gives_empty_list(self):
+    def test_pool_equal_to_history_raises(self):
         _, _, params, index = crafted_index()
-        rec = ret.recommend(["N1", "N2"], ["N1", "N2"], index, params)
-        assert rec.entries == ()
-        assert rec.generated_from == 2
+        with pytest.raises(EmptyCandidatePool, match="0 are not in the corpus index and 2 are"):
+            ret.recommend(["N1", "N2"], ["N1", "N2"], index, params)
 
     def test_top_n_larger_than_pool_returns_everything(self):
         _, _, params, index = crafted_index()
