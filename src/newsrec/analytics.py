@@ -110,6 +110,14 @@ def categories_csv(dist: CategoryDistribution) -> str:
     return _csv(("category", "subcategory", "count"), dist.rows)
 
 
+def wordfreq_filename(category: str) -> str:
+    """``wordfreq_<category>.csv``, with ``%`` escaped as ``%25`` first, then
+    ``/`` as ``%2F`` and NUL as ``%00``: any category name gives one plain
+    file name, and two names never share one."""
+    escaped = category.replace("%", "%25").replace("/", "%2F").replace("\0", "%00")
+    return f"wordfreq_{escaped}.csv"
+
+
 def wordfreq_csv(table: WordFrequencyTable) -> str:
     return _csv(("token", "count"), table.rows)
 

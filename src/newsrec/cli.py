@@ -253,12 +253,13 @@ def cmd_analytics(args, cfg: AppConfig, manifest: RunManifest) -> None:
     use_raw = args.title_source == "raw"
     with manifest.phase("analytics"):
         dist = ana.category_distribution(corpus)
-        categories = args.category or sorted({item.category for item in corpus})
+        categories = (list(dict.fromkeys(args.category)) if args.category
+                      else sorted({item.category for item in corpus}))
         tables = [ana.word_frequencies(corpus, cat, top_k=args.top_k) for cat in categories]
         hist = ana.title_length_histogram(corpus, use_raw_titles=use_raw)
     _emit(args, manifest, "categories.csv", ana.categories_csv(dist))
     for table in tables:
-        _emit(args, manifest, f"wordfreq_{table.category}.csv", ana.wordfreq_csv(table))
+        _emit(args, manifest, ana.wordfreq_filename(table.category), ana.wordfreq_csv(table))
     _emit(args, manifest, "title_hist.csv", ana.title_hist_csv(hist))
     _emit(args, manifest, "analytics.json", ana.analytics_json(dist, tables, hist))
     print(f"analytics: {len(dist.rows)} category pairs, {len(tables)} word tables, "

@@ -27,9 +27,9 @@ def check_field_types(config) -> None:
     """Raise ConfigError for a field of the dataclass ``config`` whose value
     does not fit its ``int``, ``float`` or ``str`` annotation.
 
-    An int field takes only integers, a float field any finite real number
-    and a str field only a string; a bool is none of them.  None passes
-    where the annotation allows it.
+    An int field takes only integers in the int64 range, a float field any
+    finite real number and a str field only a string; a bool is none of
+    them.  None passes where the annotation allows it.
     """
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
@@ -37,7 +37,8 @@ def check_field_types(config) -> None:
         if value is None and "None" in kinds:
             continue
         if "int" in kinds:
-            want, ok = "an integer", isinstance(value, numbers.Integral)
+            want = "an integer in the int64 range"
+            ok = isinstance(value, numbers.Integral) and -2**63 <= value < 2**63
         elif "float" in kinds:
             # not nan, an infinity or an int beyond the float range
             want = "a finite number"

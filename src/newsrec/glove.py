@@ -9,6 +9,12 @@ word/context vectors and biases by minimizing
 with per-parameter AdaGrad.  Only stored (nonzero) entries contribute.
 The final vector for a word is ``w + wt``.
 
+The co-occurrence table is counted in one pass over the whole corpus,
+but each entry adds its 1/distance weights in a fixed order: document
+by document, nearest distance first.  Floating-point sums depend on
+their order, so this order is what keeps the table, and every file
+trained from it, the same bytes however the pairs are gathered.
+
 The vectors are saved either as text, one ``token v1 ... vd`` line per
 word as in the GloVe release, or as a self-contained binary checkpoint
 that holds its token list in its header.  Training settings are not
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,11 +61,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
-    def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        """Map tokens to ids, silently dropping out-of-vocabulary ones."""
-        idx = self.index
-        return np.array([idx[t] for t in tokens if t in idx], dtype=np.int64)
-
 
 def build_vocab(documents: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:
     counts: dict[str, int] = {}
@@ -93,66 +95,41 @@ class CooccurrenceMatrix:
         return int(self.rows.size)
 
 
-def _doc_pair_arrays(ids: np.ndarray, window: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Directed (i, j, weight) chunks for one document.
-
-    For positions p < q with q - p = k <= window the unordered pair gets
-    weight 1/k: distinct tokens contribute to both (i, j) and (j, i),
-    a self-pair contributes to the diagonal once.
-    """
-    out = []
-    n = int(ids.size)
-    for k in range(1, min(window, n - 1) + 1):
-        a = ids[:-k]
-        b = ids[k:]
-        w = 1.0 / k
-        off = a != b
-        if off.any():
-            ai = a[off]
-            bi = b[off]
-            out.append((np.concatenate([ai, bi]), np.concatenate([bi, ai]), w))
-        diag = ~off
-        if diag.any():
-            di = a[diag]
-            out.append((di, di, w))
-    return out
-
-
-def _accumulate_pairs(chunks: list[tuple[np.ndarray, np.ndarray, float]], vocab_size: int) -> CooccurrenceMatrix:
-    if not chunks:
-        return CooccurrenceMatrix(
-            vocab_size=vocab_size,
-            rows=np.empty(0, dtype=np.int64),
-            cols=np.empty(0, dtype=np.int64),
-            vals=np.empty(0, dtype=np.float64),
-        )
-    keys = np.concatenate([i.astype(np.int64) * vocab_size + j for i, j, _ in chunks])
-    weights = np.concatenate([np.full(i.size, w, dtype=np.float64) for i, _, w in chunks])
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    vals = np.zeros(uniq.size, dtype=np.float64)
-    np.add.at(vals, inverse, weights)
-    return CooccurrenceMatrix(
-        vocab_size=vocab_size,
-        rows=(uniq // vocab_size).astype(np.int64),
-        cols=(uniq % vocab_size).astype(np.int64),
-        vals=vals,
-    )
-
-
 def build_cooccurrence(
     documents: Sequence[Sequence[str]],
     vocab: Vocabulary,
     window: int = 5,
 ) -> CooccurrenceMatrix:
-    """Count windowed co-occurrences over tokenized documents."""
+    """Count windowed co-occurrences over tokenized documents.
+
+    Out-of-vocabulary tokens are dropped first.  Positions p < q of one
+    document with q - p = k <= window then add 1/k to (i, j) and (j, i)
+    for distinct ids i, j, and once to (i, i) for equal ids.  Each entry
+    sums its weights document by document, nearest distance first, so
+    the table does not depend on how the pairs are gathered.
+    """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    chunks: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for doc in documents:
-        ids = vocab.encode(doc)
-        if ids.size >= 2:
-            chunks.extend(_doc_pair_arrays(ids, window))
-    return _accumulate_pairs(chunks, len(vocab))
+    index = vocab.index
+    encoded = [[index[tok] for tok in doc if tok in index] for doc in documents]
+    lengths = [len(ids) for ids in encoded]
+    ids = np.fromiter(chain.from_iterable(encoded), dtype=np.int64, count=sum(lengths))
+    doc = np.repeat(np.arange(len(lengths)), lengths)
+    n = len(vocab)
+    keys, weights, owners = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.int64)]
+    for k in range(1, min(window, max(lengths, default=0) - 1) + 1):
+        same = doc[:-k] == doc[k:]
+        a, b, d = ids[:-k][same], ids[k:][same], doc[k:][same]
+        off = a != b
+        keys += [a * n + b, b[off] * n + a[off]]
+        owners += [d, d[off]]
+        weights.append(np.full(a.size + int(off.sum()), 1.0 / k))
+    # a stable sort by document keeps each document's pairs nearest distance first
+    order = np.argsort(np.concatenate(owners), kind="stable")
+    uniq, inverse = np.unique(np.concatenate(keys)[order], return_inverse=True)
+    vals = np.zeros(uniq.size)
+    np.add.at(vals, inverse, np.concatenate(weights)[order])
+    return CooccurrenceMatrix(vocab_size=n, rows=uniq // n, cols=uniq % n, vals=vals)
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,19 +199,24 @@ def init_table(vocab_size: int, dim: int, seed: int) -> EmbeddingTable:
     """Uniform(-0.5/dim, 0.5/dim) init for vectors and biases, unit AdaGrad sums.
 
     Draw order is fixed (W, Wt, b, bt) so a seed fully determines the state.
+    A ``dim`` too large for numpy to allocate raises ConfigError.
     """
     rng = np.random.default_rng(seed)
     lim = 0.5 / dim
-    return EmbeddingTable(
-        W=rng.uniform(-lim, lim, size=(vocab_size, dim)),
-        Wt=rng.uniform(-lim, lim, size=(vocab_size, dim)),
-        b=rng.uniform(-lim, lim, size=vocab_size),
-        bt=rng.uniform(-lim, lim, size=vocab_size),
-        accW=np.ones((vocab_size, dim)),
-        accWt=np.ones((vocab_size, dim)),
-        accb=np.ones(vocab_size),
-        accbt=np.ones(vocab_size),
-    )
+    try:
+        return EmbeddingTable(
+            W=rng.uniform(-lim, lim, size=(vocab_size, dim)),
+            Wt=rng.uniform(-lim, lim, size=(vocab_size, dim)),
+            b=rng.uniform(-lim, lim, size=vocab_size),
+            bt=rng.uniform(-lim, lim, size=vocab_size),
+            accW=np.ones((vocab_size, dim)),
+            accWt=np.ones((vocab_size, dim)),
+            accb=np.ones(vocab_size),
+            accbt=np.ones(vocab_size),
+        )
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"dim={dim} for {vocab_size} tokens sizes a table numpy "
+                          f"cannot allocate: {exc}") from exc
 
 
 def cost_weight(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:

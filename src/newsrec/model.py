@@ -172,13 +172,19 @@ def _init_encoder(rng: np.random.Generator, input_dim: int, cfg: ModelConfig) ->
 
 
 def init_params(embed_dim: int, config: ModelConfig) -> ModelParams:
-    """Seeded Glorot-uniform init; draw order is fixed, so fully reproducible."""
+    """Seeded Glorot-uniform init; draw order is fixed, so fully reproducible.
+    Sizes too large for numpy to allocate raise ConfigError."""
     config.validate()
     if embed_dim < 1:
         raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
     rng = np.random.default_rng(config.seed)
-    news = _init_encoder(rng, embed_dim, config)
-    user = _init_encoder(rng, config.d_model, config)
+    try:
+        news = _init_encoder(rng, embed_dim, config)
+        user = _init_encoder(rng, config.d_model, config)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(
+            f"heads={config.heads}, d_head={config.d_head} and d_attn={config.d_attn} "
+            f"size a model numpy cannot allocate: {exc}") from exc
     return ModelParams(embed_dim=embed_dim, config=config, news=news, user=user)
 
 
@@ -494,7 +500,8 @@ def build_train_samples(
     Negatives are drawn uniformly without replacement from the same
     impression's non-clicked candidates; if fewer than K exist they are
     drawn with replacement and a warning is issued (once).  Impressions
-    with no usable history or no encodable negative yield no samples.
+    with no usable history or no encodable negative yield no samples.  A K
+    too large for numpy to draw raises ConfigError.
     """
     usable = {nid for nid, tokens in news_tokens.items()
               if encodable(tokens, lookup, config.max_title_tokens)}
@@ -510,17 +517,18 @@ def build_train_samples(
         if not positives or not pool:
             continue
         for pos in positives:
-            if len(pool) >= k:
-                chosen = rng.choice(len(pool), size=k, replace=False)
-            else:
-                if not warned:
-                    warnings.warn(
-                        f"impression {log.impression_id} has {len(pool)} non-clicked "
-                        f"candidates, fewer than {k}; sampling negatives with replacement",
-                        InsufficientNegatives,
-                    )
-                    warned = True
-                chosen = rng.choice(len(pool), size=k, replace=True)
+            replace = len(pool) < k
+            if replace and not warned:
+                warnings.warn(
+                    f"impression {log.impression_id} has {len(pool)} non-clicked "
+                    f"candidates, fewer than {k}; sampling negatives with replacement",
+                    InsufficientNegatives,
+                )
+                warned = True
+            try:
+                chosen = rng.choice(len(pool), size=k, replace=replace)
+            except (ValueError, MemoryError) as exc:
+                raise ConfigError(f"negatives={k} is more than numpy can draw: {exc}") from exc
             samples.append(TrainSample(
                 history=history,
                 positive=pos,

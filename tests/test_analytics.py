@@ -141,6 +141,12 @@ class TestSerialization:
         rows = list(csv.reader(io.StringIO(an.categories_csv(an.category_distribution(corpus)))))
         assert rows == [["category", "subcategory", "count"], ['say "hi", all', "golf", "1"]]
 
+    def test_wordfreq_filenames_never_collide(self):
+        names = ["a/b", "a%2Fb", "a%252Fb", "a%b", "a%25b", "\0", "%00", "/", "%2F", "%", ""]
+        files = [an.wordfreq_filename(name) for name in names]
+        assert len(set(files)) == len(names)
+        assert not any("/" in f or "\0" in f for f in files)
+
     def test_title_hist_csv_sorted_by_length(self):
         corpus = [item("N1", raw_title="a b c d e f g"), item("N2", raw_title="a b c d")]
         hist = an.title_length_histogram(corpus)

@@ -136,6 +136,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("section, field, value", [
         ("model", "heads", 2.0), ("glove", "dim", 2.5), ("model", "epochs", True),
         ("model", "max_history", "8"), ("run", "threads", 1.0),
+        ("glove", "dim", 10**20), ("model", "heads", 10**20), ("model", "d_attn", 10**20),
+        ("model", "negatives", 10**20), ("run", "threads", -2**63 - 1),
     ])
     def test_non_integer_int_field_exits_2_without_outputs(self, pipeline, fixture_dir, tmp_path,
                                                            capsys, section, field, value):
@@ -198,6 +200,24 @@ class TestConfigHandling:
         inputs = self.trainer_inputs(command, pipeline, fixture_dir)
         assert cli.main([command, *inputs, "--out-dir", str(out), *setting]) == 2
         assert f"{field} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    # within int64, but the element count times 8 bytes passes numpy's index
+    # range, so numpy refuses without asking for memory
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("train-glove", "--dim", 10**17, "dim=100000000000000000 for"),
+        ("train-model", "--heads", 10**18, "heads=1000000000000000000, d_head=16 and d_attn=200"),
+        ("train-model", "--d-attn", 10**18, "d_attn=1000000000000000000 size a model"),
+        ("train-model", "--negatives", 2 * 10**18, "negatives=2000000000000000000 is more"),
+    ], ids=["glove_dim", "heads", "d_attn", "negatives"])
+    @pytest.mark.filterwarnings("ignore::newsrec.errors.InsufficientNegatives")
+    def test_size_numpy_cannot_allocate_exits_2_without_outputs(
+            self, pipeline, fixture_dir, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "out"
+        inputs = self.trainer_inputs(command, pipeline, fixture_dir)
+        assert cli.main([command, *inputs, "--out-dir", str(out), "--epochs", "0",
+                         flag, str(value)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("blob, message", [
@@ -686,6 +706,35 @@ class TestAnalyticsCommand:
             header, *rows = fh.read().splitlines()
         assert header == "category,subcategory,count"
         assert sum(int(r.rsplit(",", 1)[1]) for r in rows) == 60
+
+    def test_any_category_name_gets_its_own_table(self, tmp_path, capsys):
+        names = ["a/b", "a%2Fb", "x\0y", "health"]
+        corpus = tmp_path / "tokenized.tsv"
+        tp.save_tokenized(str(corpus), [
+            tp.TokenizedNews(f"N{i}", cat, "sub", (f"w{i}",), (), f"title {i}", "abstract")
+            for i, cat in enumerate(names)])
+        out = tmp_path / "ana"
+        assert cli.main(["analytics", "--corpus", str(corpus), "--out-dir", str(out)]) == 0
+        wordfreqs = sorted(f for f in os.listdir(out) if f.startswith("wordfreq_"))
+        assert wordfreqs == ["wordfreq_a%252Fb.csv", "wordfreq_a%2Fb.csv",
+                             "wordfreq_health.csv", "wordfreq_x%00y.csv"]
+        assert (out / "wordfreq_a%2Fb.csv").read_text() == "token,count\nw0,1\n"
+        payload = json.loads((out / "analytics.json").read_text())
+        assert sorted(payload["word_frequencies"]) == sorted(names)
+        assert "4 word tables" in capsys.readouterr().out
+
+    def test_repeated_category_builds_one_table(self, pipeline, tmp_path, capsys):
+        categories = sorted({item.category for item in tp.load_tokenized(pipeline["corpus"])})
+        out = tmp_path / "ana"
+        flags = [arg for cat in (categories[1], categories[0], categories[1])
+                 for arg in ("--category", cat)]
+        assert cli.main(["analytics", "--corpus", pipeline["corpus"], "--out-dir", str(out),
+                         *flags]) == 0
+        assert "2 word tables" in capsys.readouterr().out
+        payload = json.loads((out / "analytics.json").read_text())
+        assert list(payload["word_frequencies"]) == sorted(categories[:2])
+        assert sorted(f for f in os.listdir(out) if f.startswith("wordfreq_")) == [
+            f"wordfreq_{cat}.csv" for cat in sorted(categories[:2])]
 
     @pytest.mark.parametrize("top_k", ["0", "-3"])
     def test_top_k_below_one_exits_2_without_outputs(self, pipeline, tmp_path, capsys, top_k):

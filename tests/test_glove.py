@@ -33,6 +33,32 @@ def entries(matrix):
     return dict(zip(coords, matrix.vals.tolist()))
 
 
+def oracle_cooccurrence(documents, vocab, window):
+    """Per-position reference table: 1/k per pair of in-vocabulary tokens
+    k apart, added in the order document, distance, position."""
+    table = {}
+    for doc in documents:
+        ids = [vocab.index[tok] for tok in doc if tok in vocab]
+        for k in range(1, min(window + 1, len(ids))):
+            for p in range(len(ids) - k):
+                i, j = ids[p], ids[p + k]
+                table[i, j] = table.get((i, j), 0.0) + 1.0 / k
+                if i != j:
+                    table[j, i] = table.get((j, i), 0.0) + 1.0 / k
+    keys = sorted(table)
+    return (np.array([i for i, _ in keys], dtype=np.int64),
+            np.array([j for _, j in keys], dtype=np.int64),
+            np.array([table[key] for key in keys], dtype=np.float64))
+
+
+def random_corpus(rng, n_docs, alphabet):
+    """Documents of 0 to 40 tokens over a small alphabet, so tokens repeat
+    within a document; about one document in five is empty or one token."""
+    lengths = rng.choice([0, 1, *range(2, 41)], size=n_docs,
+                         p=[0.1, 0.1, *[0.8 / 39] * 39])
+    return [[f"w{c}" for c in rng.integers(0, alphabet, size=n)] for n in lengths]
+
+
 def random_table(rng, vocab_size, dim):
     table = gl.init_table(vocab_size, dim, seed=int(rng.integers(1 << 30)))
     table.W[:] = rng.normal(scale=0.3, size=table.W.shape)
@@ -67,10 +93,6 @@ class TestVocabulary:
         vocab = gl.build_vocab([["y", "x"]], min_count=1)
         assert vocab.index == {"x": 0, "y": 1}
 
-    def test_encode_drops_oov(self):
-        vocab = gl.build_vocab([["a", "a", "b"]], min_count=2)
-        assert vocab.encode(["a", "b", "a", "zzz"]).tolist() == [0, 0]
-
 
 class TestCooccurrence:
     def test_adjacent_pairs_window_one(self):
@@ -94,6 +116,25 @@ class TestCooccurrence:
         vocab = gl.build_vocab([["a"], ["b"]])
         m = gl.build_cooccurrence([["a"], ["b"]], vocab, window=5)
         assert m.nnz == 0
+
+    def test_out_of_vocabulary_tokens_are_dropped(self):
+        vocab = gl.build_vocab([["a", "a", "b"]], min_count=2)
+        m = gl.build_cooccurrence([["a", "b", "zzz", "a"]], vocab, window=1)
+        assert entries(m) == {(0, 0): 1.0}   # the two a's are adjacent once b and zzz go
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6, 7, 8, 10**12])
+    def test_matches_per_position_oracle_bitwise(self, window):
+        rng = np.random.default_rng(window % 1000)
+        for _ in range(4):
+            docs = random_corpus(rng, n_docs=60, alphabet=int(rng.integers(3, 30)))
+            # min_count 3 over part of the corpus leaves rare tokens out, and
+            # about a tenth of the tokens are swapped for one never counted
+            vocab = gl.build_vocab(docs[:40] + [["w0"] * 3], min_count=3)
+            docs = [[tok if rng.random() > 0.1 else "oov" for tok in doc] for doc in docs]
+            m = gl.build_cooccurrence(docs, vocab, window=window)
+            rows, cols, vals = oracle_cooccurrence(docs, vocab, window)
+            assert (m.rows.tobytes(), m.cols.tobytes(), m.vals.tobytes()) == (
+                rows.tobytes(), cols.tobytes(), vals.tobytes())
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
