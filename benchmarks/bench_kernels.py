@@ -4,9 +4,10 @@ Usage:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--vocab 5000] [--dim 100]
                                                        [--nnz 200000] [--sweeps 3]
 
-The sweep is run-vectorized: it updates runs of entries with distinct rows
-and distinct columns at once, with results bitwise equal to the per-entry
-order.
+The sweep updates GloVe's two stacked tables in place: ``[W | b]`` over
+``[Wt | bt]`` and their AdaGrad sums.  It is run-vectorized: it updates runs
+of entries with distinct rows and distinct columns at once, with results
+bitwise equal to the per-entry order.
 """
 
 import argparse
@@ -15,34 +16,31 @@ import time
 import numpy as np
 
 import newsrec._kernels as kern
+from newsrec.glove import EmbeddingTable
 
 
 def make_instance(vocab, dim, nnz, seed=0):
     rng = np.random.default_rng(seed)
     keys = rng.choice(vocab * vocab, size=nnz, replace=False)
     vals = rng.uniform(0.5, 200.0, size=nnz)
+    order = rng.permutation(nnz)  # drawn before the table, which fixes each seed's instance
+    table = EmbeddingTable(params=np.empty((2 * vocab, dim + 1)), acc=np.ones((2 * vocab, dim + 1)))
+    for part in (table.W, table.Wt, table.b, table.bt):
+        part[:] = rng.uniform(-0.005, 0.005, size=part.shape)
     return {
-        "order": rng.permutation(nnz),
+        "order": order,
         "rows": (keys // vocab).astype(np.int64),
         "cols": (keys % vocab).astype(np.int64),
         "fweight": np.minimum(vals / 100.0, 1.0) ** 0.75,
         "logx": np.log(vals),
-        "W": rng.uniform(-0.005, 0.005, size=(vocab, dim)),
-        "Wt": rng.uniform(-0.005, 0.005, size=(vocab, dim)),
-        "b": rng.uniform(-0.005, 0.005, size=vocab),
-        "bt": rng.uniform(-0.005, 0.005, size=vocab),
-        "accW": np.ones((vocab, dim)),
-        "accWt": np.ones((vocab, dim)),
-        "accb": np.ones(vocab),
-        "accbt": np.ones(vocab),
+        "params": table.params,
+        "acc": table.acc,
     }
 
 
 def time_sweeps(fn, state, sweeps, lr=0.05):
     s = {k: np.array(v, copy=True) for k, v in state.items()}
-    args = (s["order"], s["rows"], s["cols"], s["fweight"], s["logx"],
-            s["W"], s["Wt"], s["b"], s["bt"],
-            s["accW"], s["accWt"], s["accb"], s["accbt"], lr)
+    args = (s["order"], s["rows"], s["cols"], s["fweight"], s["logx"], s["params"], s["acc"], lr)
     start = time.perf_counter()
     cost = 0.0
     for _ in range(sweeps):

@@ -1,12 +1,14 @@
 """The GloVe AdaGrad sweep, in numpy.
 
 The one loop that dominates embedding training is the per-entry AdaGrad
-sweep over the nonzero co-occurrence entries.  ``adagrad_sweep`` runs it
-run-vectorized: it cuts the visit order into maximal runs of consecutive
-entries with distinct rows and distinct columns and does each run as one
-gather, compute and scatter.  Its results are bitwise those of visiting
-the entries one at a time, so a seed gives the same vectors on every
-machine with the same numpy and BLAS.
+sweep over the nonzero co-occurrence entries.  It updates GloVe's state
+in place, kept as in the reference implementation: two stacked tables,
+``[W | b]`` over ``[Wt | bt]`` and their AdaGrad sums.  ``adagrad_sweep``
+runs it run-vectorized: it cuts the visit order into maximal runs of
+consecutive entries with distinct rows and distinct columns and does each
+run as one gather, compute and scatter.  Its results are bitwise those of
+visiting the entries one at a time, so a seed gives the same vectors on
+every machine with the same numpy and BLAS.
 
 ``benchmarks/bench_kernels.py`` times it.
 """
@@ -72,43 +74,29 @@ def _runs(order, rows, cols, vocab):
             yield block[s:e], at[:, s:e]
 
 
-def _stacked(word, word_bias, context, context_bias):
-    """``[word | word_bias]`` over ``[context | context_bias]``."""
-    return np.block([[word, word_bias[:, None]], [context, context_bias[:, None]]])
-
-
-def _unstack(table, word, word_bias, context, context_bias):
-    """Copy a ``_stacked`` table back into its four arrays."""
-    vocab, d = word.shape
-    word[:], word_bias[:] = table[:vocab, :d], table[:vocab, d]
-    context[:], context_bias[:] = table[vocab:, :d], table[vocab:, d]
-
-
-def adagrad_sweep(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt, accb, accbt, lr):
+def adagrad_sweep(order, rows, cols, fweight, logx, params, acc, lr):
     """One AdaGrad sweep over co-occurrence entries, in ``order``.
 
-    Updates all parameter and accumulator arrays in place and returns the
-    summed weighted squared residual measured just before each update.
-    Each step uses the pre-step accumulator, then adds the squared
-    gradient to it.
+    ``params`` is GloVe's stacked table, ``[W | b]`` over ``[Wt | bt]``
+    with shape (2V, d+1), and ``acc`` its AdaGrad sums in the same layout.
+    Updates both in place and returns the summed weighted squared residual
+    measured just before each update.  Each step uses the pre-step
+    accumulator, then adds the squared gradient to it.
 
     ``order`` is cut into runs of consecutive entries with distinct rows
     and distinct columns.  The updates of one run touch disjoint rows of
-    every array, so each run is done as one gather, compute and scatter,
-    with the same float operations as one entry at a time.  For that the
-    sweep works on two stacked tables: ``P`` holds ``[W | b]`` over
-    ``[Wt | bt]`` and ``A`` their accumulators, so one gather fetches a
-    run's word and context rows together.  The dot products go through
-    the same BLAS ``ddot`` as ``W[i] @ Wt[j]`` would, and the cost is summed
-    in visit order, so the result is bitwise that of the per-entry loop.
+    both tables, so each run is done as one gather, compute and scatter,
+    with the same float operations as one entry at a time; one gather
+    fetches a run's word and context rows together.  The dot products go
+    through the same BLAS ``ddot`` as ``W[i] @ Wt[j]`` would, and the cost
+    is summed in visit order, so the result is bitwise that of the
+    per-entry loop.
     """
-    vocab, d = W.shape
-    P = _stacked(W, b, Wt, bt)
-    A = _stacked(accW, accb, accWt, accbt)
+    vocab, d = params.shape[0] // 2, params.shape[1] - 1
     total = 0.0
     for idx, at in _runs(np.asarray(order), rows, cols, vocab):
-        p = P.take(at, axis=0)  # p[0]: [W[i] | b[i]], p[1]: [Wt[j] | bt[j]]
-        acc = A.take(at, axis=0)
+        p = params.take(at, axis=0)  # p[0]: [W[i] | b[i]], p[1]: [Wt[j] | bt[j]]
+        a = acc.take(at, axis=0)
         dot = (p[0, :, None, :d] @ p[1, :, :d, None])[:, 0, 0]
         diff = dot + p[0, :, d] + p[1, :, d] - logx.take(idx)
         fw = fweight.take(idx)
@@ -119,12 +107,10 @@ def adagrad_sweep(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt, a
         grad = g[:, None] * p[::-1]
         grad[:, :, d] = g
         step = np.multiply(grad, lr)
-        np.divide(step, np.sqrt(acc), out=step)
+        np.divide(step, np.sqrt(a), out=step)
         np.subtract(p, step, out=step)
-        P[at] = step
+        params[at] = step
         np.multiply(grad, grad, out=grad)
-        np.add(acc, grad, out=acc)
-        A[at] = acc
-    _unstack(P, W, b, Wt, bt)
-    _unstack(A, accW, accb, accWt, accbt)
+        np.add(a, grad, out=a)
+        acc[at] = a
     return total

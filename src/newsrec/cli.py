@@ -86,6 +86,22 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
+def _name_max(out_dir: str) -> int:
+    """The longest file name, in bytes, allowed in ``out_dir``, asked of its
+    nearest existing directory, since ``out_dir`` may not exist yet."""
+    path = os.path.abspath(out_dir)
+    while not os.path.isdir(path):
+        path = os.path.dirname(path)
+    return os.pathconf(path, "PC_NAME_MAX")
+
+
+def epoch_trace_csv(column: str, trace: Sequence[float]) -> str:
+    """``epoch,<column>``, then one ``n,repr(value)`` line per epoch."""
+    lines = [f"epoch,{column}"]
+    lines.extend(f"{n},{value!r}" for n, value in enumerate(trace, 1))
+    return "\n".join(lines) + "\n"
+
+
 def _emit(args, manifest: RunManifest, name: str, text: str) -> str:
     """Write one output file atomically under ``--out-dir`` and record its digest."""
     path = _out_path(args, name)
@@ -151,7 +167,7 @@ def cmd_train_glove(args, cfg: AppConfig, manifest: RunManifest) -> None:
         emb_path = _out_path(args, "embeddings.bin")
         gl.save_embeddings_binary(emb_path, lookup)
     manifest.add_output(emb_path)
-    _emit(args, manifest, "glove_trace.csv", gl.cost_trace_csv(trace))
+    _emit(args, manifest, "glove_trace.csv", epoch_trace_csv("cost", trace))
     last = f", final cost {trace[-1]:.6f}" if trace else ""
     print(f"train-glove: {len(vocab)} tokens, {matrix.nnz} pairs, "
           f"{cfg.glove.epochs} epochs{last} -> {emb_path}")
@@ -171,7 +187,7 @@ def cmd_train_model(args, cfg: AppConfig, manifest: RunManifest) -> None:
     model_path = _out_path(args, "model.bin")
     mdl.save_model(model_path, params)
     manifest.add_output(model_path)
-    _emit(args, manifest, "loss_trace.csv", mdl.loss_trace_csv(trace))
+    _emit(args, manifest, "loss_trace.csv", epoch_trace_csv("mean_loss", trace))
     last = f", final loss {trace[-1]:.6f}" if trace else ""
     print(f"train-model: {len(logs)} impressions ({len(errors)} skipped lines), "
           f"{cfg.model.epochs} epochs{last} -> {model_path}")
@@ -190,10 +206,10 @@ def cmd_evaluate(args, cfg: AppConfig, manifest: RunManifest) -> None:
         results = mdl.score_impression_logs(logs, index.by_id, index.matrix, params)
     with manifest.phase("metrics"):
         report = met.evaluate(results)
-    _emit(args, manifest, "metrics.json", report.to_json())
     ranked = [(r.impression_id, mind.ranks_from_scores(r.scores)) for r in results]
     buf = io.StringIO()
     mind.write_predictions(ranked, buf)
+    _emit(args, manifest, "metrics.json", report.to_json())
     _emit(args, manifest, "prediction.txt", buf.getvalue())
     print(f"evaluate: auc {report.auc:.4f}, mrr {report.mrr:.4f}, "
           f"ndcg@5 {report.ndcg5:.4f}, ndcg@10 {report.ndcg10:.4f} "
@@ -255,6 +271,11 @@ def cmd_analytics(args, cfg: AppConfig, manifest: RunManifest) -> None:
         dist = ana.category_distribution(corpus)
         categories = (list(dict.fromkeys(args.category)) if args.category
                       else sorted({item.category for item in corpus}))
+        name_max = _name_max(args.out_dir)
+        for cat in categories:
+            if len(os.fsencode(ana.wordfreq_filename(cat))) > name_max:
+                raise InputError(f"category {cat!r} makes a word-table file name longer "
+                                 f"than the {name_max} bytes {args.out_dir} allows")
         tables = [ana.word_frequencies(corpus, cat, top_k=args.top_k) for cat in categories]
         hist = ana.title_length_histogram(corpus, use_raw_titles=use_raw)
     _emit(args, manifest, "categories.csv", ana.categories_csv(dist))

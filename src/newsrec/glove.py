@@ -166,24 +166,37 @@ class GloveConfig:
 
 @dataclass(slots=True)
 class EmbeddingTable:
-    """Trainable GloVe state: word/context vectors, biases, AdaGrad sums."""
+    """Trainable GloVe state in the reference implementation's layout:
+    ``params`` holds ``[W | b]`` over ``[Wt | bt]``, shape (2V, d+1), and
+    ``acc`` their AdaGrad sums in the same layout.  ``W``, ``Wt``, ``b``
+    and ``bt`` are read/write views of ``params``."""
 
-    W: np.ndarray
-    Wt: np.ndarray
-    b: np.ndarray
-    bt: np.ndarray
-    accW: np.ndarray
-    accWt: np.ndarray
-    accb: np.ndarray
-    accbt: np.ndarray
+    params: np.ndarray
+    acc: np.ndarray
 
     @property
     def vocab_size(self) -> int:
-        return self.W.shape[0]
+        return self.params.shape[0] // 2
 
     @property
     def dim(self) -> int:
-        return self.W.shape[1]
+        return self.params.shape[1] - 1
+
+    @property
+    def W(self) -> np.ndarray:
+        return self.params[:self.vocab_size, :-1]
+
+    @property
+    def Wt(self) -> np.ndarray:
+        return self.params[self.vocab_size:, :-1]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.params[:self.vocab_size, -1]
+
+    @property
+    def bt(self) -> np.ndarray:
+        return self.params[self.vocab_size:, -1]
 
     def word_vectors(self) -> np.ndarray:
         return self.W + self.Wt
@@ -204,19 +217,14 @@ def init_table(vocab_size: int, dim: int, seed: int) -> EmbeddingTable:
     rng = np.random.default_rng(seed)
     lim = 0.5 / dim
     try:
-        return EmbeddingTable(
-            W=rng.uniform(-lim, lim, size=(vocab_size, dim)),
-            Wt=rng.uniform(-lim, lim, size=(vocab_size, dim)),
-            b=rng.uniform(-lim, lim, size=vocab_size),
-            bt=rng.uniform(-lim, lim, size=vocab_size),
-            accW=np.ones((vocab_size, dim)),
-            accWt=np.ones((vocab_size, dim)),
-            accb=np.ones(vocab_size),
-            accbt=np.ones(vocab_size),
-        )
+        table = EmbeddingTable(params=np.empty((2 * vocab_size, dim + 1)),
+                               acc=np.ones((2 * vocab_size, dim + 1)))
+        for part in (table.W, table.Wt, table.b, table.bt):
+            part[:] = rng.uniform(-lim, lim, size=part.shape)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"dim={dim} for {vocab_size} tokens sizes a table numpy "
                           f"cannot allocate: {exc}") from exc
+    return table
 
 
 def cost_weight(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:
@@ -297,22 +305,8 @@ def glove_train(
     trace: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(matrix.nnz)
-        cost = adagrad_sweep(
-            order,
-            matrix.rows,
-            matrix.cols,
-            fweight,
-            logx,
-            table.W,
-            table.Wt,
-            table.b,
-            table.bt,
-            table.accW,
-            table.accWt,
-            table.accb,
-            table.accbt,
-            config.learning_rate,
-        )
+        cost = adagrad_sweep(order, matrix.rows, matrix.cols, fweight, logx,
+                             table.params, table.acc, config.learning_rate)
         if not math.isfinite(cost):
             raise DivergedCost(
                 f"training cost became non-finite at epoch {epoch + 1} "
@@ -321,12 +315,6 @@ def glove_train(
         trace.append(float(cost))
     table.check_finite()
     return table, trace
-
-
-def cost_trace_csv(trace: Sequence[float]) -> str:
-    lines = ["epoch,cost"]
-    lines.extend(f"{n + 1},{cost!r}" for n, cost in enumerate(trace))
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, slots=True)

@@ -238,17 +238,21 @@ def _check_permutation(impression_id: str, ranks: Sequence[int]) -> None:
 
 
 def _impression_sort_key(impression_id: str) -> tuple[int, int, str]:
-    # numeric ids sort numerically ("9" before "10"), others lexically after
-    if impression_id.isdigit():
-        return (0, int(impression_id), "")
+    # ASCII-digit ids sort numerically without int() ("9" before "10", "007"
+    # ties "7"): by length without leading zeros, then by digits; all other
+    # ids sort after them by code point
+    if impression_id.isascii() and impression_id.isdigit():
+        digits = impression_id.lstrip("0")
+        return (0, len(digits), digits)
     return (1, 0, impression_id)
 
 
 def write_predictions(ranked: Iterable[tuple[str, Sequence[int]]], sink) -> None:
     """Write leaderboard-format lines ``impression_id [r1,r2,...]``.
 
-    Lines are sorted by impression id (numerically when ids are numeric);
-    every rank list must be a permutation of 1..k.
+    Lines are sorted by impression id: ids of ASCII digits numerically
+    first, then all others by code point; every rank list must be a
+    permutation of 1..k.
     """
     rows = sorted(ranked, key=lambda item: _impression_sort_key(item[0]))
     for impression_id, ranks in rows:

@@ -665,12 +665,6 @@ def score_impression_logs(
     return results
 
 
-def loss_trace_csv(trace: Sequence[float]) -> str:
-    lines = ["epoch,mean_loss"]
-    lines.extend(f"{n + 1},{value!r}" for n, value in enumerate(trace))
-    return "\n".join(lines) + "\n"
-
-
 def save_model(path: str, params: ModelParams) -> None:
     """A ``mind.write_checkpoint`` file: magic ``NRECMDL1``, the config
     JSON with ``embed_dim``, then the tensors: news encoder Q, K, V as

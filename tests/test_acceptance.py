@@ -68,15 +68,15 @@ def test_embedding_gradients_match_finite_differences():
         _, grads = gl.glove_cost_grads(table, matrix, config)
         for key in ("W", "Wt", "b", "bt"):
             arr = getattr(table, key)
-            flat = arr.reshape(-1)
-            fd = np.zeros_like(flat)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + h
+            # arr is a strided view of table.params: perturb it in place
+            fd = np.zeros(arr.size)
+            for i in range(arr.size):
+                keep = arr.flat[i]
+                arr.flat[i] = keep + h
                 up = gl.glove_cost(table, matrix, config)
-                flat[i] = keep - h
+                arr.flat[i] = keep - h
                 down = gl.glove_cost(table, matrix, config)
-                flat[i] = keep
+                arr.flat[i] = keep
                 fd[i] = (up - down) / (2.0 * h)
             worst = max(worst, rel_gap(grads[key].reshape(-1), fd))
     took = time.perf_counter() - start

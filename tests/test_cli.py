@@ -595,6 +595,12 @@ class TestTrainGlove:
             assert len(digest) == 64
 
 
+def test_epoch_trace_csv_writes_one_repr_line_per_epoch():
+    assert cli.epoch_trace_csv("cost", [1.5, 0.25]) == "epoch,cost\n1,1.5\n2,0.25\n"
+    assert cli.epoch_trace_csv("mean_loss", [0.1]) == "epoch,mean_loss\n1,0.1\n"
+    assert cli.epoch_trace_csv("cost", []) == "epoch,cost\n"
+
+
 class TestEvaluate:
     def test_planted_fixture_is_ranked_perfectly(self, pipeline):
         metrics = json.loads(open(os.path.join(pipeline["eval"], "metrics.json")).read())
@@ -613,6 +619,23 @@ class TestEvaluate:
         sizes = {log.impression_id: len(log.candidates) for log in logs}
         for impression_id, ranks in preds:
             assert sorted(ranks) == list(range(1, sizes[impression_id] + 1))
+
+    def test_ids_int_cannot_parse_are_ordered_not_fatal(self, pipeline, fixture_dir,
+                                                         tmp_path):
+        huge = "1" * 5000  # past int()'s 4,300-digit limit
+        ids = ["\u00b2", huge, "10", "007", "9", "7"]
+        with open(fixture_dir.behaviors_test, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()[:len(ids)]
+        behaviors = tmp_path / "behaviors.tsv"
+        behaviors.write_text("".join(f"{i}\t{line.split(chr(9), 1)[1]}\n"
+                                     for i, line in zip(ids, lines)), encoding="utf-8")
+        out = tmp_path / "eval"
+        assert cli.main(["evaluate", "--corpus", pipeline["corpus"],
+                         "--behaviors", str(behaviors), "--embeddings", pipeline["embeddings"],
+                         "--model", pipeline["model_bin"], "--out-dir", str(out)]) == 0
+        with open(out / "prediction.txt", encoding="utf-8") as fh:
+            got = [impression_id for impression_id, _ in mind.read_predictions(fh)]
+        assert got == ["007", "7", "9", "10", huge, "\u00b2"]
 
     def test_unreferenced_news_leaves_outputs_unchanged(self, pipeline, fixture_dir, tmp_path):
         corpus = tp.load_tokenized(pipeline["corpus"])
@@ -735,6 +758,17 @@ class TestAnalyticsCommand:
         assert list(payload["word_frequencies"]) == sorted(categories[:2])
         assert sorted(f for f in os.listdir(out) if f.startswith("wordfreq_")) == [
             f"wordfreq_{cat}.csv" for cat in sorted(categories[:2])]
+
+    def test_category_too_long_for_a_file_name_exits_3_without_outputs(self, tmp_path,
+                                                                         capsys):
+        category = "c" * 300
+        corpus = tmp_path / "tokenized.tsv"
+        tp.save_tokenized(str(corpus), [
+            tp.TokenizedNews("N1", category, "sub", ("w",), (), "title", "abstract")])
+        out = tmp_path / "ana"
+        assert cli.main(["analytics", "--corpus", str(corpus), "--out-dir", str(out)]) == 3
+        assert f"category {category!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("top_k", ["0", "-3"])
     def test_top_k_below_one_exits_2_without_outputs(self, pipeline, tmp_path, capsys, top_k):

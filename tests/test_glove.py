@@ -192,14 +192,14 @@ class TestGradients:
             _, grads = gl.glove_cost_grads(table, m, config)
             for name in ("W", "Wt", "b", "bt"):
                 arr = getattr(table, name)
-                flat = arr.reshape(-1)
-                for k in range(flat.size):
-                    keep = flat[k]
-                    flat[k] = keep + h
+                # arr is a strided view of table.params: perturb it in place
+                for k in range(arr.size):
+                    keep = arr.flat[k]
+                    arr.flat[k] = keep + h
                     up = gl.glove_cost(table, m, config)
-                    flat[k] = keep - h
+                    arr.flat[k] = keep - h
                     down = gl.glove_cost(table, m, config)
-                    flat[k] = keep
+                    arr.flat[k] = keep
                     fd = (up - down) / (2 * h)
                     analytic = grads[name].reshape(-1)[k]
                     scale = max(abs(fd), abs(analytic), 1.0)
@@ -260,10 +260,16 @@ class TestTraining:
         bound = 0.5 / 10
         for arr in (table.W, table.Wt, table.b, table.bt):
             assert np.all(arr > -bound) and np.all(arr < bound)
-        assert np.all(table.accW == 1.0)
 
-    def test_trace_csv_format(self):
-        assert gl.cost_trace_csv([1.5, 0.25]) == "epoch,cost\n1,1.5\n2,0.25\n"
+    def test_initialization_draws_w_wt_b_bt_in_order(self):
+        v, dim, seed = 7, 5, 21
+        table = gl.init_table(v, dim, seed)
+        rng = np.random.default_rng(seed)
+        for name, shape in (("W", (v, dim)), ("Wt", (v, dim)), ("b", v), ("bt", v)):
+            want = rng.uniform(-0.5 / dim, 0.5 / dim, size=shape)
+            assert np.array_equal(getattr(table, name), want), name
+        assert table.params.shape == table.acc.shape == (2 * v, dim + 1)
+        assert np.array_equal(table.acc, np.ones((2 * v, dim + 1)))
 
 
 class TestLookup:

@@ -2,13 +2,21 @@
 loop, and one sweep steps along the gradient that the finite-difference
 check vouches for."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import newsrec._kernels as kern
 import newsrec.glove as gl
+
+
+PARAMS = ("W", "Wt", "b", "bt", "accW", "accWt", "accb", "accbt")
+
+
+def parts(state):
+    """The eight arrays of the per-entry oracle, as views of the two tables."""
+    tables = (gl.EmbeddingTable(state["params"], state["acc"]),
+              gl.EmbeddingTable(state["acc"], state["params"]))
+    return dict(zip(PARAMS, [getattr(t, name) for t in tables for name in ("W", "Wt", "b", "bt")]))
 
 
 def make_instance(seed, vocab_size=12, dim=6, nnz=40):
@@ -24,30 +32,22 @@ def make_instance(seed, vocab_size=12, dim=6, nnz=40):
         "cols": cols,
         "fweight": (vals / 20.0) ** 0.75,
         "logx": np.log(vals),
-        "W": rng.normal(scale=0.05, size=(vocab_size, dim)),
-        "Wt": rng.normal(scale=0.05, size=(vocab_size, dim)),
-        "b": rng.normal(scale=0.05, size=vocab_size),
-        "bt": rng.normal(scale=0.05, size=vocab_size),
-        "accW": np.ones((vocab_size, dim)),
-        "accWt": np.ones((vocab_size, dim)),
-        "accb": np.ones(vocab_size),
-        "accbt": np.ones(vocab_size),
+        "params": np.empty((2 * vocab_size, dim + 1)),
+        "acc": np.ones((2 * vocab_size, dim + 1)),
     }
+    drawn = parts(state)
+    for name in ("W", "Wt", "b", "bt"):
+        drawn[name][:] = rng.normal(scale=0.05, size=drawn[name].shape)
     return state
 
 
 def run_sweep(fn, state, lr=0.05, repeats=3):
     s = {k: np.array(v, copy=True) for k, v in state.items()}
     costs = [
-        fn(s["order"], s["rows"], s["cols"], s["fweight"], s["logx"],
-           s["W"], s["Wt"], s["b"], s["bt"],
-           s["accW"], s["accWt"], s["accb"], s["accbt"], lr)
+        fn(s["order"], s["rows"], s["cols"], s["fweight"], s["logx"], s["params"], s["acc"], lr)
         for _ in range(repeats)
     ]
-    return costs, s
-
-
-PARAMS = ("W", "Wt", "b", "bt", "accW", "accWt", "accb", "accbt")
+    return costs, parts(s)
 
 
 def per_entry_sweep(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt, accb, accbt, lr):
@@ -75,8 +75,14 @@ def per_entry_sweep(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt,
     return total
 
 
+def per_entry_on_tables(order, rows, cols, fweight, logx, params, acc, lr):
+    """The oracle with ``adagrad_sweep``'s arguments."""
+    s = parts({"params": params, "acc": acc})
+    return per_entry_sweep(order, rows, cols, fweight, logx, *(s[key] for key in PARAMS), lr)
+
+
 def assert_bitwise_per_entry(state):
-    costs_ref, ref = run_sweep(per_entry_sweep, state)
+    costs_ref, ref = run_sweep(per_entry_on_tables, state)
     costs, got = run_sweep(kern.adagrad_sweep, state)
     assert costs == costs_ref
     for key in PARAMS:
@@ -116,8 +122,8 @@ def test_empty_order_returns_zero_and_touches_nothing():
     state = with_order(make_instance(10), [])
     costs, got = run_sweep(kern.adagrad_sweep, state, repeats=1)
     assert costs == [0.0]
-    for key in PARAMS:
-        assert np.array_equal(got[key], state[key]), key
+    for key, before in parts(state).items():
+        assert np.array_equal(got[key], before), key
 
 
 def test_numpy_sweep_is_deterministic():
@@ -149,11 +155,11 @@ def test_sweep_over_disjoint_entries_steps_by_the_checked_gradient():
                                    vals=rng.uniform(0.5, 30.0, size=nnz))
     table = gl.init_table(vocab_size, config.dim, seed=4)
     cost, grads = gl.glove_cost_grads(table, matrix, config)
-    after = {f.name: getattr(table, f.name).copy() for f in dataclasses.fields(table)}
+    stepped = {"params": table.params.copy(), "acc": table.acc.copy()}
     got = kern.adagrad_sweep(rng.permutation(nnz), matrix.rows, matrix.cols,
                              gl.cost_weight(matrix.vals, config.x_max, config.alpha),
-                             np.log(matrix.vals), after["W"], after["Wt"], after["b"], after["bt"],
-                             after["accW"], after["accWt"], after["accb"], after["accbt"], lr)
+                             np.log(matrix.vals), stepped["params"], stepped["acc"], lr)
+    after = parts(stepped)
     # the sweep sums the cost in visit order, glove_cost_grads by np.sum
     assert got == pytest.approx(cost, rel=1e-14)
     for key, grad in grads.items():

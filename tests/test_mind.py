@@ -115,6 +115,18 @@ def test_write_predictions_format_and_order():
     assert sink.getvalue() == "2 [1]\n9 [1,3,2]\n10 [1]\n"
 
 
+def test_write_predictions_orders_ids_without_int():
+    """ASCII-digit ids sort numerically, leading zeros tying ("007" and "7"
+    keep their input order), even past int()'s digit limit; other ids,
+    non-ASCII digits included, follow by code point."""
+    huge = "9" * 5000
+    ids = ["b", "\u00b2", huge, "007", "10", "7", "9", "0", "a", "00"]
+    sink = io.StringIO()
+    mind.write_predictions([(i, [1]) for i in ids], sink)
+    got = [line.split(" ")[0] for line in sink.getvalue().splitlines()]
+    assert got == ["0", "00", "007", "7", "9", "10", huge, "a", "b", "\u00b2"]
+
+
 def test_write_predictions_single_candidate():
     sink = io.StringIO()
     mind.write_predictions([("I2", [1])], sink)
