@@ -6,12 +6,13 @@ file values).  The trainer flags of ``train-glove`` and ``train-model``
 mirror the fields of ``GloveConfig`` and ``ModelConfig`` (``--x-max`` sets
 ``x_max``), so a new field gets its flag without an edit here.
 
-``main`` owns the run lifecycle: it validates the configuration before
-any input is opened, so a config error never leaves partial outputs; it
-hands the command the config and a ``RunManifest``, in which the command
-records its inputs (``_inputs``) and outputs (``_emit``) by digest; and
-it writes ``manifest_<command>.json`` with those digests and per-phase
-wall times to ``--out-dir``.
+``main`` owns the run lifecycle: before any input is opened it validates
+the configuration and checks that ``--out-dir`` is, or can become, a
+directory, so a config error never leaves partial outputs; it hands the
+command the config and a ``RunManifest``, in which the command records
+its inputs (``_inputs``) and outputs (``_emit``) by digest; and it writes
+``manifest_<command>.json`` with those digests and per-phase wall times
+to ``--out-dir``.
 
 ``--threads`` (``run.threads``) has no effect: every command runs on one
 thread.  It is still validated (>= 1) and recorded in the manifest, so
@@ -86,13 +87,18 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
+def _existing_ancestor(out_dir: str) -> str:
+    """``out_dir`` or, since it may not exist yet, its nearest existing ancestor."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    return path
+
+
 def _name_max(out_dir: str) -> int:
     """The longest file name, in bytes, allowed in ``out_dir``, asked of its
-    nearest existing directory, since ``out_dir`` may not exist yet."""
-    path = os.path.abspath(out_dir)
-    while not os.path.isdir(path):
-        path = os.path.dirname(path)
-    return os.pathconf(path, "PC_NAME_MAX")
+    nearest existing ancestor, which ``main`` has checked is a directory."""
+    return os.pathconf(_existing_ancestor(out_dir), "PC_NAME_MAX")
 
 
 def epoch_trace_csv(column: str, trace: Sequence[float]) -> str:
@@ -409,6 +415,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=cfg.run.seed,
             threads=cfg.run.threads,
         )
+        if args.out_dir and not os.path.isdir(ancestor := _existing_ancestor(args.out_dir)):
+            raise ConfigError(f"--out-dir {args.out_dir} cannot be made a directory: "
+                              f"{ancestor} exists and is not one")
         args.func(args, cfg, manifest)
         if args.out_dir:
             manifest.write(_out_path(args, f"manifest_{args.command.replace('-', '_')}.json"))

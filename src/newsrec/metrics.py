@@ -46,8 +46,9 @@ def _check_pair(labels: Sequence[int], scores: Sequence[float]) -> None:
 def auc(labels: Sequence[int], scores: Sequence[float]) -> float:
     """Probability a random positive outscores a random negative, ties count 1/2.
 
-    Computed from tie-averaged ranks (Mann-Whitney), which is exactly
-    equivalent to averaging over all positive/negative pairs.
+    Counted pair by pair without forming the pairs: for each positive, the
+    negatives strictly below it plus half of those equal to it, by binary
+    search in the sorted negative scores.  Every count is exact.
     """
     _check_pair(labels, scores)
     y = np.asarray(labels, dtype=np.int64)
@@ -58,18 +59,10 @@ def auc(labels: Sequence[int], scores: Sequence[float]) -> float:
         raise DegenerateLabels(
             f"AUC needs at least one positive and one negative, got {n_pos} pos / {n_neg} neg"
         )
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(y.size, dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    pos_rank_sum = float(ranks[y == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    neg = np.sort(s[y == 0])
+    pos = s[y == 1]
+    twice = int(np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum())
+    return twice / 2 / (n_pos * n_neg)
 
 
 def mrr(labels: Sequence[int], scores: Sequence[float]) -> float:

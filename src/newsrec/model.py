@@ -8,9 +8,10 @@ minimizes the NCE loss: for each clicked candidate, K non-clicked
 candidates from the same impression form the negatives, and the loss is
 -log softmax(positive | positive + negatives), averaged over samples.
 
-A title is encoded from the known tokens among its first
-``max_title_tokens``, a history from its ``max_history`` most recent
-encodable clicks (``usable_history``); there is no positional signal.
+Both encoders take row sequences: a title is its ``title_rows`` (resolved
+once, in ``train_model`` and ``retrieval.CorpusIndex``) of the embedding
+matrix, a history its ``max_history`` most recent encodable clicks
+(``usable_history``) in the news vectors; there is no positional signal.
 An encoder takes a whole batch of such ragged sequences and packs them
 instead of padding them: sorted by length, their rows are cut into chunks
 of at most ``ROW_BUDGET`` rows, Q, K and V are one GEMM per chunk, and
@@ -234,17 +235,16 @@ def _heads(rows: np.ndarray, count: int, length: int, d_head: int) -> np.ndarray
 
 
 def self_attention(x: np.ndarray, enc: EncoderParams, d_head: int,
-                   lengths: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+                   lengths: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Multi-head scaled dot-product self-attention within each sequence.
 
     The sequences are packed as consecutive rows of ``x``, ``lengths``
-    rows each (default: one sequence of every row).  Q, K and V for all
-    rows are one GEMM; attention runs once per run of equal lengths as
-    rank-4 (sequences, heads, length, d_head) products, so nothing is
-    padded or masked.  Returns the (rows, heads*d_head) output and the
-    attention weights of each run, which the backward pass reuses.
+    rows each.  Q, K and V for all rows are one GEMM; attention runs once
+    per run of equal lengths as rank-4 (sequences, heads, length, d_head)
+    products, so nothing is padded or masked.  Returns the (rows,
+    heads*d_head) output and the attention weights of each run, which the
+    backward pass reuses.
     """
-    lengths = np.array([len(x)]) if lengths is None else lengths
     qkv = _project(x, enc.Wqkv)
     out = np.empty((len(x), enc.d_model))
     attn = []
@@ -257,14 +257,14 @@ def self_attention(x: np.ndarray, enc: EncoderParams, d_head: int,
 
 
 def additive_pool(seq: np.ndarray, enc: EncoderParams,
-                  lengths: np.ndarray | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Collapse each sequence of rows to one vector by learned weights.
+                  lengths: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Collapse each sequence of ``lengths`` consecutive rows to one vector
+    by learned weights.
 
     The weights are a softmax over each sequence's rows (a segment softmax
     by ``reduceat``).  Returns the (sequences, d) vectors and
     (hidden, weights), which the backward pass reuses.
     """
-    lengths = np.array([len(seq)]) if lengths is None else lengths
     starts = _segment_starts(lengths)
     hidden = np.tanh(_project(seq, enc.proj))
     scores = np.einsum("ij,j->i", hidden, enc.query)   # per row, unlike gemv
@@ -373,40 +373,26 @@ def _encoder_node(source: np.ndarray | ad.Tensor, seqs: Sequence[np.ndarray],
     return out
 
 
-def encodable(tokens: Sequence[str], lookup: EmbeddingLookup, max_tokens: int) -> bool:
-    """Whether a title has an embeddable token among its first ``max_tokens``."""
-    return any(tok in lookup for tok in tokens[:max_tokens])
-
-
 def title_rows(tokens: Sequence[str], lookup: EmbeddingLookup, max_tokens: int) -> np.ndarray:
-    """Embedding-matrix rows of the first ``max_tokens`` known tokens of a title."""
-    rows = [lookup.index[tok] for tok in tokens[:max_tokens] if tok in lookup]
-    if not rows:
-        raise NoKnownTokens(
-            f"no embeddable token among {list(tokens[:max_tokens])!r}"
-        )
-    return np.array(rows)
+    """Embedding-matrix rows of the known tokens among a title's first
+    ``max_tokens``, the news encoder's input; empty if it cannot be encoded."""
+    return np.array([lookup.index[tok] for tok in tokens[:max_tokens] if tok in lookup],
+                    dtype=np.intp)
 
 
-def _title_seqs(titles: Sequence[Sequence[str]], lookup: EmbeddingLookup,
-                params: ModelParams) -> list[np.ndarray]:
-    if not titles:
-        raise NoKnownTokens("no title to encode")
-    return [title_rows(tokens, lookup, params.config.max_title_tokens) for tokens in titles]
-
-
-def _history_seqs(histories: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    seqs = [np.asarray(h, dtype=np.intp) for h in histories]
+def _checked(seqs: Sequence[Sequence[int]], error: type, what: str) -> list[np.ndarray]:
+    """The row sequences of one encoder call; none, or an empty one, raises ``error``."""
+    seqs = [np.asarray(s, dtype=np.intp) for s in seqs]
     if not seqs or min(len(s) for s in seqs) < 1:
-        raise EmptyHistory("every user history must hold at least one news row")
+        raise error(f"every {what} to encode must hold at least one row")
     return seqs
 
 
-def encode_news(titles: Sequence[Sequence[str]], lookup: EmbeddingLookup,
+def encode_news(titles: Sequence[Sequence[int]], words: np.ndarray,
                 params: ModelParams) -> ad.Tensor:
-    """Title tokens of B news -> (B, d_model) news vectors, one autodiff
-    node.  Embeddings stay constant."""
-    return _encoder_node(lookup.matrix, _title_seqs(titles, lookup, params),
+    """B titles, each rows of the ``words`` embedding matrix -> (B, d_model)
+    news vectors, one autodiff node.  Embeddings stay constant."""
+    return _encoder_node(words, _checked(titles, NoKnownTokens, "title"),
                          params.news, params.config.d_head)
 
 
@@ -414,7 +400,8 @@ def encode_user(news: ad.Tensor, histories: Sequence[Sequence[int]],
                 params: ModelParams) -> ad.Tensor:
     """S histories, each a list of rows of the (B, d_model) ``news`` ->
     (S, d_model) user vectors, one autodiff node."""
-    return _encoder_node(news, _history_seqs(histories), params.user, params.config.d_head)
+    return _encoder_node(news, _checked(histories, EmptyHistory, "user history"),
+                         params.user, params.config.d_head)
 
 
 def score_click(user_vec: np.ndarray, news_vec: np.ndarray) -> float:
@@ -490,8 +477,7 @@ def usable_history(history: Sequence[str], usable: Container[str], max_history: 
 
 def build_train_samples(
     logs: Sequence[ImpressionLog],
-    news_tokens: Mapping[str, Sequence[str]],
-    lookup: EmbeddingLookup,
+    usable: Container[str],
     config: ModelConfig,
     rng: np.random.Generator,
 ) -> list[TrainSample]:
@@ -500,11 +486,9 @@ def build_train_samples(
     Negatives are drawn uniformly without replacement from the same
     impression's non-clicked candidates; if fewer than K exist they are
     drawn with replacement and a warning is issued (once).  Impressions
-    with no usable history or no encodable negative yield no samples.  A K
-    too large for numpy to draw raises ConfigError.
+    with no ``usable`` history or negative yield no samples.  A K too
+    large for numpy to draw raises ConfigError.
     """
-    usable = {nid for nid, tokens in news_tokens.items()
-              if encodable(tokens, lookup, config.max_title_tokens)}
     samples: list[TrainSample] = []
     warned = False
     k = config.negatives
@@ -560,7 +544,9 @@ def train_model(
     seeds = np.random.SeedSequence(config.seed).spawn(2)
     sample_rng = np.random.default_rng(seeds[0])
     shuffle_rng = np.random.default_rng(seeds[1])
-    samples = build_train_samples(logs, news_tokens, lookup, config, sample_rng)
+    titles = {nid: rows for nid, tokens in news_tokens.items()   # the encodable news
+              if len(rows := title_rows(tokens, lookup, config.max_title_tokens))}
+    samples = build_train_samples(logs, titles, config, sample_rng)
     if not samples:
         raise AllDegenerate(
             "no trainable samples: every impression lacks usable history, "
@@ -573,32 +559,32 @@ def train_model(
         epoch_losses: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = [samples[i] for i in order[start : start + config.batch_size]]
-            epoch_losses.extend(_train_batch(batch, news_tokens, lookup, params, optimizer))
+            epoch_losses.extend(_train_batch(batch, titles, lookup.matrix, params, optimizer))
         _check_finite(params)
         trace.append(math.fsum(epoch_losses) / len(epoch_losses))
     return params, trace
 
 
-def _batch_losses(batch: Sequence[TrainSample], news_tokens: Mapping[str, Sequence[str]],
-                  lookup: EmbeddingLookup, params: ModelParams) -> ad.Tensor:
+def _batch_losses(batch: Sequence[TrainSample], titles: Mapping[str, np.ndarray],
+                  words: np.ndarray, params: ModelParams) -> ad.Tensor:
     """The (S,) per-sample losses of one batch: three autodiff nodes, the
-    news encoder over the batch's distinct news, the user encoder over
-    their rows, and ``sample_loss``."""
+    news encoder over the ``titles`` of the batch's distinct news, the
+    user encoder over their rows, and ``sample_loss``."""
     ids = list(dict.fromkeys(nid for s in batch for nid in (*s.history, s.positive, *s.negatives)))
     row = {nid: i for i, nid in enumerate(ids)}
-    news = encode_news([news_tokens[nid] for nid in ids], lookup, params)
+    news = encode_news([titles[nid] for nid in ids], words, params)
     users = encode_user(news, [[row[nid] for nid in s.history] for s in batch], params)
     return sample_loss(users, news, [[row[s.positive], *(row[nid] for nid in s.negatives)]
                                      for s in batch])
 
 
-def _train_batch(batch: Sequence[TrainSample], news_tokens: Mapping[str, Sequence[str]],
-                 lookup: EmbeddingLookup, params: ModelParams, optimizer: Adam) -> list[float]:
+def _train_batch(batch: Sequence[TrainSample], titles: Mapping[str, np.ndarray],
+                 words: np.ndarray, params: ModelParams, optimizer: Adam) -> list[float]:
     """One Adam step on one batch; returns the per-sample losses.
 
     The batch's graph is freed on return, before the next batch builds its own.
     """
-    losses = _batch_losses(batch, news_tokens, lookup, params)
+    losses = _batch_losses(batch, titles, words, params)
     batch_loss = ad.mean(losses)
     if not math.isfinite(batch_loss.data):
         raise DivergedCost(
@@ -609,16 +595,20 @@ def _train_batch(batch: Sequence[TrainSample], news_tokens: Mapping[str, Sequenc
     return losses.data.tolist()
 
 
-def news_vectors(titles: Sequence[Sequence[str]], lookup: EmbeddingLookup,
+def news_vectors(titles: Sequence[Sequence[int]], words: np.ndarray,
                  params: ModelParams) -> np.ndarray:
     """(B, d_model) news vectors for inference: the training forward, no graph."""
-    return _forward(lookup.matrix, _title_seqs(titles, lookup, params),
+    return _forward(words, _checked(titles, NoKnownTokens, "title"),
                     params.news, params.config.d_head)[0]
 
 
 def news_vector(tokens: Sequence[str], lookup: EmbeddingLookup, params: ModelParams) -> np.ndarray:
-    """One title's news vector: a batch of one."""
-    return news_vectors([tokens], lookup, params)[0]
+    """One title's news vector from its tokens, a batch of one."""
+    max_tokens = params.config.max_title_tokens
+    rows = title_rows(tokens, lookup, max_tokens)
+    if not len(rows):
+        raise NoKnownTokens(f"no embeddable token among {list(tokens[:max_tokens])!r}")
+    return news_vectors([rows], lookup.matrix, params)[0]
 
 
 def user_vectors(news: np.ndarray, histories: Sequence[Sequence[int]],
@@ -629,8 +619,8 @@ def user_vectors(news: np.ndarray, histories: Sequence[Sequence[int]],
     users = np.zeros((len(histories), params.config.d_model))
     warm = [i for i, history in enumerate(histories) if len(history)]
     if warm:
-        users[warm] = _forward(news, _history_seqs([histories[i] for i in warm]),
-                               params.user, params.config.d_head)[0]
+        seqs = _checked([histories[i] for i in warm], EmptyHistory, "user history")
+        users[warm] = _forward(news, seqs, params.user, params.config.d_head)[0]
     return users
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyCandidatePool, NoKnownTokens
 from .glove import EmbeddingLookup
-from .model import (ModelParams, encodable, news_vector, news_vectors, score_click,
+from .model import (ModelParams, news_vector, news_vectors, score_click, title_rows,
                     usable_history, user_vectors)
 from .textprep import TokenizedNews
 
@@ -56,17 +56,17 @@ def abstract_snippet(text: str, width: int = SNIPPET_WIDTH) -> str:
 class CorpusIndex:
     """News vectors for a tokenized corpus, keyed by news id.
 
-    Items with no embeddable title token are dropped (they cannot be
-    scored); ``skipped`` lists their ids.
+    Each title is resolved to its ``model.title_rows`` once.  Items with
+    none are dropped (they cannot be scored); ``skipped`` lists their ids.
     """
 
     def __init__(self, corpus: Sequence[TokenizedNews], lookup: EmbeddingLookup, params: ModelParams):
-        ok = [encodable(item.title_tokens, lookup, params.config.max_title_tokens)
-              for item in corpus]
-        self.items = [item for item, keep in zip(corpus, ok) if keep]
+        rows = [title_rows(item.title_tokens, lookup, params.config.max_title_tokens)
+                for item in corpus]
+        self.items = [item for item, r in zip(corpus, rows) if len(r)]
         self.by_id = {item.news_id: i for i, item in enumerate(self.items)}
-        self.skipped = tuple(item.news_id for item, keep in zip(corpus, ok) if not keep)
-        self.matrix = (news_vectors([item.title_tokens for item in self.items], lookup, params)
+        self.skipped = tuple(item.news_id for item, r in zip(corpus, rows) if not len(r))
+        self.matrix = (news_vectors([r for r in rows if len(r)], lookup.matrix, params)
                        if self.items else np.empty((0, params.config.d_model)))
 
     def __len__(self) -> int:

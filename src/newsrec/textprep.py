@@ -226,18 +226,24 @@ def save_tokenized(path: str, corpus: Sequence[TokenizedNews]) -> None:
 
 
 def load_tokenized(path: str) -> list[TokenizedNews]:
+    """The records of a ``save_tokenized`` file; a bad line or a repeated id raises InputError."""
     if not os.path.isfile(path):
         raise MissingInput(f"tokenized corpus not found: {path}")
     corpus = []
+    first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 try:
-                    corpus.append(parse_tokenized_line(line))
+                    item = parse_tokenized_line(line)
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: {exc}") from exc
+                seen = first_line.setdefault(item.news_id, lineno)
+                if seen != lineno:
+                    raise InputError(f"{path}:{lineno}: news id {item.news_id!r} repeats line {seen}")
+                corpus.append(item)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
     return corpus

@@ -120,7 +120,8 @@ def test_embedding_cost_matches_direct_summation():
 def one_impression_loss(params, lookup, title_map, history, pos, negs):
     """A batch of one sample, built as the trainer builds a batch."""
     ids = list(dict.fromkeys((*history, pos, *negs)))
-    news = mdl.encode_news([title_map[n] for n in ids], lookup, params)
+    news = mdl.encode_news([mdl.title_rows(title_map[n], lookup, params.config.max_title_tokens)
+                            for n in ids], lookup.matrix, params)
     user = mdl.encode_user(news, [[ids.index(n) for n in history]], params)
     return ad.mean(mdl.sample_loss(user, news, [[ids.index(n) for n in (pos, *negs)]]))
 

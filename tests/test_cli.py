@@ -168,6 +168,24 @@ class TestConfigHandling:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", ["prepare", "evaluate"])
+    def test_out_dir_at_or_under_a_file_exits_2_without_outputs(self, pipeline, fixture_dir,
+                                                                tmp_path, capsys, command, below):
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        out = blocker / below if below else blocker
+        inputs = (["--news", fixture_dir.news, "--behaviors", fixture_dir.behaviors_train]
+                  if command == "prepare" else
+                  ["--corpus", pipeline["corpus"], "--behaviors", fixture_dir.behaviors_test,
+                   "--embeddings", pipeline["embeddings"], "--model", pipeline["model_bin"]])
+        assert cli.main([command, *inputs, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"--out-dir {out} cannot be made a directory: "
+                f"{blocker} exists and is not one") in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
+
     @pytest.mark.parametrize("section", ["glove", "model", "run"])
     def test_negative_seed_in_config_exits_2_without_outputs(self, pipeline, fixture_dir,
                                                              tmp_path, capsys, section):
@@ -423,6 +441,25 @@ class TestCorruptInputs:
         bad.write_text(lines[0] + lines[1] + "N999\tonly three\tcolumns\n", encoding="utf-8")
         assert self.similar(pipeline, tmp_path, corpus=str(bad)) == 3
         assert f"{bad}:3: expected 7 columns" in capsys.readouterr().err
+
+    def test_repeated_news_id_exits_3_without_outputs(self, pipeline, fixture_dir, tmp_path,
+                                                       capsys):
+        """A line that gives N6's title the id N1 would otherwise be N6's
+        nearest neighbour at distance 0 under the id N1."""
+        with open(pipeline["corpus"], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        n6 = next(line for line in lines if line.startswith("N6\t"))
+        bad = tmp_path / "tokenized.tsv"
+        bad.write_text("".join(lines) + "N1" + n6[2:], encoding="utf-8")
+        reason = f"{bad}:{len(lines) + 1}: news id 'N1' repeats line "
+        headline = n6.split("\t")[3]
+        for argv in (["train-model", "--behaviors", fixture_dir.behaviors_train, *MODEL_FLAGS],
+                     ["similar", "--model", pipeline["model_bin"], "--query", headline]):
+            out = tmp_path / argv[0]
+            assert cli.main([*argv, "--corpus", str(bad), "--embeddings", pipeline["embeddings"],
+                             "--out-dir", str(out)]) == 3
+            assert reason in capsys.readouterr().err
+            assert not out.exists()
 
     def test_non_numeric_embedding_component_exits_2(self, pipeline, tmp_path, capsys):
         with open(pipeline["embeddings"], encoding="utf-8") as fh:

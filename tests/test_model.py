@@ -58,11 +58,22 @@ def naive_encode(x, enc, d_head):
     return naive_pool(naive_attention(x, enc, d_head), enc)
 
 
+def whole(x):
+    """``lengths`` of one sequence made of every row of ``x``."""
+    return np.array([len(x)])
+
+
+def title_table(title_map, lookup, max_tokens=5):
+    """Id -> ``title_rows`` of each encodable title, as ``train_model`` builds it."""
+    table = {nid: mdl.title_rows(toks, lookup, max_tokens) for nid, toks in title_map.items()}
+    return {nid: rows for nid, rows in table.items() if len(rows)}
+
+
 class TestSelfAttention:
     def test_single_row_reduces_to_value_projection(self):
         params = tiny_params()
         x = RNG.normal(size=(1, 4))
-        out = mdl.self_attention(x, params.news, 3)[0]
+        out = mdl.self_attention(x, params.news, 3, whole(x))[0]
         want = x @ params.news.Wqkv[:, 2 * params.news.d_model:]
         assert rel_err(out, want) <= 1e-12
 
@@ -70,22 +81,22 @@ class TestSelfAttention:
         params = tiny_params()
         row = RNG.normal(size=4)
         x = np.stack([row, row, row])
-        out = mdl.self_attention(x, params.news, 3)[0]
+        out = mdl.self_attention(x, params.news, 3, whole(x))[0]
         assert rel_err(out[1], out[0]) <= 1e-12
         assert rel_err(out[2], out[0]) <= 1e-12
 
     def test_matches_naive_oracle(self):
         params = tiny_params()
         x = RNG.normal(size=(5, 4))
-        out = mdl.self_attention(x, params.news, 3)[0]
+        out = mdl.self_attention(x, params.news, 3, whole(x))[0]
         assert rel_err(out, naive_attention(x, params.news, 3)) <= 1e-10
 
     def test_permutation_equivariant(self):
         params = tiny_params()
         x = RNG.normal(size=(6, 4))
         perm = RNG.permutation(6)
-        out = mdl.self_attention(x, params.news, 3)[0]
-        out_p = mdl.self_attention(x[perm], params.news, 3)[0]
+        out = mdl.self_attention(x, params.news, 3, whole(x))[0]
+        out_p = mdl.self_attention(x[perm], params.news, 3, whole(x))[0]
         assert rel_err(out_p, out[perm]) <= 1e-12
 
 
@@ -93,26 +104,26 @@ class TestAdditivePool:
     def test_single_row_passes_through(self):
         params = tiny_params()
         y = RNG.normal(size=(1, 6))
-        out = mdl.additive_pool(y, params.user)[0]
+        out = mdl.additive_pool(y, params.user, whole(y))[0]
         assert rel_err(out, y[0]) <= 1e-12
 
     def test_identical_rows_return_that_row(self):
         params = tiny_params()
         row = RNG.normal(size=6)
-        out = mdl.additive_pool(np.stack([row, row]), params.user)[0]
+        out = mdl.additive_pool(np.stack([row, row]), params.user, np.array([2]))[0]
         assert rel_err(out, row) <= 1e-12
 
     def test_matches_naive_oracle(self):
         params = tiny_params()
         y = RNG.normal(size=(5, 6))
-        out = mdl.additive_pool(y, params.user)[0]
+        out = mdl.additive_pool(y, params.user, whole(y))[0]
         assert rel_err(out, naive_pool(y, params.user)) <= 1e-10
 
     def test_output_in_convex_hull_of_rows(self):
         params = tiny_params()
         for _ in range(10):
             y = RNG.normal(size=(4, 6))
-            out = mdl.additive_pool(y, params.user)[0]
+            out = mdl.additive_pool(y, params.user, whole(y))[0]
             lo = y.min(axis=0) - 1e-12
             hi = y.max(axis=0) + 1e-12
             assert np.all(out >= lo) and np.all(out <= hi)
@@ -121,13 +132,18 @@ class TestAdditivePool:
 class TestEncoders:
     def test_encode_news_rejects_all_oov_title(self):
         lookup = make_lookup(["alpha", "beta"], 4)
+        params = tiny_params()
+        oov = mdl.title_rows(["zzz", "qqq"], lookup, 5)
+        assert oov.dtype == np.intp and len(oov) == 0
         with pytest.raises(NoKnownTokens):
-            mdl.encode_news([["alpha"], ["zzz", "qqq"]], lookup, tiny_params())
+            mdl.encode_news([mdl.title_rows(["alpha"], lookup, 5), oov], lookup.matrix, params)
+        with pytest.raises(NoKnownTokens, match="zzz"):
+            mdl.news_vector(["zzz", "qqq"], lookup, params)
 
     def test_encode_news_one_token_title(self):
         lookup = make_lookup(["alpha"], 4)
         params = tiny_params()
-        out = mdl.encode_news([["alpha"]], lookup, params).data[0]
+        out = mdl.encode_news([[lookup.index["alpha"]]], lookup.matrix, params).data[0]
         x = lookup.matrix[[lookup.index["alpha"]]]
         assert rel_err(out, naive_encode(x, params.news, 3)) <= 1e-10
 
@@ -135,20 +151,23 @@ class TestEncoders:
         tokens = [f"t{i}" for i in range(9)]
         lookup = make_lookup(tokens, 4)
         params = tiny_params()   # budget of 5 title tokens
-        full, head = mdl.encode_news([tokens, tokens[:5]], lookup, params).data
-        assert np.array_equal(full, head)
+        assert mdl.title_rows(tokens, lookup, 5).tolist() == [0, 1, 2, 3, 4]
+        full = mdl.news_vector(tokens, lookup, params)
+        assert np.array_equal(full, mdl.news_vector(tokens[:5], lookup, params))
 
     def test_encode_news_skips_unknown_tokens(self):
         lookup = make_lookup(["alpha", "beta"], 4)
         params = tiny_params()
-        mixed, known = mdl.encode_news([["alpha", "zzz", "beta"], ["alpha", "beta"]],
-                                       lookup, params).data
-        assert np.array_equal(mixed, known)
+        rows = mdl.title_rows(["alpha", "zzz", "beta"], lookup, 5)
+        assert rows.tolist() == [lookup.index["alpha"], lookup.index["beta"]]
+        mixed = mdl.news_vector(["alpha", "zzz", "beta"], lookup, params)
+        assert np.array_equal(mixed, mdl.news_vector(["alpha", "beta"], lookup, params))
 
     def test_encode_news_matches_oracle(self):
         lookup = make_lookup(["a", "b", "c", "d"], 4)
         params = tiny_params()
-        out = mdl.encode_news([["a", "b", "c"]], lookup, params).data[0]
+        rows = mdl.title_rows(["a", "b", "c"], lookup, 5)
+        out = mdl.encode_news([rows], lookup.matrix, params).data[0]
         x = lookup.matrix[[lookup.index[t] for t in ("a", "b", "c")]]
         assert rel_err(out, naive_encode(x, params.news, 3)) <= 1e-10
 
@@ -293,7 +312,8 @@ class TestLoss:
 def one_impression_loss(params, lookup, title_map, history, pos, negs):
     """Forward pass of a single training sample: a batch of one, as the trainer builds it."""
     ids = list(dict.fromkeys((*history, pos, *negs)))
-    news = mdl.encode_news([title_map[n] for n in ids], lookup, params)
+    news = mdl.encode_news([mdl.title_rows(title_map[n], lookup, params.config.max_title_tokens)
+                            for n in ids], lookup.matrix, params)
     user = mdl.encode_user(news, [[ids.index(n) for n in history]], params)
     return ad.mean(mdl.sample_loss(user, news, [[ids.index(n) for n in (pos, *negs)]]))
 
@@ -358,7 +378,7 @@ class TestTrainerGradients:
         only parent is its weights."""
         lookup = make_lookup(["a", "b", "c"], 4)
         params = tiny_params()
-        node = mdl.encode_news([["a", "b"], ["c"]], lookup, params)
+        node = mdl.encode_news([[0, 1], [2]], lookup.matrix, params)
         assert node.parents == (params.news.weights,)
         ad.backward(ad.mean(node))
         assert params.news.weights.grad.any()
@@ -366,7 +386,7 @@ class TestTrainerGradients:
     def test_encoder_node_backward_runs_once(self):
         """Its backward overwrites the forward's buffers, so a second one is refused."""
         lookup = make_lookup(["a", "b"], 4)
-        loss = ad.mean(mdl.encode_news([["a", "b"], ["b"]], lookup, tiny_params()))
+        loss = ad.mean(mdl.encode_news([[0, 1], [1]], lookup.matrix, tiny_params()))
         ad.backward(loss)
         with pytest.raises(RuntimeError, match="runs once"):
             ad.backward(loss)
@@ -425,7 +445,8 @@ class TestBatchedEncoders:
         params = tiny_params()
 
         def loss():
-            return ad.mean(mdl._batch_losses(batch, title_map, lookup, params))
+            return ad.mean(mdl._batch_losses(batch, title_table(title_map, lookup),
+                                             lookup.matrix, params))
 
         ad.backward(loss())
         news_chunks, user_chunks = packs[:2]
@@ -444,7 +465,8 @@ class TestBatchedEncoders:
         lookup, title_map, batch = ragged_batch()
         params = tiny_params()
         ids = sorted(title_map)
-        news = mdl.encode_news([title_map[n] for n in ids], lookup, params)
+        table = title_table(title_map, lookup)
+        news = mdl.encode_news([table[n] for n in ids], lookup.matrix, params)
         for nid, got in zip(ids, news.data):
             x = lookup.matrix[[lookup.index[t] for t in title_map[nid]]]
             assert max_rel(got, naive_encode(x, params.news, 3)) <= 1e-12
@@ -457,11 +479,12 @@ class TestBatchedEncoders:
         lookup, title_map, batch = ragged_batch()
         params = tiny_params()
         ids = sorted(title_map)
+        table = title_table(title_map, lookup)
         perm = np.random.default_rng(3)
 
         def encode(order, budget):
             monkeypatch.setattr(mdl, "ROW_BUDGET", budget)
-            news = mdl.encode_news([title_map[ids[i]] for i in order], lookup, params)
+            news = mdl.encode_news([table[ids[i]] for i in order], lookup.matrix, params)
             at = {ids[i]: row for row, i in enumerate(order)}
             users = mdl.encode_user(news, [[at[n] for n in s.history] for s in batch], params)
             return dict(zip([ids[i] for i in order], news.data)), users.data
@@ -554,7 +577,7 @@ class TestTrainer:
         config = tiny_config(negatives=5)   # impressions carry only 3 negatives
         rng = np.random.default_rng(0)
         with pytest.warns(InsufficientNegatives):
-            samples = mdl.build_train_samples(logs, title_map, lookup, config, rng)
+            samples = mdl.build_train_samples(logs, title_table(title_map, lookup), config, rng)
         assert samples
         assert all(len(s.negatives) == 5 for s in samples)
 
@@ -562,7 +585,7 @@ class TestTrainer:
         logs, title_map, lookup = planted_setup()
         config = tiny_config(negatives=2)
         rng = np.random.default_rng(0)
-        samples = mdl.build_train_samples(logs, title_map, lookup, config, rng)
+        samples = mdl.build_train_samples(logs, title_table(title_map, lookup), config, rng)
         by_id = {log.impression_id: log for log in logs}
         assert samples
         for s, log in zip(samples, logs):
@@ -574,7 +597,7 @@ class TestTrainer:
         logs, title_map, lookup = planted_setup()
         config = tiny_config(max_history=2)
         rng = np.random.default_rng(0)
-        samples = mdl.build_train_samples(logs, title_map, lookup, config, rng)
+        samples = mdl.build_train_samples(logs, title_table(title_map, lookup), config, rng)
         for s, log in zip(samples, logs):
             assert s.history == log.history[-2:]
 
@@ -627,6 +650,53 @@ class TestScoreImpressions:
         mdl.score_impression_logs(logs, index.by_id, index.matrix, params)
 
 
+class TestOneTitleRule:
+    """Training and the corpus index turn a title into rows by ``title_rows`` alone."""
+
+    def test_train_model_resolves_each_title_once(self, monkeypatch):
+        logs, title_map, lookup = planted_setup()
+        calls = []
+        rule = mdl.title_rows
+
+        def counting(tokens, lookup, max_tokens):
+            calls.append(tuple(tokens))
+            return rule(tokens, lookup, max_tokens)
+
+        monkeypatch.setattr(mdl, "title_rows", counting)
+        mdl.train_model(logs, title_map, lookup, tiny_config(epochs=2))
+        assert sorted(calls) == sorted(title_map.values())
+
+    def test_unencodable_titles_stay_out_of_training_and_the_index(self, monkeypatch):
+        """LATE's only known token is the sixth, one past the budget of five;
+        NONE has no known token.  Both are clicked, shown and in histories."""
+        from dataclasses import replace
+
+        logs, title_map, lookup = planted_setup()
+        title_map = dict(title_map, LATE=("zzz",) * 5 + ("a0",), NONE=("zzz", "qqq"))
+        assert len(mdl.title_rows(title_map["LATE"], lookup, 6)) == 1
+        logs = [replace(log, history=(*log.history, "LATE", "NONE"),
+                        candidates=(*log.candidates, ("LATE", i % 2), ("NONE", 1 - i % 2)))
+                for i, log in enumerate(logs)]
+        seen = []
+        build = mdl.build_train_samples
+
+        def spy(logs, usable, config, rng):
+            samples = build(logs, usable, config, rng)
+            seen.append((set(usable), samples))
+            return samples
+
+        monkeypatch.setattr(mdl, "build_train_samples", spy)
+        config = tiny_config(epochs=1)
+        params, _ = mdl.train_model(logs, title_map, lookup, config)
+        ((usable, samples),) = seen
+        assert samples
+        for s in samples:
+            assert not {"LATE", "NONE"} & {*s.history, s.positive, *s.negatives}
+        index = title_index(title_map, lookup, params)
+        assert set(index.skipped) == {"LATE", "NONE"}
+        assert usable == set(index.by_id)
+
+
 class TestUsableHistory:
     """Training, evaluation and ``recommend`` encode a user from the same clicks."""
 
@@ -643,7 +713,7 @@ class TestUsableHistory:
         log = ImpressionLog("1", "U1", "t", history, (("P", 1), ("G1", 0), ("G2", 0)))
         index = title_index(title_map, lookup, params)
 
-        (sample,) = mdl.build_train_samples([log], title_map, lookup, params.config,
+        (sample,) = mdl.build_train_samples([log], title_table(title_map, lookup), params.config,
                                             np.random.default_rng(0))
         assert sample.history == want
 
