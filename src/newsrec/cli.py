@@ -25,6 +25,7 @@ Exit codes: 0 success, 2 config error, 3 input error, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -126,6 +127,13 @@ def _load_model(args) -> tuple[gl.EmbeddingLookup, mdl.ModelParams]:
     return lookup, params
 
 
+def _stopwords(cfg: AppConfig, manifest: RunManifest) -> frozenset[str]:
+    """The ``run.stopwords`` lexicon, recorded as an input, or the bundled one."""
+    if cfg.run.stopwords is not None:
+        _inputs(manifest, cfg.run.stopwords)
+    return tp.load_stopwords(cfg.run.stopwords)
+
+
 def cmd_prepare(args, cfg: AppConfig, manifest: RunManifest) -> None:
     _inputs(manifest, args.news, args.behaviors)
     with manifest.phase("parse"):
@@ -136,7 +144,7 @@ def cmd_prepare(args, cfg: AppConfig, manifest: RunManifest) -> None:
     with manifest.phase("clean"):
         cleaned, report = tp.clean_corpus(articles)
     with manifest.phase("tokenize"):
-        stopwords = tp.load_stopwords(cfg.run.stopwords)
+        stopwords = _stopwords(cfg, manifest)
         corpus, dropped = tp.preprocess_corpus(cleaned, stopwords)
     corpus_path = _out_path(args, "tokenized.tsv")
     tp.save_tokenized(corpus_path, corpus)
@@ -257,7 +265,7 @@ def cmd_recommend(args, cfg: AppConfig, manifest: RunManifest) -> None:
 
 def cmd_similar(args, cfg: AppConfig, manifest: RunManifest) -> None:
     lookup, params, index = _model_stack(args, manifest)
-    stopwords = tp.load_stopwords(cfg.run.stopwords)
+    stopwords = _stopwords(cfg, manifest)
 
     def normalize(text: str) -> list[str]:
         return tp.normalize_text(text, stopwords)
@@ -314,7 +322,10 @@ def cmd_stats(args, cfg: AppConfig, manifest: RunManifest) -> None:
         _emit(args, manifest, "stats.json", text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every ``main`` call in a process (argparse builds a
+    help formatter per argument, a few ms of each call)."""
     parser = argparse.ArgumentParser(
         prog="newsrec",
         description="News recommendation pipeline: preprocessing, embeddings, "
@@ -327,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--behaviors", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--stopwords", default=None, help="stopword lexicon path "
-                   "(default: NEWSREC_STOPWORDS env var, then the bundled list)")
+                   "(default: the bundled list)")
     _add_common(p)
     p.set_defaults(func=cmd_prepare)
 
@@ -409,12 +420,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        manifest = RunManifest(
-            command=args.command,
-            config=asdict(cfg),
-            seed=cfg.run.seed,
-            threads=cfg.run.threads,
-        )
+        manifest = RunManifest(args.command, asdict(cfg))
         if args.out_dir and not os.path.isdir(ancestor := _existing_ancestor(args.out_dir)):
             raise ConfigError(f"--out-dir {args.out_dir} cannot be made a directory: "
                               f"{ancestor} exists and is not one")

@@ -1,9 +1,10 @@
 """Run manifests: what a command read, wrote, and how it was configured.
 
-A manifest records the effective config snapshot, the seed and thread
-budget, SHA-256 digests of every input and output file, and per-phase
-wall times.  It is written atomically at the end of a successful run; in
-deterministic mode two runs differ only in their timing fields.
+A manifest holds five keys: the command, the effective config snapshot
+(the seed and thread budget are in its ``run`` section), the SHA-256
+digests of every input and output file, and per-phase wall times.  It is
+written atomically at the end of a successful run; in deterministic mode
+two runs differ only in their timing fields.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ def sha256_file(path: str) -> str:
 class RunManifest:
     """Accumulates run metadata, then serializes to one JSON file."""
 
-    def __init__(self, command: str, config: dict, seed: int | None, threads: int):
+    def __init__(self, command: str, config: dict):
         self.command = command
         self.config = config
-        self.seed = seed
-        self.threads = threads
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         self.phase_seconds: dict[str, float] = {}
@@ -60,8 +59,6 @@ class RunManifest:
         return {
             "command": self.command,
             "config": self.config,
-            "seed": self.seed,
-            "threads": self.threads,
             "inputs": self.inputs,
             "outputs": self.outputs,
             "phase_seconds": self.phase_seconds,

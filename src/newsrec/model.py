@@ -25,6 +25,9 @@ its output, ``sample_loss`` and the mean.  Each but the mean carries a
 backward derived here by hand; inference calls the same forward and
 builds no node.
 
+Each encoder's weights are one flat float64 array (``EncoderParams``),
+and ``model.bin`` stores the two arrays as they are, in float32.
+
 Inference encodes each news item once: ``retrieval.CorpusIndex`` holds
 the ``news_vectors`` of a whole corpus, and ``evaluate``, ``recommend`` and
 ``similar`` all score from it.  ``user_vectors`` encodes a batch of users
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Container, Mapping, Sequence
 
 import numpy as np
@@ -55,7 +58,7 @@ from .glove import EmbeddingLookup
 from .metrics import ImpressionResult
 from .mind import ImpressionLog, read_checkpoint, write_checkpoint
 
-MODEL_MAGIC = b"NRECMDL1"
+MODEL_MAGIC = b"NRECMDL2"
 # Rows of one packed chunk of sequences: bounds the memory an encoder
 # call holds for its backward pass.
 ROW_BUDGET = 256
@@ -143,33 +146,16 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-lim, lim, size=shape)
 
 
-def _from_head_major(block: np.ndarray) -> np.ndarray:
-    """(heads, 3, d_in, d_head) per-head Q, K, V -> (d_in, 3 * heads * d_head)."""
-    heads, _, d_in, d_head = block.shape
-    return block.transpose(2, 1, 0, 3).reshape(d_in, 3 * heads * d_head)
-
-
-def _to_head_major(enc: EncoderParams, heads: int) -> np.ndarray:
-    """Inverse of ``_from_head_major``."""
-    return enc.Wqkv.reshape(enc.d_in, 3, heads, enc.d_model // heads).transpose(2, 1, 0, 3)
-
-
-def _encoder_shapes(input_dim: int, cfg: ModelConfig) -> list[tuple[int, ...]]:
-    """One encoder as it is drawn and stored: per-head Q, K, V blocks, proj, query."""
-    return [(cfg.heads, 3, input_dim, cfg.d_head), (cfg.d_model, cfg.d_attn), (cfg.d_attn,)]
-
-
-def _make_encoder(block: np.ndarray, proj: np.ndarray, query: np.ndarray) -> EncoderParams:
-    weights = np.concatenate([_from_head_major(block).ravel(), proj.ravel(), query])
-    return EncoderParams(ad.Tensor(weights), d_in=block.shape[2],
-                         d_model=proj.shape[0], d_attn=proj.shape[1])
-
-
-def _init_encoder(rng: np.random.Generator, input_dim: int, cfg: ModelConfig) -> EncoderParams:
-    block, proj, query = _encoder_shapes(input_dim, cfg)
-    return _make_encoder(_glorot(rng, input_dim, cfg.d_head, block),
-                         _glorot(rng, cfg.d_model, cfg.d_attn, proj),
-                         _glorot(rng, cfg.d_attn, 1, query))
+def _init_encoder(rng: np.random.Generator, d_in: int, cfg: ModelConfig) -> EncoderParams:
+    # Q, K and V are drawn head by head as one (heads, 3, d_in, d_head)
+    # block, then transposed to Wqkv's columns: that keeps each seed's
+    # initial weights, and so every seeded output.
+    block = _glorot(rng, d_in, cfg.d_head, (cfg.heads, 3, d_in, cfg.d_head))
+    wqkv = block.transpose(2, 1, 0, 3).reshape(d_in, 3 * cfg.d_model)
+    proj = _glorot(rng, cfg.d_model, cfg.d_attn, (cfg.d_model, cfg.d_attn))
+    query = _glorot(rng, cfg.d_attn, 1, (cfg.d_attn,))
+    return EncoderParams(ad.Tensor(np.concatenate([wqkv.ravel(), proj.ravel(), query])),
+                         d_in=d_in, d_model=cfg.d_model, d_attn=cfg.d_attn)
 
 
 def init_params(embed_dim: int, config: ModelConfig) -> ModelParams:
@@ -656,34 +642,35 @@ def score_impression_logs(
 
 
 def save_model(path: str, params: ModelParams) -> None:
-    """A ``mind.write_checkpoint`` file: magic ``NRECMDL1``, the config
-    JSON with ``embed_dim``, then the tensors: news encoder Q, K, V as
-    (heads, 3, d_in, d_head) per-head blocks, then proj and query; user
-    encoder the same.
-
-    The per-head order is the on-disk format only; in memory each of Q, K
-    and V is one (d_in, heads*d_head) tensor.
-    """
+    """A ``mind.write_checkpoint`` file: magic ``NRECMDL2``, the config
+    JSON with ``embed_dim``, then ``params.news.weights`` and
+    ``params.user.weights``, each as ``EncoderParams.parts`` cuts it."""
     header = dict(asdict(params.config), embed_dim=params.embed_dim)
-    write_checkpoint(path, MODEL_MAGIC, header,
-                     [arr for enc in (params.news, params.user)
-                      for arr in (_to_head_major(enc, params.config.heads), enc.proj, enc.query)])
+    write_checkpoint(path, MODEL_MAGIC, header, [params.news.weights.data, params.user.weights.data])
 
 
 def load_model(path: str) -> ModelParams:
-    """Read a ``save_model`` checkpoint; any truncated or garbled part of
-    the file, or a nan/inf parameter, raises ConfigError naming ``path``."""
+    """Read a ``save_model`` checkpoint into one float64 array per encoder.
+
+    Another magic (an ``NRECMDL1`` file among them), a header without
+    every ``ModelConfig`` field and ``embed_dim``, a truncated or garbled
+    part of the file, or a nan/inf parameter raises ConfigError naming
+    ``path``.
+    """
     raw, values = read_checkpoint(path, MODEL_MAGIC, "a model checkpoint")
+    names = [f.name for f in fields(ModelConfig)]
+    missing = [name for name in ("embed_dim", *names) if name not in raw]
     try:
-        embed_dim = int(raw["embed_dim"])
-        if embed_dim < 1:
-            raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
-        config = replace(ModelConfig(), **{f.name: raw[f.name] for f in fields(ModelConfig)
-                                           if f.name in raw}).validate()
-        shapes = _encoder_shapes(embed_dim, config) + _encoder_shapes(config.d_model, config)
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
+        if missing:
+            raise ConfigError(f"it lacks {', '.join(missing)}")
+        embed_dim = raw["embed_dim"]
+        if type(embed_dim) is not int or embed_dim < 1:
+            raise ConfigError(f"embed_dim must be an integer >= 1, got {embed_dim!r}")
+        config = ModelConfig(**{name: raw[name] for name in names}).validate()
+    except ConfigError as exc:
         raise ConfigError(f"{path} has a garbled header: {exc}") from exc
-    sizes = [math.prod(shape) for shape in shapes]
+    d_model, d_attn = config.d_model, config.d_attn
+    sizes = [d_in * 3 * d_model + d_model * d_attn + d_attn for d_in in (embed_dim, d_model)]
     if values.size != sum(sizes):
         raise ConfigError(
             f"{path} holds {4 * values.size} tensor bytes where its config needs "
@@ -691,8 +678,7 @@ def load_model(path: str) -> ModelParams:
         )
     if not np.isfinite(values).all():
         raise ConfigError(f"{path} holds nan or infinite parameters")
-    arrays = [part.reshape(shape) for part, shape
-              in zip(np.split(values.astype(np.float64), np.cumsum(sizes)[:-1]), shapes)]
-    return ModelParams(embed_dim=embed_dim, config=config,
-                       news=_make_encoder(*arrays[:3]),
-                       user=_make_encoder(*arrays[3:]))
+    news, user = (EncoderParams(ad.Tensor(part.astype(np.float64)), d_in=d_in,
+                                d_model=d_model, d_attn=d_attn)
+                  for part, d_in in ((values[:sizes[0]], embed_dim), (values[sizes[0]:], d_model)))
+    return ModelParams(embed_dim=embed_dim, config=config, news=news, user=user)

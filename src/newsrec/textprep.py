@@ -21,7 +21,6 @@ from .errors import AllTokensRemoved, InputError, MissingInput
 from .mind import NewsArticle, write_text_atomic
 from .porter import stem
 
-STOPWORDS_ENV_VAR = "NEWSREC_STOPWORDS"
 MIN_TITLE_TOKENS = 4  # raw titles with fewer whitespace tokens are dropped
 
 
@@ -106,13 +105,8 @@ def remove_stopwords(tokens: Iterable[str], stopwords: frozenset[str]) -> list[s
 
 
 def load_stopwords(path: str | None = None) -> frozenset[str]:
-    """Load the stopword lexicon (one token per line, UTF-8).
-
-    Resolution order: explicit ``path`` argument, the NEWSREC_STOPWORDS
-    environment variable, then the lexicon bundled with the package.
-    """
-    if path is None:
-        path = os.environ.get(STOPWORDS_ENV_VAR) or None
+    """Load the stopword lexicon (one token per line, UTF-8) at ``path``,
+    or the lexicon bundled with the package if ``path`` is None."""
     if path is None:
         text = resources.files("newsrec").joinpath("assets/stopwords_en.txt").read_text("utf-8")
     else:

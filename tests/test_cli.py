@@ -1,5 +1,6 @@
 """End-to-end command behavior: artifacts, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -525,6 +526,7 @@ class TestRunLifecycle:
         capsys.readouterr()
         manifest_name = f"manifest_{name.replace('-', '_')}.json"
         manifest = json.loads((out / manifest_name).read_text(encoding="utf-8"))
+        assert sorted(manifest) == ["command", "config", "inputs", "outputs", "phase_seconds"]
         assert manifest["command"] == name
         written = {str(path): sha256_of(path) for path in out.iterdir()
                    if path.name != manifest_name}
@@ -534,6 +536,50 @@ class TestRunLifecycle:
         if name in section:
             key, values = section[name]
             assert {k: manifest["config"][key][k] for k in values} == values
+
+    @pytest.mark.parametrize("name", ["prepare", "similar"])
+    def test_manifest_records_the_stopword_lexicon(self, name, pipeline, fixture_dir,
+                                                   tmp_path, capsys):
+        inputs, extra = self.command(name, pipeline, fixture_dir)
+        lexicon = tmp_path / "stop.txt"
+        lexicon.write_text("the\nof\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main([name, *(arg for pair in inputs.items() for arg in pair), *extra,
+                         "--stopwords", str(lexicon), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / f"manifest_{name}.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"][str(lexicon)] == sha256_of(lexicon)
+        assert manifest["config"]["run"]["stopwords"] == str(lexicon)
+
+    def test_stopwords_environment_variable_changes_no_output(self, pipeline, fixture_dir,
+                                                              tmp_path, monkeypatch, capsys):
+        lexicon = tmp_path / "stop.txt"
+        lexicon.write_text("the\n", encoding="utf-8")
+        monkeypatch.setenv("NEWSREC_STOPWORDS", str(lexicon))
+        out = tmp_path / "out"
+        assert cli.main(["prepare", "--news", fixture_dir.news,
+                         "--behaviors", fixture_dir.behaviors_train, "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        for name in ("tokenized.tsv", "clean_report.json"):
+            assert (out / name).read_bytes() == open(os.path.join(pipeline["prep"], name),
+                                                      "rb").read()
+        manifest = json.loads((out / "manifest_prepare.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["inputs"]) == sorted([fixture_dir.news, fixture_dir.behaviors_train])
+
+    def test_second_call_builds_no_parser(self, tmp_path, monkeypatch, capsys):
+        argv = ["stats", "--news", str(tmp_path / "absent.tsv"),
+                "--behaviors", str(tmp_path / "absent.tsv")]
+        assert cli.main(argv) == 3
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert cli.main(argv) == 3
+        assert built == []
 
     def test_flag_values_cover_every_trainer_field_but_seed(self):
         for cls, values in ((gl.GloveConfig, GLOVE_VALUES), (mdl.ModelConfig, MODEL_VALUES)):

@@ -3,15 +3,19 @@
 import json
 import math
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 import newsrec.autodiff as ad
+import newsrec.cli as cli
+import newsrec.glove as gl
+import newsrec.mind as mind
 import newsrec.model as mdl
 import newsrec.retrieval as ret
 from newsrec.errors import ConfigError, EmptyHistory, InsufficientNegatives, NoKnownTokens
-from newsrec.textprep import TokenizedNews
+from newsrec.textprep import TokenizedNews, save_tokenized
 
 from conftest import make_lookup, nce_probability, rel_err, weighted_sum
 
@@ -758,8 +762,9 @@ class TestCheckpoint:
         assert np.isfinite(v1).all()
 
     def per_head_checkpoint(self, params):
-        """A checkpoint built by hand: header, then per encoder each head's
-        Q, K, V column block, then proj and query, all float32."""
+        """An ``NRECMDL1`` checkpoint, the layout before ``NRECMDL2``: header,
+        then per encoder each head's Q, K, V column block, then proj and
+        query, all float32."""
         cfg = params.config
         header = json.dumps({
             "batch_size": cfg.batch_size, "d_attn": cfg.d_attn, "d_head": cfg.d_head,
@@ -779,11 +784,45 @@ class TestCheckpoint:
             parts.append(enc.query.astype("<f4").tobytes())
         return b"".join(parts)
 
-    def test_bytes_follow_per_head_qkv_order(self, tmp_path):
+    def test_bytes_follow_the_encoder_layout(self, tmp_path):
         params = tiny_params(heads=3)
         path = tmp_path / "model.bin"
         mdl.save_model(str(path), params)
-        assert path.read_bytes() == self.per_head_checkpoint(params)
+        header = json.dumps(dict(asdict(params.config), embed_dim=params.embed_dim),
+                            sort_keys=True).encode("utf-8")
+        payload = np.concatenate([params.news.weights.data, params.user.weights.data])
+        assert path.read_bytes() == (mdl.MODEL_MAGIC + struct.pack("<I", len(header)) + header
+                                     + payload.astype("<f4").tobytes())
+
+    def test_per_head_checkpoint_exits_2_through_evaluate(self, tmp_path, capsys, fixture_dir,
+                                                          prepared, glove_lookup):
+        corpus, emb = str(tmp_path / "tokenized.tsv"), str(tmp_path / "embeddings.txt")
+        save_tokenized(corpus, prepared["corpus"])
+        gl.save_embeddings_text(emb, glove_lookup)
+        model = tmp_path / "model.bin"
+        model.write_bytes(self.per_head_checkpoint(tiny_params(embed_dim=glove_lookup.dim)))
+        out = tmp_path / "eval"
+        assert cli.main(["evaluate", "--corpus", corpus, "--behaviors", fixture_dir.behaviors_test,
+                         "--embeddings", emb, "--model", str(model),
+                         "--out-dir", str(out)]) == 2
+        assert f"{model} is not a model checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_init_draws_each_encoder_head_by_head(self):
+        params = tiny_params(embed_dim=5, heads=3)
+        cfg = params.config
+        rng = np.random.default_rng(cfg.seed)
+        for enc in (params.news, params.user):
+            lim = math.sqrt(6.0 / (enc.d_in + cfg.d_head))
+            block = rng.uniform(-lim, lim, size=(cfg.heads, 3, enc.d_in, cfg.d_head))
+            for h in range(cfg.heads):
+                for qkv in range(3):
+                    first = qkv * cfg.d_model + h * cfg.d_head
+                    assert np.array_equal(enc.Wqkv[:, first:first + cfg.d_head], block[h, qkv])
+            for part, fan_in, fan_out in ((enc.proj, cfg.d_model, cfg.d_attn),
+                                          (enc.query, cfg.d_attn, 1)):
+                lim = math.sqrt(6.0 / (fan_in + fan_out))
+                assert np.array_equal(part, rng.uniform(-lim, lim, size=part.shape))
 
     def test_truncated_checkpoint_is_a_config_error(self, tmp_path):
         params = tiny_params()
@@ -803,9 +842,32 @@ class TestCheckpoint:
     ])
     def test_garbled_header_is_a_config_error(self, tmp_path, header):
         path = tmp_path / "bad.bin"
-        path.write_bytes(b"NRECMDL1" + struct.pack("<I", len(header)) + header + b"\0" * 64)
-        with pytest.raises(ConfigError, match="bad.bin"):
+        path.write_bytes(mdl.MODEL_MAGIC + struct.pack("<I", len(header)) + header + b"\0" * 64)
+        with pytest.raises(ConfigError, match="bad.bin has a"):
             mdl.load_model(str(path))
+
+    @pytest.mark.parametrize("field", ["embed_dim", *(f.name for f in fields(mdl.ModelConfig))])
+    def test_header_without_a_field_is_a_config_error(self, tmp_path, field):
+        params = tiny_params(max_history=7)
+        path = str(tmp_path / "bad.bin")
+        mdl.save_model(path, params)
+        header, values = mind.read_checkpoint(path, mdl.MODEL_MAGIC, "a model")
+        del header[field]
+        mind.write_checkpoint(path, mdl.MODEL_MAGIC, header, [values])
+        with pytest.raises(ConfigError, match=f"bad.bin has a garbled header: it lacks {field}$"):
+            mdl.load_model(path)
+
+    @pytest.mark.parametrize("change", [{"embed_dim": "four"}, {"embed_dim": "4"},
+                                        {"embed_dim": 4.5}, {"embed_dim": True}, {"embed_dim": 0},
+                                        {"heads": "two"}, {"heads": 0}, {"heads": 10 ** 12},
+                                        {"learning_rate": -1.0}], ids=json.dumps)
+    def test_complete_header_with_a_bad_value_is_a_config_error(self, tmp_path, change):
+        path = str(tmp_path / "bad.bin")
+        mdl.save_model(path, tiny_params())
+        header, values = mind.read_checkpoint(path, mdl.MODEL_MAGIC, "a model")
+        mind.write_checkpoint(path, mdl.MODEL_MAGIC, dict(header, **change), [values])
+        with pytest.raises(ConfigError, match="bad.bin"):
+            mdl.load_model(path)
 
     def test_non_finite_parameter_is_a_config_error(self, tmp_path):
         params = tiny_params()
@@ -817,6 +879,6 @@ class TestCheckpoint:
 
     def test_oversized_header_length_is_a_config_error(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(b"NRECMDL1" + struct.pack("<I", 2 ** 31) + b'{"embed_dim": 4}')
+        path.write_bytes(mdl.MODEL_MAGIC + struct.pack("<I", 2 ** 31) + b'{"embed_dim": 4}')
         with pytest.raises(ConfigError, match="bad.bin"):
             mdl.load_model(str(path))
