@@ -370,16 +370,35 @@ def _format_value(v: float) -> str:
     return np.format_float_positional(np.float32(v), unique=True, trim="0")
 
 
+# components per vectorized str cast, in whole rows; at the <U32 width numpy
+# gives float32 strings, the block's string array stays near 512 KiB
+_FORMAT_BLOCK_VALUES = 4096
+
+
 def save_embeddings_text(path: str, lookup: EmbeddingLookup) -> None:
     """One line per token: token then float32-precision components.
 
-    Components are printed with just enough digits to round-trip their
-    float32 value exactly.
+    Each component is the shortest decimal that round-trips its float32,
+    written positionally with trailing zeros trimmed to one digit after
+    the point, exactly as ``_format_value`` writes it.  numpy's vectorised
+    ``str`` cast formats blocks of about ``_FORMAT_BLOCK_VALUES``
+    components; only those it writes in scientific notation (an ``e`` in
+    the string) take the per-value path through ``_format_value``.
     """
     lines = []
     m32 = lookup.matrix.astype(np.float32)
-    for tok, row in zip(lookup.tokens, m32):
-        lines.append(tok + " " + " ".join(_format_value(v) for v in row))
+    step = max(1, _FORMAT_BLOCK_VALUES // (m32.shape[1] or 1))
+    for start in range(0, len(m32), step):
+        block = m32[start : start + step]
+        text = block.astype(str)
+        # find the "e"s in the strings' UCS-4 code points (numpy.char's
+        # search would import modules that stay resident)
+        codes = text.view(np.uint32).reshape(*text.shape, text.dtype.itemsize // 4)
+        rows = text.tolist()
+        for r, c in zip(*np.nonzero((codes == ord("e")).any(axis=-1))):
+            rows[r][c] = _format_value(block[r, c])
+        tokens = lookup.tokens[start : start + step]
+        lines.extend(tok + " " + " ".join(row) for tok, row in zip(tokens, rows))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -89,6 +89,9 @@ _STEP3_RULES = (
     ("ness", ""),
 )
 
+_STEP2_SUFFIXES = tuple(suffix for suffix, _ in _STEP2_RULES)
+_STEP3_SUFFIXES = tuple(suffix for suffix, _ in _STEP3_RULES)
+
 _STEP4_SUFFIXES = (
     "al",
     "ance",
@@ -150,7 +153,11 @@ def _step1c(word: str) -> str:
     return word
 
 
-def _apply_table(word: str, rules) -> str:
+def _apply_table(word: str, rules, suffixes: tuple[str, ...]) -> str:
+    """First-match scan of ``rules``; ``suffixes`` are their suffixes, so
+    one C-level ``endswith`` passes over the many words no rule fits."""
+    if not word.endswith(suffixes):
+        return word
     for suffix, replacement in rules:
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
@@ -161,6 +168,8 @@ def _apply_table(word: str, rules) -> str:
 
 
 def _step4(word: str) -> str:
+    if not word.endswith(_STEP4_SUFFIXES):
+        return word
     for suffix in _STEP4_SUFFIXES:
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
@@ -182,7 +191,7 @@ def _step5a(word: str) -> str:
 
 
 def _step5b(word: str) -> str:
-    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+    if word.endswith("ll") and _measure(word) > 1:
         return word[:-1]
     return word
 
@@ -194,8 +203,8 @@ def stem(token: str) -> str:
     word = _step1a(token)
     word = _step1b(word)
     word = _step1c(word)
-    word = _apply_table(word, _STEP2_RULES)
-    word = _apply_table(word, _STEP3_RULES)
+    word = _apply_table(word, _STEP2_RULES, _STEP2_SUFFIXES)
+    word = _apply_table(word, _STEP3_RULES, _STEP3_SUFFIXES)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

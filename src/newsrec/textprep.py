@@ -94,7 +94,9 @@ def tokenize(text: str) -> list[str]:
     """
     out = []
     for raw in text.lower().split():
-        tok = _strip_punct(raw)
+        # an alphanumeric character is never in a P* category, so a token
+        # with alphanumeric edges has nothing for _strip_punct to strip
+        tok = raw if raw[0].isalnum() and raw[-1].isalnum() else _strip_punct(raw)
         if tok:
             out.append(tok)
     return out

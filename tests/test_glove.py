@@ -289,6 +289,79 @@ class TestLookup:
         assert "zzz" not in lookup
 
 
+def per_value_text(lookup):
+    """The ``embeddings.txt`` bytes with every component through ``_format_value``."""
+    m32 = lookup.matrix.astype(np.float32)
+    return "".join(tok + " " + " ".join(gl._format_value(v) for v in row) + "\n"
+                   for tok, row in zip(lookup.tokens, m32))
+
+
+def float32_rows(values, width):
+    """``values`` (float32) as rows of ``width``, padded with 1.0."""
+    values = np.asarray(values, dtype=np.float32)
+    values = np.concatenate([values, np.ones(-len(values) % width, dtype=np.float32)])
+    return values.reshape(-1, width)
+
+
+def random_bit_patterns(seed, n):
+    """Finite float32 values with uniformly drawn sign, exponent field (0 is
+    zero or subnormal) and mantissa, so every magnitude class turns up."""
+    rng = np.random.default_rng(seed)
+    sign = rng.integers(0, 2, size=n, dtype=np.uint32) << np.uint32(31)
+    exponent = rng.integers(0, 255, size=n, dtype=np.uint32) << np.uint32(23)
+    mantissa = rng.integers(0, 1 << 23, size=n, dtype=np.uint32)
+    return (sign | exponent | mantissa).view(np.float32)
+
+
+def boundary_values():
+    """Signed zeros, the smallest subnormal, the decimal thresholds where
+    numpy's ``str`` switches notation with their neighbours, and every
+    power of two with its neighbours."""
+    f32 = np.float32
+    centres = [f32(1e-4), f32(1e8), f32(1e16)]
+    centres += [np.ldexp(f32(1.0), e) for e in range(-149, 128)]
+    out = [f32(0.0), f32(-0.0), f32(1.4e-45)]
+    for c in centres:
+        out += [np.nextafter(c, f32(0.0)), c, np.nextafter(c, f32(np.inf))]
+    out = np.array(out, dtype=np.float32)
+    return np.concatenate([out, -out])
+
+
+class TestTextWriter:
+    """``save_embeddings_text`` formats blocks through numpy's ``str`` cast;
+    its bytes must be those of a per-value ``_format_value`` writer."""
+
+    def check(self, tmp_path, matrix):
+        lookup = gl.EmbeddingLookup.from_rows([f"t{i}" for i in range(len(matrix))], matrix)
+        path = tmp_path / "emb.txt"
+        gl.save_embeddings_text(str(path), lookup)
+        text = path.read_text(encoding="utf-8")
+        assert text == per_value_text(lookup)
+        assert "e" not in text  # tokens t0, t1, ... hold none, so no exponents either
+        return text
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_bit_patterns(self, tmp_path, seed):
+        values = random_bit_patterns(seed, 24_000)
+        assert np.isfinite(values).all()
+        self.check(tmp_path, float32_rows(values, 40))  # 600 rows, six blocks
+
+    def test_boundary_values(self, tmp_path):
+        self.check(tmp_path, float32_rows(boundary_values(), 9))
+
+    def test_init_table_at_dim_300(self, tmp_path):
+        """The +-0.5/dim init puts many components below 1e-4, where
+        numpy's ``str`` switches to scientific notation."""
+        vectors = gl.init_table(vocab_size=100, dim=300, seed=3).word_vectors()
+        assert (np.abs(vectors) < 1e-4).mean() > 0.01
+        self.check(tmp_path, vectors)
+
+    @pytest.mark.parametrize("block_values", [1, 20, 10_000])
+    def test_blocks_of_any_size_give_the_same_bytes(self, tmp_path, monkeypatch, block_values):
+        monkeypatch.setattr(gl, "_FORMAT_BLOCK_VALUES", block_values)
+        self.check(tmp_path, float32_rows(random_bit_patterns(2, 700), 7))
+
+
 class TestCheckpoints:
     def small_lookup(self):
         rng = np.random.default_rng(6)

@@ -1,12 +1,16 @@
 """Cleaning, tokenization, stopword removal, and stemming behavior."""
 
+import sys
+import unicodedata
 from collections import Counter
 
 import pytest
 
+import newsrec.porter as porter
+import newsrec.synth as synth
 import newsrec.textprep as tp
 from newsrec.errors import AllTokensRemoved
-from newsrec.mind import NewsArticle
+from newsrec.mind import NewsArticle, load_news
 from newsrec.porter import stem
 
 
@@ -82,6 +86,28 @@ class TestTokenize:
     def test_pure_punctuation_token_dropped(self):
         assert tp.tokenize("hello -- world") == ["hello", "world"]
 
+    def test_no_alphanumeric_character_is_punctuation(self):
+        """``tokenize`` keeps a token with alphanumeric edges whole, which is
+        only right if no such character is in a P* category."""
+        clashes = [hex(cp) for cp in range(sys.maxunicode + 1)
+                   if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")]
+        assert clashes == []
+
+    EDGE_TEXTS = [
+        '"quoted" \'single\' «guillemets» ¿qué? ¡sí! ‘curly’ “double”',
+        "state-of-the-art isn't -lead trail- 'tis o'clock rock'n'roll",
+        "42 3.14 -7 x² ²x 10% $5 #tag @user (paren) [bracket] {brace}",
+        "🙂 smile🙂 🙂smile ✓done done✓ …ellipsis ellipsis…",
+        "-- ... !? ¿¡ «» ‘’ “” ' \" - — – ・ 。 、",
+        "Ünïcödé ÉCOLE straße İstanbul ǅemal ﬁne",
+        "a.b.c. U.S. e.g., (a) a) -a- _under_ __init__",
+    ]
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    def test_matches_always_stripping_reference(self, text):
+        want = [tok for tok in map(tp._strip_punct, text.lower().split()) if tok]
+        assert tp.tokenize(text) == want
+
 
 class TestStopwords:
     def test_removal_preserves_order(self, stopwords):
@@ -140,6 +166,83 @@ class TestStem:
 
     def test_deterministic(self):
         assert stem("running") == stem("running")
+
+
+def ungated_apply_table(word, rules):
+    """The Step 2/3 first-match scan without the one-call suffix check."""
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            stem_ = word[: -len(suffix)]
+            if porter._measure(stem_) > 0:
+                return stem_ + replacement
+            return word
+    return word
+
+
+def ungated_step4(word):
+    """Step 4 without the one-call suffix check."""
+    for suffix in porter._STEP4_SUFFIXES:
+        if word.endswith(suffix):
+            stem_ = word[: -len(suffix)]
+            if porter._measure(stem_) <= 1:
+                return word
+            if suffix == "ion" and not stem_.endswith(("s", "t")):
+                return word
+            return stem_
+    return word
+
+
+def ungated_step5b(word):
+    """Step 5b with the measure taken before the double-"l" test."""
+    if porter._measure(word) > 1 and porter._ends_double_consonant(word) and word.endswith("l"):
+        return word[:-1]
+    return word
+
+
+def ungated_stem(token):
+    if len(token) <= 2:
+        return token
+    word = porter._step1c(porter._step1b(porter._step1a(token)))
+    word = ungated_apply_table(word, porter._STEP2_RULES)
+    word = ungated_apply_table(word, porter._STEP3_RULES)
+    word = ungated_step4(word)
+    return ungated_step5b(porter._step5a(word))
+
+
+class TestGatedSuffixScans:
+    """Steps 2-4 check all of a step's suffixes in one ``endswith`` call
+    before their first-match scan, and step 5b tests for a final "ll"
+    before it takes the measure; results must be the ungated steps'."""
+
+    STEMS = {0: ("tr", "sky", "ee"), 1: ("troubl", "oat", "pass"), 2: ("privat", "oaten", "relat")}
+    SUFFIXES = sorted({s for s, _ in porter._STEP2_RULES + porter._STEP3_RULES}
+                      | set(porter._STEP4_SUFFIXES) | {"ll", "l"})
+
+    def test_stems_have_the_measures_they_are_filed_under(self):
+        for m, stems in self.STEMS.items():
+            assert [porter._measure(s) for s in stems] == [m] * len(stems)
+
+    def test_every_suffix_on_stems_of_measure_0_1_2(self):
+        words = [s + suffix for stems in self.STEMS.values() for s in stems
+                 for suffix in self.SUFFIXES]
+        for word in words:
+            assert porter._apply_table(word, porter._STEP2_RULES, porter._STEP2_SUFFIXES) == \
+                ungated_apply_table(word, porter._STEP2_RULES), word
+            assert porter._apply_table(word, porter._STEP3_RULES, porter._STEP3_SUFFIXES) == \
+                ungated_apply_table(word, porter._STEP3_RULES), word
+            assert porter._step4(word) == ungated_step4(word), word
+            assert porter._step5b(word) == ungated_step5b(word), word
+            assert stem(word) == ungated_stem(word), word
+
+    def test_every_token_of_the_desk_fixture(self, tmp_path):
+        articles, _ = load_news(synth.generate_corpus(str(tmp_path)).news)
+        tokens = {tok for a in articles for text in (a.title, a.abstract)
+                  for tok in tp.tokenize(text)}
+        assert len(tokens) > 100
+        assert {t: stem(t) for t in tokens} == {t: ungated_stem(t) for t in tokens}
+
+    def test_reference_vectors_agree(self):
+        assert {w: ungated_stem(w) for w in TestStem.VECTORS} == TestStem.VECTORS
 
 
 class TestPreprocess:
