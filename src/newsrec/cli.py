@@ -4,10 +4,12 @@ Every subcommand accepts ``--seed``, ``--threads``, and ``--config`` (a
 JSON file with ``glove`` / ``model`` / ``run`` sections; flags override
 file values).  The trainer flags of ``train-glove`` and ``train-model``
 mirror the fields of ``GloveConfig`` and ``ModelConfig`` (``--x-max`` sets
-``x_max``), so a new field gets its flag without an edit here.
+``x_max``), typed by their annotations in ``config``, so a new field gets
+its flag without an edit here.
 
-``main`` owns the run lifecycle: before any input is opened it validates
-the configuration and checks that ``--out-dir`` is, or can become, a
+``main`` owns the run lifecycle: before any input is opened it resolves
+the configuration, which ``config.check`` tests against each setting's
+declared type and range, and checks that ``--out-dir`` is, or can become, a
 directory, so a config error never leaves partial outputs; it hands the
 command the config and a ``RunManifest``, in which the command records
 its inputs (``_inputs``) and outputs (``_emit``) by digest; and it writes
@@ -15,7 +17,7 @@ its inputs (``_inputs``) and outputs (``_emit``) by digest; and it writes
 to ``--out-dir``.
 
 ``--threads`` (``run.threads``) has no effect: every command runs on one
-thread.  It is still validated (>= 1) and recorded in the manifest, so
+thread.  It is still checked (>= 1) and recorded in the manifest, so
 scripts that pass it keep working.
 
 Exit codes: 0 success, 2 config error, 3 input error, 4 numeric failure,
@@ -41,7 +43,7 @@ from . import mind
 from . import model as mdl
 from . import retrieval as ret
 from . import textprep as tp
-from .config import AppConfig, apply_overrides, load_config
+from .config import AppConfig, GloveConfig, ModelConfig, apply_overrides, load_config
 from .errors import ConfigError, InputError, MissingInput, NewsrecError
 from .manifest import RunManifest
 
@@ -71,8 +73,8 @@ def _resolve_config(args) -> AppConfig:
         "threads": args.threads,
         "stopwords": getattr(args, "stopwords", None),
     }
-    return apply_overrides(load_config(args.config), flags("glove", gl.GloveConfig),
-                           flags("model", mdl.ModelConfig), run_over)
+    return apply_overrides(load_config(args.config), flags("glove", GloveConfig),
+                           flags("model", ModelConfig), run_over)
 
 
 def _inputs(manifest: RunManifest, *paths: str) -> None:
@@ -168,12 +170,12 @@ def cmd_train_glove(args, cfg: AppConfig, manifest: RunManifest) -> None:
     documents = [list(item.title_tokens) + list(item.abstract_tokens)
                  for item in tp.load_tokenized(args.corpus)]
     with manifest.phase("vocabulary"):
-        vocab = gl.build_vocab(documents, min_count=cfg.glove.min_count)
+        tokens = gl.build_vocab(documents, min_count=cfg.glove.min_count)
     with manifest.phase("cooccurrence"):
-        matrix = gl.build_cooccurrence(documents, vocab, window=cfg.glove.window)
+        matrix = gl.build_cooccurrence(documents, tokens, window=cfg.glove.window)
     with manifest.phase("train"):
         table, trace = gl.glove_train(matrix, cfg.glove)
-    lookup = gl.EmbeddingLookup.from_table(vocab, table)
+    lookup = gl.EmbeddingLookup.from_rows(tokens, table.word_vectors())
     if args.format == "text":
         emb_path = _out_path(args, "embeddings.txt")
         gl.save_embeddings_text(emb_path, lookup)
@@ -183,7 +185,7 @@ def cmd_train_glove(args, cfg: AppConfig, manifest: RunManifest) -> None:
     manifest.add_output(emb_path)
     _emit(args, manifest, "glove_trace.csv", epoch_trace_csv("cost", trace))
     last = f", final cost {trace[-1]:.6f}" if trace else ""
-    print(f"train-glove: {len(vocab)} tokens, {matrix.nnz} pairs, "
+    print(f"train-glove: {len(tokens)} tokens, {matrix.nnz} pairs, "
           f"{cfg.glove.epochs} epochs{last} -> {emb_path}")
 
 
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="tokenized.tsv from prepare")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--format", default="text", choices=("text", "binary"))
-    _add_config_flags(p, "glove", gl.GloveConfig)
+    _add_config_flags(p, "glove", GloveConfig)
     _add_common(p)
     p.set_defaults(func=cmd_train_glove)
 
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--behaviors", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out-dir", required=True)
-    _add_config_flags(p, "model", mdl.ModelConfig)
+    _add_config_flags(p, "model", ModelConfig)
     _add_common(p)
     p.set_defaults(func=cmd_train_model)
 

@@ -31,38 +31,23 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._kernels import adagrad_sweep
+from .config import GloveConfig, check
 from .errors import (
     ConfigError,
     DivergedCost,
     EmptyCorpus,
     EmptyVocabulary,
     NonfiniteParameter,
-    check_field_types,
 )
 from .mind import read_checkpoint, write_checkpoint, write_text_atomic
 
 BINARY_MAGIC = b"NRECGLV2"
 
 
-@dataclass(frozen=True, slots=True)
-class Vocabulary:
-    """Token inventory with stable integer ids.
-
-    Ids are assigned by descending corpus frequency, ties broken
-    lexicographically, so the same corpus always yields the same mapping.
-    """
-
-    tokens: tuple[str, ...]
-    index: dict[str, int] = field(compare=False)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
-
-def build_vocab(documents: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:
+def build_vocab(documents: Iterable[Sequence[str]], min_count: int = 1) -> tuple[str, ...]:
+    """The tokens seen at least ``min_count`` times, in id order: by
+    descending corpus frequency, ties broken lexicographically, so the
+    same corpus always yields the same ids."""
     counts: dict[str, int] = {}
     for doc in documents:
         for tok in doc:
@@ -73,8 +58,7 @@ def build_vocab(documents: Iterable[Sequence[str]], min_count: int = 1) -> Vocab
             f"no token reaches min_count={min_count} (corpus has {len(counts)} distinct tokens)"
         )
     kept.sort(key=lambda item: (-item[1], item[0]))
-    tokens = tuple(tok for tok, _ in kept)
-    return Vocabulary(tokens=tokens, index={tok: i for i, tok in enumerate(tokens)})
+    return tuple(tok for tok, _ in kept)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,25 +81,26 @@ class CooccurrenceMatrix:
 
 def build_cooccurrence(
     documents: Sequence[Sequence[str]],
-    vocab: Vocabulary,
+    tokens: Sequence[str],
     window: int = 5,
 ) -> CooccurrenceMatrix:
     """Count windowed co-occurrences over tokenized documents.
 
-    Out-of-vocabulary tokens are dropped first.  Positions p < q of one
-    document with q - p = k <= window then add 1/k to (i, j) and (j, i)
-    for distinct ids i, j, and once to (i, i) for equal ids.  Each entry
-    sums its weights document by document, nearest distance first, so
-    the table does not depend on how the pairs are gathered.
+    ``tokens[i]`` gets id i, and tokens not in ``tokens`` are dropped
+    first.  Positions p < q of one document with q - p = k <= window then
+    add 1/k to (i, j) and (j, i) for distinct ids i, j, and once to (i, i)
+    for equal ids.  Each entry sums its weights document by document,
+    nearest distance first, so the table does not depend on how the
+    pairs are gathered.
     """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    index = vocab.index
+    index = {tok: i for i, tok in enumerate(tokens)}
     encoded = [[index[tok] for tok in doc if tok in index] for doc in documents]
     lengths = [len(ids) for ids in encoded]
     ids = np.fromiter(chain.from_iterable(encoded), dtype=np.int64, count=sum(lengths))
     doc = np.repeat(np.arange(len(lengths)), lengths)
-    n = len(vocab)
+    n = len(tokens)
     keys, weights, owners = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.int64)]
     for k in range(1, min(window, max(lengths, default=0) - 1) + 1):
         same = doc[:-k] == doc[k:]
@@ -132,38 +117,6 @@ def build_cooccurrence(
     return CooccurrenceMatrix(vocab_size=n, rows=uniq // n, cols=uniq % n, vals=vals)
 
 
-@dataclass(frozen=True, slots=True)
-class GloveConfig:
-    dim: int = 50
-    window: int = 5
-    x_max: float = 100.0
-    alpha: float = 0.75
-    learning_rate: float = 0.05
-    epochs: int = 25
-    min_count: int = 5
-    seed: int = 1
-
-    def validate(self) -> "GloveConfig":
-        check_field_types(self)
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.x_max <= 0:
-            raise ConfigError(f"x_max must be > 0, got {self.x_max}")
-        if not 0 < self.alpha <= 1:
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.min_count < 1:
-            raise ConfigError(f"min_count must be >= 1, got {self.min_count}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        return self
-
-
 @dataclass(slots=True)
 class EmbeddingTable:
     """Trainable GloVe state in the reference implementation's layout:
@@ -177,10 +130,6 @@ class EmbeddingTable:
     @property
     def vocab_size(self) -> int:
         return self.params.shape[0] // 2
-
-    @property
-    def dim(self) -> int:
-        return self.params.shape[1] - 1
 
     @property
     def W(self) -> np.ndarray:
@@ -293,7 +242,7 @@ def glove_train(
     epochs return the seeded initialization, even for a matrix with no
     entries.
     """
-    config.validate()
+    check(config)
     table = init_table(matrix.vocab_size, config.dim, config.seed)
     if config.epochs == 0:
         return table, []
@@ -334,14 +283,6 @@ class EmbeddingLookup:
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
-
-    @classmethod
-    def from_table(cls, vocab: Vocabulary, table: EmbeddingTable) -> "EmbeddingLookup":
-        if len(vocab) != table.vocab_size:
-            raise ConfigError(
-                f"vocabulary size {len(vocab)} does not match table size {table.vocab_size}"
-            )
-        return cls(tokens=vocab.tokens, matrix=table.word_vectors(), index=vocab.index)
 
     @classmethod
     def from_rows(cls, tokens: Sequence[str], matrix: np.ndarray,
@@ -406,12 +347,13 @@ _TEXT_CHUNK_LINES = 256  # lines converted per vectorized parse; bounds the stri
 
 
 def load_embeddings_text(path: str) -> EmbeddingLookup:
+    """Read a ``save_embeddings_text`` file; a leading byte-order mark is ignored."""
     tokens: list[str] = []
     blocks: list[np.ndarray] = []
     fields: list[list[str]] = []
     linenos: list[int] = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:

@@ -22,6 +22,7 @@ Every output is written by ``write_text_atomic``; the binary checkpoints
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
 import struct
@@ -147,9 +148,11 @@ def parse_behaviors(lines: Iterable[str | bytes]):
 
 
 def _read_binary_lines(path: str):
+    """The lines of ``path`` as bytes, after its UTF-8 byte-order mark if it has one."""
     with open(path, "rb") as fh:
-        for line in fh:
-            yield line
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
+        yield from fh
 
 
 def load_news(path: str):

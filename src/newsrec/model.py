@@ -44,6 +44,7 @@ from typing import Container, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .config import ModelConfig, check
 from .errors import (
     AllDegenerate,
     ConfigError,
@@ -52,7 +53,6 @@ from .errors import (
     InsufficientNegatives,
     NoKnownTokens,
     NonfiniteParameter,
-    check_field_types,
 )
 from .glove import EmbeddingLookup
 from .metrics import ImpressionResult
@@ -62,38 +62,6 @@ MODEL_MAGIC = b"NRECMDL2"
 # Rows of one packed chunk of sequences: bounds the memory an encoder
 # call holds for its backward pass.
 ROW_BUDGET = 256
-
-
-@dataclass(frozen=True, slots=True)
-class ModelConfig:
-    heads: int = 16
-    d_head: int = 16
-    d_attn: int = 200
-    negatives: int = 4
-    max_title_tokens: int = 30
-    max_history: int = 50
-    learning_rate: float = 1e-3
-    epochs: int = 3
-    batch_size: int = 64
-    seed: int = 1
-
-    @property
-    def d_model(self) -> int:
-        return self.heads * self.d_head
-
-    def validate(self) -> "ModelConfig":
-        check_field_types(self)
-        for name in ("heads", "d_head", "d_attn", "negatives", "max_title_tokens",
-                     "max_history", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        return self
 
 
 @dataclass(slots=True)
@@ -161,7 +129,7 @@ def _init_encoder(rng: np.random.Generator, d_in: int, cfg: ModelConfig) -> Enco
 def init_params(embed_dim: int, config: ModelConfig) -> ModelParams:
     """Seeded Glorot-uniform init; draw order is fixed, so fully reproducible.
     Sizes too large for numpy to allocate raise ConfigError."""
-    config.validate()
+    check(config)
     if embed_dim < 1:
         raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
     rng = np.random.default_rng(config.seed)
@@ -666,7 +634,7 @@ def load_model(path: str) -> ModelParams:
         embed_dim = raw["embed_dim"]
         if type(embed_dim) is not int or embed_dim < 1:
             raise ConfigError(f"embed_dim must be an integer >= 1, got {embed_dim!r}")
-        config = ModelConfig(**{name: raw[name] for name in names}).validate()
+        config = check(ModelConfig(**{name: raw[name] for name in names}))
     except ConfigError as exc:
         raise ConfigError(f"{path} has a garbled header: {exc}") from exc
     d_model, d_attn = config.d_model, config.d_attn

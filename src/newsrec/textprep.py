@@ -107,15 +107,16 @@ def remove_stopwords(tokens: Iterable[str], stopwords: frozenset[str]) -> list[s
 
 
 def load_stopwords(path: str | None = None) -> frozenset[str]:
-    """Load the stopword lexicon (one token per line, UTF-8) at ``path``,
-    or the lexicon bundled with the package if ``path`` is None."""
+    """Load the stopword lexicon (one token per line, UTF-8, a leading
+    byte-order mark ignored) at ``path``, or the lexicon bundled with the
+    package if ``path`` is None."""
     if path is None:
         text = resources.files("newsrec").joinpath("assets/stopwords_en.txt").read_text("utf-8")
     else:
         if not os.path.isfile(path):
             raise MissingInput(f"stopword lexicon not found: {path}")
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
@@ -222,13 +223,14 @@ def save_tokenized(path: str, corpus: Sequence[TokenizedNews]) -> None:
 
 
 def load_tokenized(path: str) -> list[TokenizedNews]:
-    """The records of a ``save_tokenized`` file; a bad line or a repeated id raises InputError."""
+    """The records of a ``save_tokenized`` file, a leading byte-order mark
+    ignored; a bad line or a repeated id raises InputError."""
     if not os.path.isfile(path):
         raise MissingInput(f"tokenized corpus not found: {path}")
     corpus = []
     first_line: dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue

@@ -61,12 +61,12 @@ def prepared(fixture_dir, stopwords):
 @pytest.fixture(scope="session")
 def glove_lookup(prepared):
     docs = [n.title_tokens + n.abstract_tokens for n in prepared["corpus"]]
-    vocab = gl.build_vocab(docs, min_count=1)
-    matrix = gl.build_cooccurrence(docs, vocab, window=4)
+    tokens = gl.build_vocab(docs, min_count=1)
+    matrix = gl.build_cooccurrence(docs, tokens, window=4)
     config = gl.GloveConfig(dim=16, window=4, x_max=20.0, epochs=8, min_count=1, seed=3)
     table, trace = gl.glove_train(matrix, config)
     assert len(trace) == config.epochs
-    return gl.EmbeddingLookup.from_table(vocab, table)
+    return gl.EmbeddingLookup.from_rows(tokens, table.word_vectors())
 
 
 @pytest.fixture(scope="session")

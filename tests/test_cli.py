@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import stat
 import struct
@@ -16,6 +17,7 @@ import newsrec.glove as gl
 import newsrec.mind as mind
 import newsrec.model as mdl
 import newsrec.textprep as tp
+from newsrec.config import GloveConfig, ModelConfig, Range, RunSettings, check
 
 GLOVE_FLAGS = ["--dim", "12", "--window", "4", "--x-max", "20", "--min-count", "1",
                "--epochs", "10", "--seed", "3"]
@@ -274,6 +276,122 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"glove": {"x_max": 20, "learning_rate": 1, "alpha": 1}}))
         assert cli.main(["train-glove", "--corpus", pipeline["corpus"], "--epochs", "0",
                          "--out-dir", str(tmp_path / "out"), "--config", str(cfg)]) == 0
+
+
+SECTIONS = {"glove": GloveConfig, "model": ModelConfig, "run": RunSettings}
+
+
+def range_edges(field):
+    """(value at an edge of ``field``'s declared range, next value outside
+    it) for each end of the range."""
+    bounds = field.metadata["range"]
+    if field.type == "float":
+        step = lambda value, up: math.nextafter(value, math.inf if up else -math.inf)
+    else:
+        step = lambda value, up: value + 1 if up else value - 1
+    edges = [(step(bounds.low, True), bounds.low) if bounds.strict
+             else (bounds.low, step(bounds.low, False))]
+    if bounds.high is not None:
+        edges.append((bounds.high, step(bounds.high, True)))
+    return edges
+
+
+RANGE_EDGES = [(section, f.name, inside, outside)
+               for section, cls in SECTIONS.items() for f in fields(cls)
+               if "range" in f.metadata for inside, outside in range_edges(f)]
+
+
+class TestSettings:
+    """Each setting's type and range, declared once in ``config``, is what
+    the commands accept, and what README's settings table lists."""
+
+    def prepare(self, fixture_dir, tmp_path, settings):
+        cfg = tmp_path / "settings.json"
+        cfg.write_text(json.dumps(settings))
+        return cli.main(["prepare", "--news", fixture_dir.news,
+                         "--behaviors", fixture_dir.behaviors_train,
+                         "--out-dir", str(tmp_path / "out"), "--config", str(cfg)])
+
+    @pytest.mark.parametrize("section, name, inside, outside", RANGE_EDGES,
+                             ids=[f"{s}.{n}={i!r}" for s, n, i, _ in RANGE_EDGES])
+    def test_edge_of_range_is_accepted_and_next_value_exits_2(
+            self, fixture_dir, tmp_path, capsys, section, name, inside, outside):
+        (tmp_path / "inside").mkdir()
+        assert self.prepare(fixture_dir, tmp_path / "inside", {section: {name: inside}}) == 0
+        capsys.readouterr()
+        assert self.prepare(fixture_dir, tmp_path, {section: {name: outside}}) == 2
+        assert f"error: {name} must be " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_field_has_a_known_type_and_every_number_a_range(self):
+        for cls in SECTIONS.values():
+            check(cls())
+            for f in fields(cls):
+                kind, *rest = f.type.split(" | ")
+                assert kind in ("int", "float", "str") and rest in ([], ["None"]), f.name
+                assert isinstance(f.metadata.get("range"), Range) == (kind != "str"), f.name
+
+    def test_bad_type_is_named_before_an_earlier_bad_range(self, fixture_dir, tmp_path, capsys):
+        assert self.prepare(fixture_dir, tmp_path,
+                            {"model": {"heads": 0, "batch_size": "64"}}) == 2
+        err = capsys.readouterr().err
+        assert "batch_size must be an integer in the int64 range, got '64'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_settings_table_matches_the_declarations(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        section = text[text.index("\n## Settings\n"):]
+        section = section[:section.index("\n## ", 1)]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")][:4]
+                for line in section.splitlines() if line.startswith("| `")]
+        declared = [[f"`{name}.{f.name}`", f"`--{f.name.replace('_', '-')}`",
+                     f"`{json.dumps(f.default)}`", str(f.metadata.get("range", ""))]
+                    for name, cls in SECTIONS.items() for f in fields(cls)]
+        assert rows == declared
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark before any text input changes no output."""
+
+    def command(self, kind, pipeline, fixture_dir, tmp_path):
+        """(command, input flags, the flag whose file gets the mark)."""
+        evaluate = {"--corpus": pipeline["corpus"], "--behaviors": fixture_dir.behaviors_test,
+                    "--embeddings": pipeline["embeddings"], "--model": pipeline["model_bin"]}
+        prepare = {"--news": fixture_dir.news, "--behaviors": fixture_dir.behaviors_train}
+        if kind == "stopwords":
+            with open(fixture_dir.news, encoding="utf-8") as fh:
+                first_word = fh.readline().split("\t")[3].split()[0].lower()
+            lexicon = tmp_path / "stop.txt"
+            lexicon.write_text(f"{first_word}\nthe\n", encoding="utf-8")
+            return "prepare", dict(prepare, **{"--stopwords": str(lexicon)}), "--stopwords"
+        if kind == "config":
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"glove": {"dim": 4, "min_count": 1, "epochs": 1}}))
+            return "train-glove", {"--corpus": pipeline["corpus"], "--config": str(cfg)}, "--config"
+        flag = {"news": "--news", "behaviors": "--behaviors", "tokenized": "--corpus",
+                "embeddings": "--embeddings"}[kind]
+        return ("prepare", prepare, flag) if kind == "news" else ("evaluate", evaluate, flag)
+
+    @pytest.mark.parametrize("kind", ["news", "behaviors", "tokenized", "embeddings",
+                                      "stopwords", "config"])
+    def test_marked_input_gives_the_plain_inputs_outputs(self, kind, pipeline, fixture_dir,
+                                                          tmp_path, capsys):
+        command, inputs, flag = self.command(kind, pipeline, fixture_dir, tmp_path)
+        marked = tmp_path / ("marked_" + os.path.basename(inputs[flag]))
+        with open(inputs[flag], "rb") as fh:
+            marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        outputs = []
+        for path in (inputs[flag], str(marked)):
+            out = tmp_path / f"out{len(outputs)}"
+            argv = [command, *(arg for pair in dict(inputs, **{flag: path}).items()
+                               for arg in pair), "--out-dir", str(out)]
+            assert cli.main(argv) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if not p.name.startswith("manifest_")})
+        capsys.readouterr()
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestCorruptInputs:

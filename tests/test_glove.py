@@ -33,12 +33,12 @@ def entries(matrix):
     return dict(zip(coords, matrix.vals.tolist()))
 
 
-def oracle_cooccurrence(documents, vocab, window):
+def oracle_cooccurrence(documents, tokens, window):
     """Per-position reference table: 1/k per pair of in-vocabulary tokens
     k apart, added in the order document, distance, position."""
     table = {}
     for doc in documents:
-        ids = [vocab.index[tok] for tok in doc if tok in vocab]
+        ids = [tokens.index(tok) for tok in doc if tok in tokens]
         for k in range(1, min(window + 1, len(ids))):
             for p in range(len(ids) - k):
                 i, j = ids[p], ids[p + k]
@@ -80,46 +80,42 @@ def oracle_cost(table, matrix, config):
 
 class TestVocabulary:
     def test_frequency_then_index(self):
-        vocab = gl.build_vocab([["a", "b", "a"]], min_count=1)
-        assert vocab.index == {"a": 0, "b": 1}
-        assert vocab.tokens == ("a", "b")
-        assert len(vocab) == 2
+        assert gl.build_vocab([["a", "b", "a"]], min_count=1) == ("a", "b")
 
     def test_min_count_filters_everything(self):
         with pytest.raises(EmptyVocabulary):
             gl.build_vocab([["a", "b"]], min_count=3)
 
     def test_frequency_tie_breaks_lexicographically(self):
-        vocab = gl.build_vocab([["y", "x"]], min_count=1)
-        assert vocab.index == {"x": 0, "y": 1}
+        assert gl.build_vocab([["y", "x"]], min_count=1) == ("x", "y")
 
 
 class TestCooccurrence:
     def test_adjacent_pairs_window_one(self):
-        vocab = gl.build_vocab([["a", "b", "a"]])
-        m = gl.build_cooccurrence([["a", "b", "a"]], vocab, window=1)
-        a, b = vocab.index["a"], vocab.index["b"]
+        tokens = gl.build_vocab([["a", "b", "a"]])
+        m = gl.build_cooccurrence([["a", "b", "a"]], tokens, window=1)
+        a, b = tokens.index("a"), tokens.index("b")
         assert entries(m) == {(a, b): 2.0, (b, a): 2.0}
 
     def test_distance_two_pair_gets_half_weight_once(self):
-        vocab = gl.build_vocab([["a", "b", "a"]])
-        m = gl.build_cooccurrence([["a", "b", "a"]], vocab, window=2)
-        a, b = vocab.index["a"], vocab.index["b"]
+        tokens = gl.build_vocab([["a", "b", "a"]])
+        m = gl.build_cooccurrence([["a", "b", "a"]], tokens, window=2)
+        a, b = tokens.index("a"), tokens.index("b")
         assert entries(m) == {(a, b): 2.0, (b, a): 2.0, (a, a): 0.5}
 
     def test_empty_corpus_gives_empty_matrix(self):
-        vocab = gl.build_vocab([["a", "b"]])
-        m = gl.build_cooccurrence([], vocab, window=2)
+        tokens = gl.build_vocab([["a", "b"]])
+        m = gl.build_cooccurrence([], tokens, window=2)
         assert m.nnz == 0
 
     def test_windows_do_not_span_documents(self):
-        vocab = gl.build_vocab([["a"], ["b"]])
-        m = gl.build_cooccurrence([["a"], ["b"]], vocab, window=5)
+        tokens = gl.build_vocab([["a"], ["b"]])
+        m = gl.build_cooccurrence([["a"], ["b"]], tokens, window=5)
         assert m.nnz == 0
 
     def test_out_of_vocabulary_tokens_are_dropped(self):
-        vocab = gl.build_vocab([["a", "a", "b"]], min_count=2)
-        m = gl.build_cooccurrence([["a", "b", "zzz", "a"]], vocab, window=1)
+        tokens = gl.build_vocab([["a", "a", "b"]], min_count=2)
+        m = gl.build_cooccurrence([["a", "b", "zzz", "a"]], tokens, window=1)
         assert entries(m) == {(0, 0): 1.0}   # the two a's are adjacent once b and zzz go
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6, 7, 8, 10**12])
@@ -129,10 +125,10 @@ class TestCooccurrence:
             docs = random_corpus(rng, n_docs=60, alphabet=int(rng.integers(3, 30)))
             # min_count 3 over part of the corpus leaves rare tokens out, and
             # about a tenth of the tokens are swapped for one never counted
-            vocab = gl.build_vocab(docs[:40] + [["w0"] * 3], min_count=3)
+            tokens = gl.build_vocab(docs[:40] + [["w0"] * 3], min_count=3)
             docs = [[tok if rng.random() > 0.1 else "oov" for tok in doc] for doc in docs]
-            m = gl.build_cooccurrence(docs, vocab, window=window)
-            rows, cols, vals = oracle_cooccurrence(docs, vocab, window)
+            m = gl.build_cooccurrence(docs, tokens, window=window)
+            rows, cols, vals = oracle_cooccurrence(docs, tokens, window)
             assert (m.rows.tobytes(), m.cols.tobytes(), m.vals.tobytes()) == (
                 rows.tobytes(), cols.tobytes(), vals.tobytes())
 
@@ -140,8 +136,8 @@ class TestCooccurrence:
         rng = np.random.default_rng(0)
         docs = [[f"w{c}" for c in rng.integers(0, 12, size=rng.integers(2, 30))]
                 for _ in range(40)]
-        vocab = gl.build_vocab(docs)
-        m = gl.build_cooccurrence(docs, vocab, window=4)
+        tokens = gl.build_vocab(docs)
+        m = gl.build_cooccurrence(docs, tokens, window=4)
         keys = m.rows * m.vocab_size + m.cols
         assert np.all(np.diff(keys) > 0)   # sorted by (row, col), no duplicates
         d = entries(m)
@@ -216,8 +212,7 @@ class TestTraining:
         for _ in range(60):
             pool = left if rng.random() < 0.5 else right
             docs.append([pool[int(rng.integers(8))] for _ in range(12)])
-        vocab = gl.build_vocab(docs)
-        return gl.build_cooccurrence(docs, vocab, window=4)
+        return gl.build_cooccurrence(docs, gl.build_vocab(docs), window=4)
 
     def test_cost_halves_on_two_cluster_corpus(self):
         m = self.cluster_matrix()
@@ -274,11 +269,11 @@ class TestTraining:
 
 class TestLookup:
     def test_word_vector_is_sum_of_both_tables(self):
-        vocab = gl.build_vocab([["flu", "shot", "flu"]])
-        m = gl.build_cooccurrence([["flu", "shot", "flu"]], vocab, window=2)
+        tokens = gl.build_vocab([["flu", "shot", "flu"]])
+        m = gl.build_cooccurrence([["flu", "shot", "flu"]], tokens, window=2)
         table, _ = gl.glove_train(m, gl.GloveConfig(dim=4, epochs=3, seed=1))
-        lookup = gl.EmbeddingLookup.from_table(vocab, table)
-        i = vocab.index["flu"]
+        lookup = gl.EmbeddingLookup.from_rows(tokens, table.word_vectors())
+        i = tokens.index("flu")
         vec = lookup.matrix[lookup.index["flu"]]
         assert np.array_equal(vec, table.W[i] + table.Wt[i])
         assert np.isfinite(vec).all()
