@@ -233,10 +233,24 @@ def cmd_evaluate(args, cfg: AppConfig, manifest: RunManifest) -> None:
 
 
 def _model_stack(args, manifest: RunManifest):
+    """The embeddings, the model and the corpus index of a query, and the
+    function to call once the query's own output is written: it writes
+    ``news_index.bin`` to ``--out-dir`` if the index was built rather than
+    read from there, and lists the file among the outputs."""
     _inputs(manifest, args.corpus, args.embeddings, args.model)
     corpus = tp.load_tokenized(args.corpus)
     lookup, params = _load_model(args)
-    return lookup, params, ret.CorpusIndex(corpus, lookup, params)
+    digests = {name: manifest.inputs[getattr(args, name)]
+               for name in ("corpus", "embeddings", "model")}
+    path = os.path.join(args.out_dir, ret.INDEX_FILE)
+    index, built = ret.load_or_build_index(path, corpus, lookup, params, digests)
+
+    def keep_index() -> None:
+        if built:
+            ret.save_index(path, index, digests)
+        manifest.add_output(path)
+
+    return lookup, params, index, keep_index
 
 
 def cmd_recommend(args, cfg: AppConfig, manifest: RunManifest) -> None:
@@ -244,17 +258,15 @@ def cmd_recommend(args, cfg: AppConfig, manifest: RunManifest) -> None:
         raise ConfigError("provide exactly one of --history or --user (with --behaviors)")
     if args.user and not args.behaviors:
         raise ConfigError("--user requires --behaviors to look up that user's clicks")
-    _, params, index = _model_stack(args, manifest)
+    _, params, index, keep_index = _model_stack(args, manifest)
     if args.history:
         history = [tok for tok in args.history.split(",") if tok]
         user_id = args.user_id or "<ad-hoc>"
     else:
         _inputs(manifest, args.behaviors)
-        logs, _ = mind.load_behaviors(args.behaviors)
-        sequences = mind.user_click_sequences(logs)
-        if args.user not in sequences:
+        history = mind.load_user_clicks(args.behaviors, args.user)
+        if history is None:
             raise InputError(f"user {args.user!r} does not appear in {args.behaviors}")
-        history = sequences[args.user]
         user_id = args.user
     pool = [tok for tok in args.pool.split(",") if tok] if args.pool else [
         item.news_id for item in index.items
@@ -263,10 +275,11 @@ def cmd_recommend(args, cfg: AppConfig, manifest: RunManifest) -> None:
         rec = ret.recommend(history, pool, index, params, top_n=args.top_n, user_id=user_id)
     sys.stdout.write(ret.render_recommendations(rec, index))
     _emit(args, manifest, "recommendations.json", ret.recommendations_json(rec))
+    keep_index()
 
 
 def cmd_similar(args, cfg: AppConfig, manifest: RunManifest) -> None:
-    lookup, params, index = _model_stack(args, manifest)
+    lookup, params, index, keep_index = _model_stack(args, manifest)
     stopwords = _stopwords(cfg, manifest)
 
     def normalize(text: str) -> list[str]:
@@ -277,6 +290,7 @@ def cmd_similar(args, cfg: AppConfig, manifest: RunManifest) -> None:
                                   top_n=args.top_n, metric=args.metric)
     sys.stdout.write(ret.render_similarity(result))
     _emit(args, manifest, "similar.json", ret.similarity_json(result))
+    keep_index()
 
 
 def cmd_analytics(args, cfg: AppConfig, manifest: RunManifest) -> None:

@@ -3,7 +3,9 @@
 The settings are one JSON document with the sections ``glove``
 (``GloveConfig``), ``model`` (``ModelConfig``) and ``run``
 (``RunSettings``).  Precedence, lowest to highest: the defaults, the
-config file, then command-line flags.  Unknown sections or fields are
+config file, then command-line flags.  Within the file, ``run.seed``
+seeds each trainer section that sets no ``seed`` of its own; the
+``--seed`` flag sets both trainers' seeds.  Unknown sections or fields are
 rejected so a typo cannot silently fall back to a default.  ``check``
 tests each field against its annotation and the range ``_setting``
 declares on it, so a bad value exits 2, not with a traceback.
@@ -150,25 +152,32 @@ def load_config(path: str | None) -> AppConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         _check_fields("<top level>", raw, _SECTIONS)
-    glove = _build(GloveConfig, "glove", raw.get("glove", {}))
-    model = _build(ModelConfig, "model", raw.get("model", {}))
-    run = _build(RunSettings, "run", raw.get("run", {}))
+    run_raw = raw.get("run", {})
+    seed = run_raw.get("seed") if isinstance(run_raw, dict) else None
+
+    def trainer(cls, name: str):
+        section = raw.get(name, {})
+        if seed is not None and isinstance(section, dict):
+            section = {"seed": seed, **section}
+        return _build(cls, name, section)
+
+    glove = trainer(GloveConfig, "glove")
+    model = trainer(ModelConfig, "model")
+    run = _build(RunSettings, "run", run_raw)
     return AppConfig(glove=glove, model=model, run=run)
 
 
 def apply_overrides(config: AppConfig, glove: dict, model: dict, run: dict) -> AppConfig:
     """Overlay non-None flag values, then check every section.
 
-    A global seed override (run.seed) also reseeds both trainers unless a
-    more specific seed override is present.
+    A ``--seed`` flag (``run["seed"]``) also sets both trainers' seeds.
     """
     run_clean = {k: v for k, v in run.items() if v is not None}
     new_run = check(dataclasses.replace(config.run, **run_clean))
     glove_clean = {k: v for k, v in glove.items() if v is not None}
     model_clean = {k: v for k, v in model.items() if v is not None}
-    if new_run.seed is not None:
-        glove_clean.setdefault("seed", new_run.seed)
-        model_clean.setdefault("seed", new_run.seed)
+    if "seed" in run_clean:
+        glove_clean["seed"] = model_clean["seed"] = new_run.seed
     new_glove = check(dataclasses.replace(config.glove, **glove_clean))
     new_model = check(dataclasses.replace(config.model, **model_clean))
     return AppConfig(glove=new_glove, model=new_model, run=new_run)

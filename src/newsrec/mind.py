@@ -16,8 +16,8 @@ follow the public MIND distribution:
 Neither file carries a header row.
 
 Every output is written by ``write_text_atomic``; the binary checkpoints
-(``model.bin``, ``embeddings.bin``) share one container,
-``write_checkpoint``/``read_checkpoint``.
+(``model.bin``, ``embeddings.bin``, ``news_index.bin``) share one
+container, ``write_checkpoint``/``read_checkpoint``.
 """
 
 from __future__ import annotations
@@ -207,6 +207,29 @@ def user_click_sequences(logs: Sequence[ImpressionLog]) -> dict[str, list[str]]:
     return sequences
 
 
+def load_user_clicks(path: str, user_id: str) -> list[str] | None:
+    """``user_click_sequences(load_behaviors(path)[0]).get(user_id)``,
+    parsing only the lines whose second tab-separated field is ``user_id``.
+
+    Each line is split only far enough to read that field, as raw bytes; a
+    line that matches is then parsed in full, so a malformed one is left
+    out, as ``load_behaviors`` leaves it out.
+    """
+    if not os.path.isfile(path):
+        raise MissingInput(f"behaviors file not found: {path}")
+    # a user id no UTF-8 line can hold (a lone surrogate) matches only
+    # lines that then fail to decode
+    key = user_id.encode("utf-8", "surrogatepass")
+    logs = []
+    for line_no, line in enumerate(_read_binary_lines(path), start=1):
+        fields = line.split(b"\t", 2)
+        if len(fields) == 3 and fields[1] == key:
+            log, _ = _parse_behavior_line(line, line_no)
+            if log is not None:
+                logs.append(log)
+    return user_click_sequences(logs).get(user_id)
+
+
 def compute_stats(news: Sequence[NewsArticle], logs: Sequence[ImpressionLog]) -> DatasetStats:
     """Corpus-level counters: users, news, impressions, clicks, words."""
     users = len({log.user_id for log in logs})
@@ -300,21 +323,27 @@ def write_text_atomic(path: str, data: str | bytes) -> None:
 
 
 def write_checkpoint(path: str, magic: bytes, header: dict,
-                     arrays: Iterable[np.ndarray]) -> None:
+                     arrays: Iterable[np.ndarray], dtype: str = "<f4") -> None:
     """Write a binary checkpoint atomically: ``magic``, the byte length of
     the header as ``<I``, the header as sorted-key UTF-8 JSON, then each
-    array's values in turn as little-endian float32."""
+    array's values in turn as ``dtype``, little-endian float32 or float64.
+    A float64 file names its dtype in the header's ``dtype`` key; a
+    float32 file has no such key."""
+    if dtype != "<f4":
+        header = dict(header, dtype=dtype)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     chunks = [magic, struct.pack("<I", len(blob)), blob]
-    chunks.extend(np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays)
+    chunks.extend(np.ascontiguousarray(arr, dtype=dtype).tobytes() for arr in arrays)
     write_text_atomic(path, b"".join(chunks))
 
 
-def read_checkpoint(path: str, magic: bytes, what: str) -> tuple[dict, np.ndarray]:
-    """The header and the flat float32 payload of a ``write_checkpoint``
-    file; another magic, a cut or garbled header, a header that is not a
-    JSON object or a payload that is not whole float32 values raises
-    ConfigError naming ``path`` (``what`` says what the file should be)."""
+def read_checkpoint(path: str, magic: bytes, what: str,
+                    dtype: str = "<f4") -> tuple[dict, np.ndarray]:
+    """The header, less its ``dtype`` key, and the flat ``dtype`` payload
+    of a ``write_checkpoint`` file; another magic, a cut or garbled header,
+    a header that is not a JSON object or names another dtype (none names
+    float32), or a payload that is not whole values raises ConfigError
+    naming ``path`` (``what`` says what the file should be)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(magic)] != magic:
@@ -330,8 +359,12 @@ def read_checkpoint(path: str, magic: bytes, what: str) -> tuple[dict, np.ndarra
         raise ConfigError(f"{path} has a truncated or garbled header: {exc}") from exc
     if not isinstance(header, dict):
         raise ConfigError(f"{path} has a header that is not a JSON object")
+    named = header.pop("dtype", "<f4")
+    if named != dtype:
+        raise ConfigError(f"{path} holds {named!r} values, not {dtype!r}")
     offset = start + size
-    if (len(blob) - offset) % 4:
+    width = np.dtype(dtype).itemsize
+    if (len(blob) - offset) % width:
         raise ConfigError(f"{path} holds {len(blob) - offset} payload bytes, "
-                          "not whole float32 values")
-    return header, np.frombuffer(blob, dtype="<f4", offset=offset)
+                          f"not whole float{8 * width} values")
+    return header, np.frombuffer(blob, dtype=dtype, offset=offset)

@@ -4,11 +4,16 @@ Both operations run on top of a trained model: ``recommend`` ranks a
 candidate pool for one user by dot-product click score, ``similar_news``
 finds the corpus items whose encoded vectors lie closest to a query
 (an existing article, an exact headline, or free text).
+
+Both read news vectors from a ``CorpusIndex``.  ``load_or_build_index``
+reads one from a ``news_index.bin`` file written by ``save_index`` for the
+same inputs, or builds it when there is no such file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,12 +21,15 @@ import numpy as np
 
 from .errors import ConfigError, EmptyCandidatePool, NoKnownTokens
 from .glove import EmbeddingLookup
+from .mind import read_checkpoint, write_checkpoint
 from .model import (ModelParams, news_vector, news_vectors, score_click, title_rows,
                     usable_history, user_vectors)
 from .textprep import TokenizedNews
 
 SNIPPET_WIDTH = 48
 METRICS = ("euclidean", "cosine-distance")
+INDEX_FILE = "news_index.bin"
+INDEX_MAGIC = b"NRECIDX1"
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,6 +77,18 @@ class CorpusIndex:
         self.matrix = (news_vectors([r for r in rows if len(r)], lookup.matrix, params)
                        if self.items else np.empty((0, params.config.d_model)))
 
+    @classmethod
+    def _of_rows(cls, corpus: Sequence[TokenizedNews], items: list[TokenizedNews],
+                 matrix: np.ndarray) -> "CorpusIndex":
+        """The index of ``corpus`` whose row i, ``matrix[i]``, is the vector
+        of ``items[i]``, as ``save_index`` stored it."""
+        index = cls.__new__(cls)
+        index.items = items
+        index.by_id = {item.news_id: i for i, item in enumerate(items)}
+        index.skipped = tuple(item.news_id for item in corpus if item.news_id not in index.by_id)
+        index.matrix = matrix
+        return index
+
     def __len__(self) -> int:
         return len(self.items)
 
@@ -77,6 +97,46 @@ class CorpusIndex:
         if i is None:
             return None
         return self.matrix[i]
+
+
+def save_index(path: str, index: CorpusIndex, inputs: dict[str, str]) -> None:
+    """A ``mind.write_checkpoint`` file: magic ``NRECIDX1``, a header with
+    the ``inputs`` digests, ``numpy.__version__`` and the news ids of the
+    rows, then the ``(n, d_model)`` matrix as little-endian float64."""
+    header = {"inputs": inputs, "numpy": np.__version__,
+              "ids": [item.news_id for item in index.items]}
+    write_checkpoint(path, INDEX_MAGIC, header, [index.matrix], dtype="<f8")
+
+
+def load_or_build_index(path: str, corpus: Sequence[TokenizedNews], lookup: EmbeddingLookup,
+                        params: ModelParams, inputs: dict[str, str]) -> tuple[CorpusIndex, bool]:
+    """The ``save_index`` file at ``path`` as an index, if it was written
+    for these ``inputs`` digests and this numpy, else a new ``CorpusIndex``;
+    the flag says whether it was built.
+
+    A file for other inputs or another numpy is stale and ignored.  A file
+    with another magic, a cut or garbled header, ids that are not distinct
+    corpus ids, or a payload that is not one ``d_model`` row per id raises
+    ConfigError naming ``path``.
+    """
+    if os.path.isfile(path):
+        header, values = read_checkpoint(path, INDEX_MAGIC, "a news index", dtype="<f8")
+        if header.get("inputs") == inputs and header.get("numpy") == np.__version__:
+            ids, width = header.get("ids"), params.config.d_model
+            by_id = {item.news_id: item for item in corpus}
+            if (not isinstance(ids, list) or not all(isinstance(nid, str) for nid in ids)
+                    or len(set(ids)) != len(ids)):
+                raise ConfigError(f"{path}: header ids must be a list of distinct strings")
+            if missing := [nid for nid in ids if nid not in by_id]:
+                raise ConfigError(f"{path} lists news id {missing[0]!r}, which is not in the corpus")
+            if values.size != len(ids) * width:
+                raise ConfigError(f"{path} holds {values.size} values, "
+                                  f"not {len(ids)} rows of {width}")
+            # a copy: the payload may start at any byte, and numpy may take
+            # other kernels over unaligned rows than over a built index's
+            matrix = values.reshape(len(ids), width).copy()
+            return CorpusIndex._of_rows(corpus, [by_id[nid] for nid in ids], matrix), False
+    return CorpusIndex(corpus, lookup, params), True
 
 
 def recommend(

@@ -16,8 +16,10 @@ import newsrec.cli as cli
 import newsrec.glove as gl
 import newsrec.mind as mind
 import newsrec.model as mdl
+import newsrec.retrieval as ret
 import newsrec.textprep as tp
-from newsrec.config import GloveConfig, ModelConfig, Range, RunSettings, check
+from newsrec.config import (GloveConfig, ModelConfig, Range, RunSettings, apply_overrides, check,
+                            load_config)
 
 GLOVE_FLAGS = ["--dim", "12", "--window", "4", "--x-max", "20", "--min-count", "1",
                "--epochs", "10", "--seed", "3"]
@@ -135,6 +137,34 @@ class TestConfigHandling:
         with open(pipeline["embeddings"], "rb") as fh:
             from_flags = fh.read()
         assert from_cfg == from_flags
+
+    def test_section_seed_wins_over_run_seed_of_the_same_file(self, pipeline, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "run": {"seed": 9},
+            "glove": {"dim": 12, "window": 4, "x_max": 20.0, "min_count": 1,
+                      "epochs": 10, "seed": 3},
+        }))
+        out = tmp_path / "glove-cfg"
+        assert cli.main(["train-glove", "--corpus", pipeline["corpus"],
+                         "--out-dir", str(out), "--config", str(cfg)]) == 0
+        assert (out / "embeddings.txt").read_bytes() == open(pipeline["embeddings"], "rb").read()
+        config = json.loads((out / "manifest_train_glove.json").read_text())["config"]
+        assert (config["glove"]["seed"], config["model"]["seed"], config["run"]["seed"]) == (3, 9, 9)
+
+    @pytest.mark.parametrize("sections, flag, want", [
+        ({"run": {"seed": 5}, "glove": {"seed": 3}}, None, (3, 5)),
+        ({"run": {"seed": 5}, "model": {"seed": 4}}, None, (5, 4)),
+        ({"run": {"seed": 5}}, None, (5, 5)),
+        ({"glove": {"seed": 3}, "model": {"seed": 4}}, None, (3, 4)),
+        ({"run": {"seed": 5}, "glove": {"seed": 3}, "model": {"seed": 4}}, 7, (7, 7)),
+        ({}, 7, (7, 7)),
+    ])
+    def test_seed_precedence(self, tmp_path, sections, flag, want):
+        cfg = tmp_path / "seeds.json"
+        cfg.write_text(json.dumps(sections))
+        resolved = apply_overrides(load_config(str(cfg)), {}, {}, {"seed": flag})
+        assert (resolved.glove.seed, resolved.model.seed) == want
 
     @pytest.mark.parametrize("section, field, value", [
         ("model", "heads", 2.0), ("glove", "dim", 2.5), ("model", "epochs", True),
@@ -913,6 +943,186 @@ class TestQueries:
         assert len(payload["neighbors"]) == 4
         dists = [nb["distance"] for nb in payload["neighbors"]]
         assert dists == sorted(dists)
+
+
+class TestNewsIndex:
+    """``recommend`` and ``similar`` keep the corpus's news vectors in
+    ``--out-dir``/news_index.bin and reuse them while the inputs are unchanged."""
+
+    OUTPUT = {"recommend": "recommendations.json", "similar": "similar.json"}
+
+    def query_args(self, kind, pipeline, fixture_dir):
+        corpus = tp.load_tokenized(pipeline["corpus"])
+        return {
+            "user": ["recommend", "--user", "U1", "--behaviors", fixture_dir.behaviors_train],
+            "history": ["recommend", "--history", "N1,N2,N3", "--user-id", "X"],
+            "id": ["similar", "--query", "N1"],
+            "headline": ["similar", "--query", corpus[1].raw_title],
+            "text": ["similar", "--query", " ".join(reversed(corpus[2].raw_title.split()))],
+        }[kind]
+
+    def run(self, args, out, capsys, corpus, embeddings, model):
+        """(exit code, stdout, the command's output file) of one query into ``out``."""
+        code = cli.main([*args, "--corpus", str(corpus), "--embeddings", str(embeddings),
+                         "--model", str(model), "--top-n", "4", "--out-dir", str(out)])
+        stdout = capsys.readouterr().out
+        produced = out / self.OUTPUT[args[0]]
+        return code, stdout, produced.read_bytes() if produced.exists() else None
+
+    def stack(self, pipeline):
+        return pipeline["corpus"], pipeline["embeddings"], pipeline["model_bin"]
+
+    @pytest.mark.parametrize("kind", ["user", "history", "id", "headline", "text"])
+    def test_warm_call_gives_the_cold_calls_bytes(self, kind, pipeline, fixture_dir, tmp_path,
+                                                  capsys):
+        args = self.query_args(kind, pipeline, fixture_dir)
+        out = tmp_path / "q"
+        cold = self.run(args, out, capsys, *self.stack(pipeline))
+        index = (out / "news_index.bin").read_bytes()
+        assert index.startswith(b"NRECIDX1")
+        warm = self.run(args, out, capsys, *self.stack(pipeline))
+        assert cold[0] == 0 and cold[2] is not None
+        assert warm == cold
+        assert (out / "news_index.bin").read_bytes() == index
+
+    def test_index_holds_the_built_vectors_as_float64(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "q"
+        assert self.run(["similar", "--query", "N1"], out, capsys, *self.stack(pipeline))[0] == 0
+        header, values = mind.read_checkpoint(str(out / "news_index.bin"), b"NRECIDX1",
+                                              "a news index", dtype="<f8")
+        corpus = tp.load_tokenized(pipeline["corpus"])
+        params = mdl.load_model(pipeline["model_bin"])
+        built = ret.CorpusIndex(corpus, gl.load_embeddings(pipeline["embeddings"]), params)
+        assert header["ids"] == [item.news_id for item in built.items]
+        assert header["numpy"] == np.__version__
+        assert header["inputs"] == {"corpus": sha256_of(pipeline["corpus"]),
+                                    "embeddings": sha256_of(pipeline["embeddings"]),
+                                    "model": sha256_of(pipeline["model_bin"])}
+        assert values.tobytes() == built.matrix.tobytes()
+        assert values.size == len(built) * params.config.d_model
+
+    def changed_input(self, which, pipeline, tmp_path):
+        """The pipeline's stack with one input copied and changed."""
+        corpus, embeddings, model = (tmp_path / name for name in
+                                     ("tokenized.tsv", "embeddings.txt", "model.bin"))
+        lines = open(pipeline["corpus"], "rb").read().splitlines(keepends=True)
+        corpus.write_bytes(b"".join(lines[:-1] if which == "corpus" else lines))
+        rows = open(pipeline["embeddings"], "rb").read().splitlines(keepends=True)
+        if which == "embeddings":
+            token, first, rest = rows[0].split(b" ", 2)
+            rows[0] = b" ".join([token, repr(float(first) + 0.5).encode(), rest])
+        embeddings.write_bytes(b"".join(rows))
+        params = mdl.load_model(pipeline["model_bin"])
+        if which == "model":
+            params.news.weights.data[0] += 0.5
+        mdl.save_model(str(model), params)
+        return corpus, embeddings, model
+
+    @pytest.mark.parametrize("which", ["corpus", "embeddings", "model"])
+    @pytest.mark.parametrize("kind", ["history", "text"])
+    def test_changed_input_rebuilds_the_index(self, which, kind, pipeline, fixture_dir,
+                                              tmp_path, capsys):
+        args = self.query_args(kind, pipeline, fixture_dir)
+        out = tmp_path / "q"
+        assert self.run(args, out, capsys, *self.stack(pipeline))[0] == 0
+        stale = (out / "news_index.bin").read_bytes()
+        changed = self.changed_input(which, pipeline, tmp_path)
+        again = self.run(args, out, capsys, *changed)
+        fresh = self.run(args, tmp_path / "fresh", capsys, *changed)
+        assert again == fresh and fresh[0] == 0
+        index = (out / "news_index.bin").read_bytes()
+        assert index == (tmp_path / "fresh" / "news_index.bin").read_bytes()
+        assert index != stale
+
+    def test_index_of_another_numpy_is_rebuilt(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "q"
+        args = ["similar", "--query", "N1"]
+        first = self.run(args, out, capsys, *self.stack(pipeline))
+        path = str(out / "news_index.bin")
+        built = open(path, "rb").read()
+        header, values = mind.read_checkpoint(path, b"NRECIDX1", "a news index", dtype="<f8")
+        # stale vectors that would change the output if they were read
+        mind.write_checkpoint(path, b"NRECIDX1", dict(header, numpy="0.0"), [values + 1.0],
+                              dtype="<f8")
+        assert self.run(args, out, capsys, *self.stack(pipeline)) == first
+        assert open(path, "rb").read() == built
+
+    @pytest.mark.parametrize("kind", ["history", "id"])
+    def test_manifest_lists_the_index_when_built_and_when_reused(self, kind, pipeline,
+                                                                 fixture_dir, tmp_path, capsys):
+        args = self.query_args(kind, pipeline, fixture_dir)
+        out = tmp_path / "q"
+        manifest = out / f"manifest_{args[0]}.json"
+        for _ in range(2):
+            assert self.run(args, out, capsys, *self.stack(pipeline))[0] == 0
+            outputs = json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
+            index = str(out / "news_index.bin")
+            assert outputs == {str(path): sha256_of(path) for path in out.iterdir()
+                               if path != manifest}
+            assert index in outputs
+
+    def garble(self, case, path):
+        header, values = mind.read_checkpoint(path, b"NRECIDX1", "a news index", dtype="<f8")
+        blob = open(path, "rb").read()
+        if case == "bad_magic":
+            blob = b"NRECIDX0" + blob[8:]
+        elif case == "cut_in_header":
+            blob = blob[:20]
+        elif case == "cut_in_payload":
+            blob = blob[:-3]
+        elif case == "row_short":
+            blob = blob[:-8]
+        elif case == "float32_payload":
+            mind.write_checkpoint(path, b"NRECIDX1", header, [values])
+            return
+        elif case in ("unknown_id", "repeated_id", "ids_not_a_list"):
+            ids = {"unknown_id": ["ZZZ"] + header["ids"][1:],
+                   "repeated_id": header["ids"][1:2] + header["ids"][1:],
+                   "ids_not_a_list": 7}[case]
+            mind.write_checkpoint(path, b"NRECIDX1", dict(header, ids=ids), [values], dtype="<f8")
+            return
+        with open(path, "wb") as fh:
+            fh.write(blob)
+
+    @pytest.mark.parametrize("case", ["bad_magic", "cut_in_header", "cut_in_payload", "row_short",
+                                      "float32_payload", "unknown_id", "repeated_id",
+                                      "ids_not_a_list"])
+    @pytest.mark.parametrize("kind", ["user", "id"])
+    def test_garbled_index_exits_2_naming_it(self, case, kind, pipeline, fixture_dir, tmp_path,
+                                             capsys):
+        args = self.query_args(kind, pipeline, fixture_dir)
+        out = tmp_path / "q"
+        assert self.run(args, out, capsys, *self.stack(pipeline))[0] == 0
+        path = str(out / "news_index.bin")
+        self.garble(case, path)
+        garbled = open(path, "rb").read()
+        code = cli.main([*args, "--corpus", pipeline["corpus"], "--embeddings",
+                         pipeline["embeddings"], "--model", pipeline["model_bin"],
+                         "--out-dir", str(out)])
+        assert code == 2
+        assert path in capsys.readouterr().err
+        assert open(path, "rb").read() == garbled
+
+    def test_failed_query_leaves_no_index(self, pipeline, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "q"
+        code = cli.main(["recommend", "--corpus", pipeline["corpus"],
+                         "--embeddings", pipeline["embeddings"], "--model", pipeline["model_bin"],
+                         "--user", "NOBODY", "--behaviors", fixture_dir.behaviors_train,
+                         "--out-dir", str(out)])
+        assert code == 3
+        assert "user 'NOBODY' does not appear" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoints_name_no_dtype(self, pipeline, tmp_path):
+        """model.bin and embeddings.bin keep the float32 layout they had
+        before the container could hold float64: no ``dtype`` in the header."""
+        emb = str(tmp_path / "embeddings.bin")
+        gl.save_embeddings_binary(emb, gl.load_embeddings(pipeline["embeddings"]))
+        for path, magic in ((pipeline["model_bin"], mdl.MODEL_MAGIC), (emb, gl.BINARY_MAGIC)):
+            blob = open(path, "rb").read()
+            (size,) = struct.unpack_from("<I", blob, len(magic))
+            header = json.loads(blob[len(magic) + 4:len(magic) + 4 + size])
+            assert "dtype" not in header and header
 
 
 class TestAnalyticsCommand:

@@ -1,11 +1,15 @@
-"""TSV parsing, user splitting, stats, and prediction-file round trips."""
+"""TSV parsing, user lookups, stats, prediction files and the checkpoint container."""
 
+import codecs
 import io
+import json
+import struct
 
+import numpy as np
 import pytest
 
 import newsrec.mind as mind
-from newsrec.errors import NotAPermutation
+from newsrec.errors import ConfigError, MissingInput, NotAPermutation
 
 NEWS_LINE = "N1\tsports\tgolf\tPGA Tour winners\tA gallery.\thttp://x\t[]\t[]"
 
@@ -144,3 +148,90 @@ def test_predictions_round_trip():
     mind.write_predictions(ranked, sink)
     again = mind.read_predictions(sink.getvalue().splitlines())
     assert [(i, list(r)) for i, r in ranked] == again
+
+
+class TestLoadUserClicks:
+    """One user's clicks, read without parsing the other users' lines."""
+
+    LINES = [
+        "1\tU1\tt\tN1 N2\tN5-1 N7-0",
+        "2\tU2\tt\tN3\tN8-x",             # malformed, another user
+        "3\tU2\tt",                         # too few columns, another user
+        "4\tU1\tt\tN1 N2 N5\tN9-2",       # malformed, the user: left out
+        "5\tU2\tt\tN3\tN6-1",
+        "6\tU1\tt\tN1 N2 N5\tN6-0 N4-1 N9-1",
+        "7\tU1\tt\tN1\tN6-1 extra\tcolumn",  # six columns, the user: left out
+        "8\tU3\tt\t\tN4-0 N5-1",
+    ]
+
+    def write(self, tmp_path, lines, bom=False, tail=b""):
+        path = tmp_path / "behaviors.tsv"
+        path.write_bytes((codecs.BOM_UTF8 if bom else b"") + "\n".join(lines).encode()
+                         + b"\n" + tail)
+        return str(path)
+
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+    @pytest.mark.parametrize("user", ["U1", "U2", "U3"])
+    def test_equals_the_full_parse(self, tmp_path, user, bom):
+        path = self.write(tmp_path, self.LINES, bom)
+        want = mind.user_click_sequences(mind.load_behaviors(path)[0])[user]
+        assert mind.load_user_clicks(path, user) == want
+        if user == "U1":
+            assert want == ["N1", "N2", "N5", "N4", "N9"]
+
+    def test_user_on_a_marked_first_line_is_found(self, tmp_path):
+        path = self.write(tmp_path, self.LINES, bom=True)
+        assert mind.load_user_clicks(path, "U1")[:3] == ["N1", "N2", "N5"]
+
+    @pytest.mark.parametrize("user", ["U9", "t", "U1\tt", "", "U\xff", "U\udcff"])
+    def test_unknown_user_gives_none(self, tmp_path, user):
+        # the last line is not UTF-8, so neither reader keeps its user
+        path = self.write(tmp_path, self.LINES, tail=b"9\tU\xff\tt\t\tN1-1\n")
+        assert len(mind.load_behaviors(path)[1]) == 5
+        assert user not in mind.user_click_sequences(mind.load_behaviors(path)[0])
+        assert mind.load_user_clicks(path, user) is None
+
+    def test_only_malformed_lines_of_the_user_give_none(self, tmp_path):
+        path = self.write(tmp_path, ["1\tU1\tt\tN1\tN2-7", "2\tU2\tt\t\tN3-1"])
+        assert mind.load_user_clicks(path, "U1") is None
+
+    def test_missing_file_is_a_missing_input(self, tmp_path):
+        with pytest.raises(MissingInput):
+            mind.load_user_clicks(str(tmp_path / "absent.tsv"), "U1")
+
+
+class TestCheckpoint:
+    def test_float32_layout_names_no_dtype(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        mind.write_checkpoint(path, b"MAGIC123", {"b": 1, "a": [2]},
+                              [np.array([1.5, -2.0]), np.array([[0.25]])])
+        blob = json.dumps({"a": [2], "b": 1}, sort_keys=True).encode()
+        want = (b"MAGIC123" + struct.pack("<I", len(blob)) + blob
+                + np.array([1.5, -2.0, 0.25], dtype="<f4").tobytes())
+        with open(path, "rb") as fh:
+            assert fh.read() == want
+        header, values = mind.read_checkpoint(path, b"MAGIC123", "a test file")
+        assert header == {"a": [2], "b": 1}
+        assert values.dtype == np.dtype("<f4") and values.tolist() == [1.5, -2.0, 0.25]
+
+    def test_float64_round_trips_every_bit(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        matrix = np.random.default_rng(0).normal(size=(3, 5))
+        mind.write_checkpoint(path, b"MAGIC123", {"n": 3}, [matrix], dtype="<f8")
+        header, values = mind.read_checkpoint(path, b"MAGIC123", "a test file", dtype="<f8")
+        assert header == {"n": 3}
+        assert values.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("written, read", [("<f4", "<f8"), ("<f8", "<f4")])
+    def test_another_dtype_is_a_config_error(self, tmp_path, written, read):
+        path = str(tmp_path / "c.bin")
+        mind.write_checkpoint(path, b"MAGIC123", {}, [np.zeros(4)], dtype=written)
+        with pytest.raises(ConfigError, match=f"{path} holds '{written}' values, not '{read}'"):
+            mind.read_checkpoint(path, b"MAGIC123", "a test file", dtype=read)
+
+    def test_payload_of_part_values_is_a_config_error(self, tmp_path):
+        path = tmp_path / "c.bin"
+        mind.write_checkpoint(str(path), b"MAGIC123", {}, [np.zeros(2)], dtype="<f8")
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ConfigError, match="12 payload bytes, not whole float64 values"):
+            mind.read_checkpoint(str(path), b"MAGIC123", "a test file", dtype="<f8")
