@@ -9,6 +9,12 @@ gives a known learnable signal with a known ceiling.
 Writers emit standard news/behaviors TSV files plus an 80/20
 train/test split of the impressions (per user: the chronologically last
 fifth of their impressions are held out).
+
+Noise options blur that signal, so a model can score below the ceiling
+and a quality bound can fail before the model collapses: clicks and
+history entries from a random category, words from a pool that every
+category shares, and negatives from any category.  Their defaults draw
+nothing extra from the generator, so a seed keeps its bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ _CONSONANT_SETS = ("bdg", "klm", "prs", "tvz", "fjn", "cqw", "xhy")
 _VOWELS = "aeiou"
 _CATEGORY_NAMES = ("health", "sports", "finance", "travel", "movies", "weather", "gaming")
 _FILLER = ("the", "to", "of", "a", "in", "for")
+# Words of the shared pool start with a vowel, and category words with a
+# consonant; stemming only strips suffixes, so the two never meet.
+_SHARED_POOL = 60
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,12 +45,14 @@ class FixturePaths:
     behaviors_test: str
 
 
-def _category_vocab(rng: np.random.Generator, consonants: str, size: int) -> list[str]:
+def _vocab(rng: np.random.Generator, first: str, second: str, size: int) -> list[str]:
+    """``size`` distinct words of three syllables, each a letter of
+    ``first`` then a letter of ``second``."""
     words: list[str] = []
     seen = set()
     while len(words) < size:
         word = "".join(
-            consonants[rng.integers(len(consonants))] + _VOWELS[rng.integers(len(_VOWELS))]
+            first[rng.integers(len(first))] + second[rng.integers(len(second))]
             for _ in range(3)
         )
         if word not in seen:
@@ -57,13 +68,26 @@ def _timestamp(index: int) -> str:
     return f"{t.month}/{t.day}/{t.year} {hour12}:{t.minute:02d}:{t.second:02d} {ampm}"
 
 
-def _phrase(rng: np.random.Generator, vocab: list[str], length: int) -> list[str]:
-    words = [vocab[rng.integers(len(vocab))] for _ in range(length)]
+def _word(rng: np.random.Generator, vocab: list[str], shared: list[str], share: float) -> str:
+    if share and rng.random() < share:
+        return shared[rng.integers(len(shared))]
+    return vocab[rng.integers(len(vocab))]
+
+
+def _phrase(rng: np.random.Generator, vocab: list[str], length: int,
+            shared: list[str], share: float) -> list[str]:
+    words = [_word(rng, vocab, shared, share) for _ in range(length)]
     # sprinkle stopwords so preprocessing has something to remove
     if rng.random() < 0.7:
         pos = int(rng.integers(len(words) + 1))
         words.insert(pos, _FILLER[rng.integers(len(_FILLER))])
     return words
+
+
+def _random_news(rng: np.random.Generator, ids_by_category: list[list[str]]) -> str:
+    """A news id from a uniformly random category."""
+    ids = ids_by_category[int(rng.integers(len(ids_by_category)))]
+    return ids[int(rng.integers(len(ids)))]
 
 
 def generate_corpus(
@@ -80,6 +104,10 @@ def generate_corpus(
     negatives_per_impression: int = 4,
     train_fraction: float = 0.8,
     seed: int = 7,
+    click_noise: float = 0.0,
+    history_noise: float = 0.0,
+    shared_word_share: float = 0.0,
+    negatives_any_category: bool = False,
 ) -> FixturePaths:
     """Write news.tsv plus behaviors_train.tsv / behaviors_test.tsv.
 
@@ -87,6 +115,13 @@ def generate_corpus(
     robin; every impression shows one preferred-category candidate (the
     click) and ``negatives_per_impression`` candidates from other
     categories, in shuffled order.
+
+    Noise: with probability ``click_noise`` a click, and with probability
+    ``history_noise`` a history entry, comes from a uniformly random
+    category instead; each title and abstract word comes with probability
+    ``shared_word_share`` from a pool of 60 words that all categories
+    share; ``negatives_any_category`` draws the negatives without
+    replacement from every news item but the click.
     """
     if not 2 <= n_categories <= len(_CONSONANT_SETS):
         raise ConfigError(f"n_categories must be in [2, {len(_CONSONANT_SETS)}], got {n_categories}")
@@ -96,20 +131,30 @@ def generate_corpus(
         raise ConfigError(f"n_impressions={n_impressions} must divide evenly over {n_users} users")
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0,1), got {train_fraction}")
+    for name, share in (("click_noise", click_noise), ("history_noise", history_noise),
+                        ("shared_word_share", shared_word_share)):
+        if not 0.0 <= share <= 1.0:
+            raise ConfigError(f"{name} must be in [0,1], got {share}")
+    if negatives_any_category and negatives_per_impression >= n_news:
+        raise ConfigError(f"negatives_per_impression={negatives_per_impression} needs more "
+                          f"than {n_news} news to draw without replacement")
     rng = np.random.default_rng(seed)
     per_category = n_news // n_categories
     vocabs = [
-        _category_vocab(rng, _CONSONANT_SETS[c], words_per_category)
+        _vocab(rng, _CONSONANT_SETS[c], _VOWELS, words_per_category)
         for c in range(n_categories)
     ]
+    shared = (_vocab(rng, _VOWELS, "".join(_CONSONANT_SETS), _SHARED_POOL)
+              if shared_word_share else [])
 
     articles: list[NewsArticle] = []
     ids_by_category: list[list[str]] = [[] for _ in range(n_categories)]
     for i in range(n_news):
         cat = i % n_categories
         news_id = f"N{i + 1}"
-        title = " ".join(_phrase(rng, vocabs[cat], title_words))
-        abstract = " ".join(_phrase(rng, vocabs[cat], abstract_words)) + "."
+        title = " ".join(_phrase(rng, vocabs[cat], title_words, shared, shared_word_share))
+        abstract = " ".join(_phrase(rng, vocabs[cat], abstract_words, shared,
+                                    shared_word_share)) + "."
         articles.append(NewsArticle(
             news_id=news_id,
             category=_CATEGORY_NAMES[cat],
@@ -129,7 +174,12 @@ def generate_corpus(
         cat = u % n_categories
         size = int(rng.integers(history_min, history_max + 1))
         picks = rng.choice(per_category, size=size, replace=False)
-        histories.append([ids_by_category[cat][int(p)] for p in picks])
+        history = [ids_by_category[cat][int(p)] for p in picks]
+        if history_noise:
+            for i in range(size):
+                if rng.random() < history_noise:
+                    history[i] = _random_news(rng, ids_by_category)
+        histories.append(history)
 
     train_logs: list[ImpressionLog] = []
     test_logs: list[ImpressionLog] = []
@@ -138,14 +188,23 @@ def generate_corpus(
         for u in range(n_users):
             impression_id += 1
             cat = u % n_categories
-            positive = ids_by_category[cat][int(rng.integers(per_category))]
+            if click_noise and rng.random() < click_noise:
+                positive = _random_news(rng, ids_by_category)
+            else:
+                positive = ids_by_category[cat][int(rng.integers(per_category))]
             candidates = [(positive, 1)]
-            for _ in range(negatives_per_impression):
-                other = int(rng.integers(n_categories - 1))
-                if other >= cat:
-                    other += 1
-                neg = ids_by_category[other][int(rng.integers(per_category))]
-                candidates.append((neg, 0))
+            if negatives_any_category:
+                # news N{i + 1} is article i: skip the click's index
+                click = int(positive[1:]) - 1
+                picks = rng.choice(n_news - 1, size=negatives_per_impression, replace=False)
+                candidates.extend((f"N{int(p) + (p >= click) + 1}", 0) for p in picks)
+            else:
+                for _ in range(negatives_per_impression):
+                    other = int(rng.integers(n_categories - 1))
+                    if other >= cat:
+                        other += 1
+                    neg = ids_by_category[other][int(rng.integers(per_category))]
+                    candidates.append((neg, 0))
             order = rng.permutation(len(candidates))
             log = ImpressionLog(
                 impression_id=str(impression_id),
