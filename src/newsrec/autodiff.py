@@ -15,12 +15,15 @@ import numpy as np
 
 
 class Tensor:
-    """Node of the graph: value, gradient, parents and backward closure."""
+    """Node of the graph: value, gradient, parents and backward closure.
+
+    The value is float32 if given as float32, and float64 otherwise."""
 
     __slots__ = ("data", "grad", "parents", "bwd")
 
     def __init__(self, data, parents=()):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.parents = tuple(parents)
         self.bwd = None

@@ -26,7 +26,13 @@ backward derived here by hand; inference calls the same forward and
 builds no node.
 
 Each encoder's weights are one flat float64 array (``EncoderParams``),
-and ``model.bin`` stores the two arrays as they are, in float32.
+and ``model.bin`` stores the two arrays as they are, in float32.  The
+encoders, ``sample_loss`` and their backwards compute in the dtype of
+their inputs.  Training is mixed precision: the float64 weights are the
+masters, which Adam steps with float64 moments, and each step computes
+in float32, on the embeddings cast once per run and a float32 copy of the
+masters; the step's gradients are cast back to float64.  Inference
+computes in float64 over the loaded weights.
 
 Inference encodes each news item once: ``retrieval.CorpusIndex`` holds
 the ``news_vectors`` of a whole corpus, and ``evaluate``, ``recommend`` and
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Container, Mapping, Sequence
 
 import numpy as np
@@ -107,6 +113,12 @@ class ModelParams:
 
     def tensors(self) -> list[ad.Tensor]:
         return [self.news.weights, self.user.weights]
+
+    def astype(self, dtype) -> ModelParams:
+        """A copy whose encoders' weights are cast to ``dtype``, as new leaf tensors."""
+        news, user = (replace(enc, weights=ad.Tensor(enc.weights.data.astype(dtype)))
+                      for enc in (self.news, self.user))
+        return replace(self, news=news, user=user)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -200,7 +212,7 @@ def self_attention(x: np.ndarray, enc: EncoderParams, d_head: int,
     backward pass reuses.
     """
     qkv = _project(x, enc.Wqkv)
-    out = np.empty((len(x), enc.d_model))
+    out = np.empty((len(x), enc.d_model), dtype=qkv.dtype)
     attn = []
     for row, count, length in _runs(lengths):
         q, k, v = _heads(qkv[row : row + count * length], count, length, d_head)
@@ -251,7 +263,7 @@ def _forward(source: np.ndarray, seqs: Sequence[np.ndarray], enc: EncoderParams,
     recomputes them.
     """
     lengths = np.array([len(s) for s in seqs])
-    out = np.empty((len(seqs), enc.d_model))
+    out = np.empty((len(seqs), enc.d_model), dtype=np.result_type(source, enc.weights.data))
     tape = []
     for chunk in _pack(lengths):
         idx = np.concatenate([seqs[i] for i in chunk])
@@ -475,11 +487,17 @@ def build_train_samples(
     return samples
 
 
-def _check_finite(params: ModelParams) -> None:
-    for tag, enc in (("news", params.news), ("user", params.user)):
+def _float32_copy(params: ModelParams) -> ModelParams:
+    """The float32 cast of the master weights: what a training step
+    computes with and what ``model.bin`` stores.  A weight that is nan/inf
+    in float32 (beyond its range, too) raises NonfiniteParameter."""
+    with np.errstate(over="ignore"):
+        copy = params.astype(np.float32)
+    for tag, enc in (("news", copy.news), ("user", copy.user)):
         for name, part in zip(("Wqkv", "proj", "query"), enc.parts(enc.weights.data)):
             if not np.isfinite(part).all():
-                raise NonfiniteParameter(f"model parameter {tag}.{name} contains nan/inf")
+                raise NonfiniteParameter(f"model parameter {tag}.{name} is nan/inf in float32")
+    return copy
 
 
 def train_model(
@@ -491,6 +509,9 @@ def train_model(
     """Fit both encoders with Adam; returns (params, per-epoch mean loss).
 
     Word embeddings are inputs, not parameters: they are never updated.
+    They are cast to float32 once, and each step computes in float32 (see
+    ``_train_batch``); the returned weights are the float64 masters, whose
+    float32 cast is checked finite before they are returned.
     One seed drives initialization, negative sampling, and the per-epoch
     shuffle, so identical inputs give identical parameters.
     """
@@ -506,6 +527,7 @@ def train_model(
             "no trainable samples: every impression lacks usable history, "
             "a clicked candidate, or an encodable negative"
         )
+    words = lookup.matrix.astype(np.float32)
     optimizer = Adam(params.tensors(), config.learning_rate)
     trace: list[float] = []
     for _ in range(config.epochs):
@@ -513,9 +535,9 @@ def train_model(
         epoch_losses: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = [samples[i] for i in order[start : start + config.batch_size]]
-            epoch_losses.extend(_train_batch(batch, titles, lookup.matrix, params, optimizer))
-        _check_finite(params)
+            epoch_losses.extend(_train_batch(batch, titles, words, params, optimizer))
         trace.append(math.fsum(epoch_losses) / len(epoch_losses))
+    _float32_copy(params)   # the last step's weights, which model.bin stores
     return params, trace
 
 
@@ -536,15 +558,21 @@ def _train_batch(batch: Sequence[TrainSample], titles: Mapping[str, np.ndarray],
                  words: np.ndarray, params: ModelParams, optimizer: Adam) -> list[float]:
     """One Adam step on one batch; returns the per-sample losses.
 
-    The batch's graph is freed on return, before the next batch builds its own.
+    The batch runs in float32, on the float32 ``words`` and a float32 copy
+    of the master weights ``params``; its gradients are cast back to
+    float64 for the Adam step on the masters.  The batch's graph is freed
+    on return, before the next batch builds its own.
     """
-    losses = _batch_losses(batch, titles, words, params)
+    compute = _float32_copy(params)
+    losses = _batch_losses(batch, titles, words, compute)
     batch_loss = ad.mean(losses)
     if not math.isfinite(batch_loss.data):
         raise DivergedCost(
             f"training loss became non-finite (learning_rate={optimizer.lr})"
         )
     ad.backward(batch_loss)
+    for master, copy in zip(params.tensors(), compute.tensors()):
+        master.grad = copy.grad.astype(np.float64)
     optimizer.step()
     return losses.data.tolist()
 

@@ -826,6 +826,35 @@ class TestTrainGlove:
             assert len(digest) == 64
 
 
+class TestTrainModelDivergence:
+    """Weights that outgrow float32 end in exit 4 and write no model.bin,
+    which every reader would refuse."""
+
+    def train(self, pipeline, fixture_dir, out, *flags):
+        return cli.main(["train-model", "--corpus", pipeline["corpus"],
+                         "--behaviors", fixture_dir.behaviors_train,
+                         "--embeddings", pipeline["embeddings"], "--out-dir", str(out),
+                         *MODEL_FLAGS, *flags])
+
+    def test_one_step_run_exits_4_without_model(self, pipeline, fixture_dir, tmp_path, capsys):
+        """One Adam step to 1e39, past float32's range: only the check
+        after the last step sees it."""
+        out = tmp_path / "model"
+        assert self.train(pipeline, fixture_dir, out, "--epochs", "1", "--batch-size", "1024",
+                          "--learning-rate", "1e39") == 4
+        err = capsys.readouterr().err
+        assert "is nan/inf in float32" in err and "Traceback" not in err
+        assert not (out / "model.bin").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_multi_step_run_exits_4_without_model(self, pipeline, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "model"
+        assert self.train(pipeline, fixture_dir, out, "--learning-rate", "1e38") == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "model.bin").exists()
+
+
 def test_epoch_trace_csv_writes_one_repr_line_per_epoch():
     assert cli.epoch_trace_csv("cost", [1.5, 0.25]) == "epoch,cost\n1,1.5\n2,0.25\n"
     assert cli.epoch_trace_csv("mean_loss", [0.1]) == "epoch,mean_loss\n1,0.1\n"
