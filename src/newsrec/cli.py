@@ -12,9 +12,9 @@ the configuration, which ``config.check`` tests against each setting's
 declared type and range, and checks that ``--out-dir`` is, or can become, a
 directory, so a config error never leaves partial outputs; it hands the
 command the config and a ``RunManifest``, in which the command records
-its inputs (``_inputs``) and outputs (``_emit``) by digest; and it writes
-``manifest_<command>.json`` with those digests and per-phase wall times
-to ``--out-dir``.
+its inputs (``_inputs``, ``_read_input``) and outputs (``_emit``) by
+digest; and it writes ``manifest_<command>.json`` with those digests and
+per-phase wall times to ``--out-dir``.
 
 ``--threads`` (``run.threads``) has no effect: every command runs on one
 thread.  It is still checked (>= 1) and recorded in the manifest, so
@@ -85,6 +85,18 @@ def _inputs(manifest: RunManifest, *paths: str) -> None:
         manifest.add_input(path)
 
 
+def _read_input(manifest: RunManifest, path: str) -> bytes:
+    """The bytes of one input file, recorded by their digest: a checkpoint
+    parsed from them is the one the manifest names, even if the file is
+    replaced while the command runs."""
+    if not os.path.isfile(path):
+        raise MissingInput(f"input file not found: {path}")
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    manifest.add_input(path, blob)
+    return blob
+
+
 def _out_path(args, name: str) -> str:
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
@@ -119,14 +131,13 @@ def _emit(args, manifest: RunManifest, name: str, text: str) -> str:
     return path
 
 
-def _load_model(args) -> tuple[gl.EmbeddingLookup, mdl.ModelParams]:
-    """Load ``--embeddings`` and ``--model``; their widths must agree."""
+def _load_embeddings(args, params: mdl.ModelParams) -> gl.EmbeddingLookup:
+    """Load ``--embeddings``, whose width must be the one ``--model`` was trained on."""
     lookup = gl.load_embeddings(args.embeddings)
-    params = mdl.load_model(args.model)
     if params.embed_dim != lookup.dim:
         raise ConfigError(f"{args.model} expects {params.embed_dim}-dim embeddings, "
                           f"but {args.embeddings} holds {lookup.dim}-dim vectors")
-    return lookup, params
+    return lookup
 
 
 def _stopwords(cfg: AppConfig, manifest: RunManifest) -> frozenset[str]:
@@ -210,10 +221,12 @@ def cmd_train_model(args, cfg: AppConfig, manifest: RunManifest) -> None:
 
 
 def cmd_evaluate(args, cfg: AppConfig, manifest: RunManifest) -> None:
-    _inputs(manifest, args.corpus, args.behaviors, args.embeddings, args.model)
+    _inputs(manifest, args.corpus, args.behaviors, args.embeddings)
+    model = _read_input(manifest, args.model)
     corpus = tp.load_tokenized(args.corpus)
     with manifest.phase("load"):
-        lookup, params = _load_model(args)
+        params = mdl.load_model(args.model, model)
+        lookup = _load_embeddings(args, params)
         logs, _ = mind.load_behaviors(args.behaviors)
         if not logs:
             raise InputError(f"{args.behaviors}: no parseable impression logs")
@@ -233,22 +246,29 @@ def cmd_evaluate(args, cfg: AppConfig, manifest: RunManifest) -> None:
 
 
 def _model_stack(args, manifest: RunManifest):
-    """The embeddings, the model and the corpus index of a query, and the
-    function to call once the query's own output is written: it writes
-    ``news_index.bin`` to ``--out-dir`` if the index was built rather than
-    read from there, and lists the file among the outputs."""
-    _inputs(manifest, args.corpus, args.embeddings, args.model)
-    corpus = tp.load_tokenized(args.corpus)
-    lookup, params = _load_model(args)
+    """The embeddings loader, the model and the corpus index of a query,
+    and the function to call once the query's own output is written: it
+    writes ``news_index.bin`` to ``--out-dir`` if the index was built rather
+    than read from there, and lists the file among the outputs.
+
+    ``--embeddings`` is digested but parsed only when the loader is first
+    called: to build the index, or to encode a free-text ``similar`` query.
+    ``--corpus`` is read as ``tp.TokenizedLine`` records, whose token
+    columns only a build splits."""
+    _inputs(manifest, args.corpus, args.embeddings)
+    model = _read_input(manifest, args.model)
+    corpus = list(tp.read_tokenized(args.corpus))
+    params = mdl.load_model(args.model, model)
+    lookup = functools.cache(lambda: _load_embeddings(args, params))
     digests = {name: manifest.inputs[getattr(args, name)]
                for name in ("corpus", "embeddings", "model")}
     path = os.path.join(args.out_dir, ret.INDEX_FILE)
-    index, built = ret.load_or_build_index(path, corpus, lookup, params, digests)
+    index, stored = ret.load_or_build_index(path, corpus, lookup, params, digests)
 
     def keep_index() -> None:
-        if built:
+        if stored is None:
             ret.save_index(path, index, digests)
-        manifest.add_output(path)
+        manifest.add_output(path, stored)
 
     return lookup, params, index, keep_index
 

@@ -29,6 +29,10 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def _digest(path: str, blob: bytes | None) -> str:
+    return sha256_file(path) if blob is None else hashlib.sha256(blob).hexdigest()
+
+
 class RunManifest:
     """Accumulates run metadata, then serializes to one JSON file."""
 
@@ -39,11 +43,13 @@ class RunManifest:
         self.outputs: dict[str, str] = {}
         self.phase_seconds: dict[str, float] = {}
 
-    def add_input(self, path: str) -> None:
-        self.inputs[path] = sha256_file(path)
+    def add_input(self, path: str, blob: bytes | None = None) -> None:
+        """Record ``path`` by the digest of ``blob``, the bytes the caller
+        read from it and parses, or else of the file, read in blocks."""
+        self.inputs[path] = _digest(path, blob)
 
-    def add_output(self, path: str) -> None:
-        self.outputs[path] = sha256_file(path)
+    def add_output(self, path: str, blob: bytes | None = None) -> None:
+        self.outputs[path] = _digest(path, blob)
 
     @contextmanager
     def phase(self, name: str):

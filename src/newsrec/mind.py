@@ -337,15 +337,17 @@ def write_checkpoint(path: str, magic: bytes, header: dict,
     write_text_atomic(path, b"".join(chunks))
 
 
-def read_checkpoint(path: str, magic: bytes, what: str,
-                    dtype: str = "<f4") -> tuple[dict, np.ndarray]:
+def read_checkpoint(path: str, magic: bytes, what: str, dtype: str = "<f4",
+                    blob: bytes | None = None) -> tuple[dict, np.ndarray]:
     """The header, less its ``dtype`` key, and the flat ``dtype`` payload
     of a ``write_checkpoint`` file; another magic, a cut or garbled header,
     a header that is not a JSON object or names another dtype (none names
     float32), or a payload that is not whole values raises ConfigError
-    naming ``path`` (``what`` says what the file should be)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    naming ``path`` (``what`` says what the file should be).  ``blob`` is
+    the file's bytes, when the caller has read them already."""
+    if blob is None:
+        with open(path, "rb") as fh:
+            blob = fh.read()
     if blob[: len(magic)] != magic:
         raise ConfigError(f"{path} is not {what}: it starts with "
                           f"{blob[: len(magic)]!r}, not {magic!r}")

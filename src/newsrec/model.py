@@ -562,15 +562,20 @@ def _train_batch(batch: Sequence[TrainSample], titles: Mapping[str, np.ndarray],
     of the master weights ``params``; its gradients are cast back to
     float64 for the Adam step on the masters.  The batch's graph is freed
     on return, before the next batch builds its own.
+
+    Weights that grow past float32 overflow in the forward, which numpy
+    would warn of; the step raises DivergedCost for the non-finite loss,
+    and ``_float32_copy`` NonfiniteParameter for the weights, instead.
     """
     compute = _float32_copy(params)
-    losses = _batch_losses(batch, titles, words, compute)
-    batch_loss = ad.mean(losses)
-    if not math.isfinite(batch_loss.data):
-        raise DivergedCost(
-            f"training loss became non-finite (learning_rate={optimizer.lr})"
-        )
-    ad.backward(batch_loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = _batch_losses(batch, titles, words, compute)
+        batch_loss = ad.mean(losses)
+        if not math.isfinite(batch_loss.data):
+            raise DivergedCost(
+                f"training loss became non-finite (learning_rate={optimizer.lr})"
+            )
+        ad.backward(batch_loss)
     for master, copy in zip(params.tensors(), compute.tensors()):
         master.grad = copy.grad.astype(np.float64)
     optimizer.step()
@@ -645,15 +650,16 @@ def save_model(path: str, params: ModelParams) -> None:
     write_checkpoint(path, MODEL_MAGIC, header, [params.news.weights.data, params.user.weights.data])
 
 
-def load_model(path: str) -> ModelParams:
-    """Read a ``save_model`` checkpoint into one float64 array per encoder.
+def load_model(path: str, blob: bytes | None = None) -> ModelParams:
+    """Read a ``save_model`` checkpoint into one float64 array per encoder;
+    ``blob`` is the file's bytes, when the caller has read them already.
 
     Another magic (an ``NRECMDL1`` file among them), a header without
     every ``ModelConfig`` field and ``embed_dim``, a truncated or garbled
     part of the file, or a nan/inf parameter raises ConfigError naming
     ``path``.
     """
-    raw, values = read_checkpoint(path, MODEL_MAGIC, "a model checkpoint")
+    raw, values = read_checkpoint(path, MODEL_MAGIC, "a model checkpoint", blob=blob)
     names = [f.name for f in fields(ModelConfig)]
     missing = [name for name in ("embed_dim", *names) if name not in raw]
     try:

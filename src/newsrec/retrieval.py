@@ -7,7 +7,8 @@ finds the corpus items whose encoded vectors lie closest to a query
 
 Both read news vectors from a ``CorpusIndex``.  ``load_or_build_index``
 reads one from a ``news_index.bin`` file written by ``save_index`` for the
-same inputs, or builds it when there is no such file.
+same inputs, or builds it when there is no such file; only a build, or a
+free-text query, needs the word embeddings.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ import numpy as np
 from .errors import ConfigError, EmptyCandidatePool, NoKnownTokens
 from .glove import EmbeddingLookup
 from .mind import read_checkpoint, write_checkpoint
-from .model import (ModelParams, news_vector, news_vectors, score_click, title_rows,
-                    usable_history, user_vectors)
-from .textprep import TokenizedNews
+from .model import ModelParams, news_vector, news_vectors, title_rows, usable_history, user_vectors
+from .textprep import TokenizedLine, TokenizedNews
+
+# a corpus record: what the index holds of each news item
+News = TokenizedNews | TokenizedLine
 
 SNIPPET_WIDTH = 48
 METRICS = ("euclidean", "cosine-distance")
@@ -66,9 +69,11 @@ class CorpusIndex:
 
     Each title is resolved to its ``model.title_rows`` once.  Items with
     none are dropped (they cannot be scored); ``skipped`` lists their ids.
+    ``items`` are the corpus records of the rows, whose news id, category,
+    raw title and raw abstract the queries read.
     """
 
-    def __init__(self, corpus: Sequence[TokenizedNews], lookup: EmbeddingLookup, params: ModelParams):
+    def __init__(self, corpus: Sequence[News], lookup: EmbeddingLookup, params: ModelParams):
         rows = [title_rows(item.title_tokens, lookup, params.config.max_title_tokens)
                 for item in corpus]
         self.items = [item for item, r in zip(corpus, rows) if len(r)]
@@ -78,7 +83,7 @@ class CorpusIndex:
                        if self.items else np.empty((0, params.config.d_model)))
 
     @classmethod
-    def _of_rows(cls, corpus: Sequence[TokenizedNews], items: list[TokenizedNews],
+    def _of_rows(cls, corpus: Sequence[News], items: list[News],
                  matrix: np.ndarray) -> "CorpusIndex":
         """The index of ``corpus`` whose row i, ``matrix[i]``, is the vector
         of ``items[i]``, as ``save_index`` stored it."""
@@ -108,11 +113,13 @@ def save_index(path: str, index: CorpusIndex, inputs: dict[str, str]) -> None:
     write_checkpoint(path, INDEX_MAGIC, header, [index.matrix], dtype="<f8")
 
 
-def load_or_build_index(path: str, corpus: Sequence[TokenizedNews], lookup: EmbeddingLookup,
-                        params: ModelParams, inputs: dict[str, str]) -> tuple[CorpusIndex, bool]:
-    """The ``save_index`` file at ``path`` as an index, if it was written
-    for these ``inputs`` digests and this numpy, else a new ``CorpusIndex``;
-    the flag says whether it was built.
+def load_or_build_index(path: str, corpus: Sequence[News], lookup: Callable[[], EmbeddingLookup],
+                        params: ModelParams, inputs: dict[str, str]
+                        ) -> tuple[CorpusIndex, bytes | None]:
+    """The ``save_index`` file at ``path`` as an index, and the bytes it
+    was read from, if it was written for these ``inputs`` digests and this
+    numpy; else a new ``CorpusIndex`` over the embeddings ``lookup()``
+    loads, and None.
 
     A file for other inputs or another numpy is stale and ignored.  A file
     with another magic, a cut or garbled header, ids that are not distinct
@@ -120,7 +127,9 @@ def load_or_build_index(path: str, corpus: Sequence[TokenizedNews], lookup: Embe
     ConfigError naming ``path``.
     """
     if os.path.isfile(path):
-        header, values = read_checkpoint(path, INDEX_MAGIC, "a news index", dtype="<f8")
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        header, values = read_checkpoint(path, INDEX_MAGIC, "a news index", "<f8", blob)
         if header.get("inputs") == inputs and header.get("numpy") == np.__version__:
             ids, width = header.get("ids"), params.config.d_model
             by_id = {item.news_id: item for item in corpus}
@@ -135,8 +144,8 @@ def load_or_build_index(path: str, corpus: Sequence[TokenizedNews], lookup: Embe
             # a copy: the payload may start at any byte, and numpy may take
             # other kernels over unaligned rows than over a built index's
             matrix = values.reshape(len(ids), width).copy()
-            return CorpusIndex._of_rows(corpus, [by_id[nid] for nid in ids], matrix), False
-    return CorpusIndex(corpus, lookup, params), True
+            return CorpusIndex._of_rows(corpus, [by_id[nid] for nid in ids], matrix), blob
+    return CorpusIndex(corpus, lookup(), params), None
 
 
 def recommend(
@@ -165,7 +174,7 @@ def recommend(
     history = usable_history(user_history, index.by_id, params.config.max_history)
     (uvec,) = user_vectors(index.matrix, [[index.by_id[nid] for nid in history]], params)
     history_set = set(user_history)
-    scored = []
+    ids, rows = [], []
     seen = set()
     clicked = unknown = 0
     for nid in candidate_pool:
@@ -174,16 +183,20 @@ def recommend(
         seen.add(nid)
         if nid in history_set:
             clicked += 1
-        elif (vec := index.vector_of(nid)) is None:
+        elif (row := index.by_id.get(nid)) is None:
             unknown += 1
         else:
-            scored.append((nid, score_click(uvec, vec)))
-    if not scored:
+            ids.append(nid)
+            rows.append(row)
+    if not ids:
         raise EmptyCandidatePool(
             f"no candidate left to score: of {len(seen)} distinct pool ids, {unknown} are "
             f"not in the corpus index and {clicked} are in the user's history"
         )
-    scored.sort(key=lambda e: (-e[1], e[0]))
+    # one (1, d) @ (d, 1) product per row, stacked: each is the dot product
+    # ``model.score_click`` takes, bit for bit, which ``index.matrix @ uvec`` is not
+    scores = (uvec[None, None, :] @ index.matrix[:, :, None])[:, 0, 0]
+    scored = sorted(zip(ids, scores[rows].tolist()), key=lambda e: (-e[1], e[0]))
     return RecommendationList(
         user_id=user_id,
         entries=tuple(scored[:top_n]),
@@ -213,14 +226,15 @@ _DISTANCE_FNS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 def _resolve_query(
     query: str,
     index: CorpusIndex,
-    lookup: EmbeddingLookup,
+    lookup: Callable[[], EmbeddingLookup],
     params: ModelParams,
     normalize: Callable[[str], list[str]],
 ) -> tuple[np.ndarray, str | None]:
     """Map a query to (vector, excluded news id).
 
     Resolution order: exact news id, exact raw headline (first match),
-    else normalize the text like a title and encode it.
+    else normalize the text like a title and encode it over the
+    embeddings ``lookup()`` returns.
     """
     vec = index.vector_of(query)
     if vec is not None:
@@ -231,19 +245,22 @@ def _resolve_query(
     tokens = normalize(query)
     if not tokens:
         raise NoKnownTokens(f"query {query!r} has no tokens after normalization")
-    return news_vector(tokens, lookup, params), None
+    return news_vector(tokens, lookup(), params), None
 
 
 def similar_news(
     query: str,
     index: CorpusIndex,
-    lookup: EmbeddingLookup,
+    lookup: Callable[[], EmbeddingLookup],
     params: ModelParams,
     normalize: Callable[[str], list[str]],
     top_n: int = 10,
     metric: str = "euclidean",
 ) -> SimilarityResult:
     """Corpus items nearest to the query vector, distance ascending.
+
+    ``lookup`` returns the word embeddings; only a free-text query, which
+    is encoded, calls it.
 
     Equal distances order by ascending news id.  When the query resolves
     to a corpus item, that item is excluded from its own neighbor list.

@@ -15,7 +15,7 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import AllTokensRemoved, InputError, MissingInput
 from .mind import NewsArticle, write_text_atomic
@@ -188,6 +188,32 @@ def preprocess_corpus(
 TOKENIZED_COLUMNS = 7
 
 
+class TokenizedLine(NamedTuple):
+    """The seven fields of one ``tokenized.tsv`` line, as they are written.
+
+    The token columns stay space-joined strings: ``title_tokens`` splits
+    the title's, and ``news`` makes the full record, abstract tokens
+    included.  A query reads the index's news from these fields alone.
+    """
+
+    news_id: str
+    category: str
+    subcategory: str
+    raw_title: str
+    raw_abstract: str
+    title_text: str
+    abstract_text: str
+
+    @property
+    def title_tokens(self) -> tuple[str, ...]:
+        return tuple(self.title_text.split())
+
+    def news(self) -> TokenizedNews:
+        news_id, category, subcategory, raw_title, raw_abstract, title, abstract = self
+        return TokenizedNews(news_id, category, subcategory, tuple(title.split()),
+                             tuple(abstract.split()), raw_title, raw_abstract)
+
+
 def format_tokenized_line(news: TokenizedNews) -> str:
     return "\t".join(
         [
@@ -202,46 +228,34 @@ def format_tokenized_line(news: TokenizedNews) -> str:
     )
 
 
-def parse_tokenized_line(line: str) -> TokenizedNews:
-    fields = line.rstrip("\r\n").split("\t")
-    if len(fields) != TOKENIZED_COLUMNS:
-        raise ValueError(f"expected {TOKENIZED_COLUMNS} columns, got {len(fields)}")
-    news_id, category, subcategory, raw_title, raw_abstract, title_toks, abstract_toks = fields
-    return TokenizedNews(
-        news_id=news_id,
-        category=category,
-        subcategory=subcategory,
-        title_tokens=tuple(title_toks.split()) if title_toks else (),
-        abstract_tokens=tuple(abstract_toks.split()) if abstract_toks else (),
-        raw_title=raw_title,
-        raw_abstract=raw_abstract,
-    )
-
-
 def save_tokenized(path: str, corpus: Sequence[TokenizedNews]) -> None:
     write_text_atomic(path, "".join(format_tokenized_line(n) + "\n" for n in corpus))
 
 
-def load_tokenized(path: str) -> list[TokenizedNews]:
-    """The records of a ``save_tokenized`` file, a leading byte-order mark
-    ignored; a bad line or a repeated id raises InputError."""
+def read_tokenized(path: str) -> Iterator[TokenizedLine]:
+    """The lines of a ``save_tokenized`` file, a leading byte-order mark
+    ignored, one at a time as they are read; a line without 7 columns or a
+    repeated id raises InputError."""
     if not os.path.isfile(path):
         raise MissingInput(f"tokenized corpus not found: {path}")
-    corpus = []
     first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                try:
-                    item = parse_tokenized_line(line)
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from exc
-                seen = first_line.setdefault(item.news_id, lineno)
+                fields = line.rstrip("\r\n").split("\t")
+                if len(fields) != TOKENIZED_COLUMNS:
+                    raise InputError(f"{path}:{lineno}: expected {TOKENIZED_COLUMNS} columns, "
+                                     f"got {len(fields)}")
+                seen = first_line.setdefault(fields[0], lineno)
                 if seen != lineno:
-                    raise InputError(f"{path}:{lineno}: news id {item.news_id!r} repeats line {seen}")
-                corpus.append(item)
+                    raise InputError(f"{path}:{lineno}: news id {fields[0]!r} repeats line {seen}")
+                yield TokenizedLine._make(fields)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
-    return corpus
+
+
+def load_tokenized(path: str) -> list[TokenizedNews]:
+    """The records of a ``save_tokenized`` file, read by ``read_tokenized``."""
+    return [line.news() for line in read_tokenized(path)]

@@ -5,8 +5,10 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import stat
 import struct
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -846,13 +848,22 @@ class TestTrainModelDivergence:
         assert "is nan/inf in float32" in err and "Traceback" not in err
         assert not (out / "model.bin").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_multi_step_run_exits_4_without_model(self, pipeline, fixture_dir, tmp_path, capsys):
         out = tmp_path / "model"
         assert self.train(pipeline, fixture_dir, out, "--learning-rate", "1e38") == 4
         assert "Traceback" not in capsys.readouterr().err
         assert not (out / "model.bin").exists()
+
+    def test_diverging_run_prints_only_the_error_line(self, pipeline, fixture_dir, tmp_path,
+                                                      capsys):
+        """The overflow that ends training is reported by the exit-4 line
+        alone: numpy's RuntimeWarnings would be raised here, not printed."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = self.train(pipeline, fixture_dir, tmp_path / "model", "--learning-rate", "1e38")
+        assert code == 4
+        assert capsys.readouterr().err == ("newsrec train-model: error: training loss became "
+                                           "non-finite (learning_rate=1e+38)\n")
 
 
 def test_epoch_trace_csv_writes_one_repr_line_per_epoch():
@@ -998,6 +1009,12 @@ class TestNewsIndex:
         produced = out / self.OUTPUT[args[0]]
         return code, stdout, produced.read_bytes() if produced.exists() else None
 
+    def failure(self, args, out, capsys, corpus, embeddings, model):
+        """(exit code, stderr) of one query into ``out``."""
+        code = cli.main([*args, "--corpus", str(corpus), "--embeddings", str(embeddings),
+                         "--model", str(model), "--top-n", "4", "--out-dir", str(out)])
+        return code, capsys.readouterr().err
+
     def stack(self, pipeline):
         return pipeline["corpus"], pipeline["embeddings"], pipeline["model_bin"]
 
@@ -1141,6 +1158,162 @@ class TestNewsIndex:
         assert code == 3
         assert "user 'NOBODY' does not appear" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["user", "history", "id", "headline"])
+    def test_warm_query_parses_no_embeddings_or_token_columns(self, kind, pipeline, fixture_dir,
+                                                              tmp_path, capsys, monkeypatch):
+        args = self.query_args(kind, pipeline, fixture_dir)
+        out = tmp_path / "q"
+        cold = self.run(args, out, capsys, *self.stack(pipeline))
+        assert cold[0] == 0
+
+        def unused(*_args):
+            raise AssertionError("a warm query parsed what it does not read")
+
+        monkeypatch.setattr(gl, "load_embeddings", unused)
+        monkeypatch.setattr(tp.TokenizedLine, "news", unused)
+        monkeypatch.setattr(tp.TokenizedLine, "title_tokens", property(unused))
+        assert self.run(args, out, capsys, *self.stack(pipeline)) == cold
+
+    def test_free_text_query_loads_the_embeddings_once(self, pipeline, fixture_dir, tmp_path,
+                                                       capsys, monkeypatch):
+        calls = []
+        load = gl.load_embeddings
+        monkeypatch.setattr(gl, "load_embeddings", lambda path: calls.append(path) or load(path))
+        args = self.query_args("text", pipeline, fixture_dir)
+        outputs = []
+        for _ in ("cold", "warm"):
+            calls.clear()
+            outputs.append(self.run(args, tmp_path / "q", capsys, *self.stack(pipeline)))
+            assert calls == [pipeline["embeddings"]]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+    @staticmethod
+    def change_one_byte(path, lineno, column):
+        """Change the last character of one space- or tab-separated column of
+        one line, to another digit or letter."""
+        lines = open(path, "rb").read().splitlines(keepends=True)
+        sep = b"\t" if path.endswith(".tsv") else b" "
+        fields = lines[lineno].rstrip(b"\n").split(sep)
+        last = fields[column][-1:]
+        fields[column] = fields[column][:-1] + (b"1" if last.isdigit() and last != b"1" else
+                                                b"2" if last.isdigit() else
+                                                b"q" if last != b"q" else b"z")
+        lines[lineno] = sep.join(fields) + b"\n"
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines))
+
+    @pytest.mark.parametrize("which", ["corpus", "embeddings"])
+    @pytest.mark.parametrize("kind", ["user", "id", "text"])
+    def test_one_changed_byte_rebuilds_the_index(self, which, kind, pipeline, fixture_dir,
+                                                 tmp_path, capsys):
+        """The byte lies where a warm query never looks: in the abstract
+        tokens of tokenized.tsv, or in a vector of embeddings.txt."""
+        corpus, embeddings = str(tmp_path / "tokenized.tsv"), str(tmp_path / "embeddings.txt")
+        shutil.copy(pipeline["corpus"], corpus)
+        shutil.copy(pipeline["embeddings"], embeddings)
+        stack = (corpus, embeddings, pipeline["model_bin"])
+        args = self.query_args(kind, pipeline, fixture_dir)
+        out = tmp_path / "q"
+        assert self.run(args, out, capsys, *stack)[0] == 0
+        stale = (out / "news_index.bin").read_bytes()
+        if which == "corpus":
+            self.change_one_byte(corpus, 0, 6)
+        else:
+            self.change_one_byte(embeddings, 0, 1)
+        again = self.run(args, out, capsys, *stack)
+        fresh = self.run(args, tmp_path / "fresh", capsys, *stack)
+        assert again == fresh and fresh[0] == 0
+        index = (out / "news_index.bin").read_bytes()
+        assert index == (tmp_path / "fresh" / "news_index.bin").read_bytes() != stale
+
+    @pytest.mark.parametrize("case", ["six_columns", "repeated_id"])
+    @pytest.mark.parametrize("kind", ["user", "headline"])
+    def test_bad_corpus_line_exits_3_beside_a_warm_index(self, case, kind, pipeline, fixture_dir,
+                                                         tmp_path, capsys):
+        corpus = tmp_path / "tokenized.tsv"
+        lines = open(pipeline["corpus"], encoding="utf-8").read().splitlines(keepends=True)
+        corpus.write_text("".join(lines), encoding="utf-8")
+        stack = (corpus, pipeline["embeddings"], pipeline["model_bin"])
+        args = self.query_args(kind, pipeline, fixture_dir)
+        out = tmp_path / "q"
+        assert self.run(args, out, capsys, *stack)[0] == 0
+        index = (out / "news_index.bin").read_bytes()
+        if case == "six_columns":
+            lines[2] = "\t".join(lines[2].split("\t")[:6]) + "\n"
+            reason = f"{corpus}:3: expected 7 columns, got 6"
+        else:
+            lines.append(lines[0])
+            reason = f"{corpus}:{len(lines)}: news id 'N1' repeats line 1"
+        corpus.write_text("".join(lines), encoding="utf-8")
+        code, err = self.failure(args, out, capsys, *stack)
+        assert code == 3 and reason in err, err
+        assert (out / "news_index.bin").read_bytes() == index
+
+    def test_width_mismatch_exits_2_on_cold_and_warm_free_text_queries(
+            self, pipeline, fixture_dir, tmp_path, capsys):
+        """An index keyed to 4-dim embeddings that the model cannot read:
+        a query by id never parses them, free text must."""
+        glove = str(tmp_path / "glove4")
+        assert cli.main(["train-glove", "--corpus", pipeline["corpus"], "--out-dir", glove,
+                         "--dim", "4", "--min-count", "1", "--epochs", "0"]) == 0
+        emb4 = os.path.join(glove, "embeddings.txt")
+        stack = (pipeline["corpus"], emb4, pipeline["model_bin"])
+        text = self.query_args("text", pipeline, fixture_dir)
+        code, err = self.failure(text, tmp_path / "cold", capsys, *stack)
+        assert code == 2 and pipeline["model_bin"] in err and emb4 in err, err
+        out = tmp_path / "q"
+        assert self.run(["similar", "--query", "N1"], out, capsys, *self.stack(pipeline))[0] == 0
+        path = str(out / "news_index.bin")
+        header, values = mind.read_checkpoint(path, b"NRECIDX1", "a news index", dtype="<f8")
+        inputs = dict(header["inputs"], embeddings=sha256_of(emb4))
+        mind.write_checkpoint(path, b"NRECIDX1", dict(header, inputs=inputs), [values],
+                              dtype="<f8")
+        assert self.run(["similar", "--query", "N1"], out, capsys, *stack)[0] == 0
+        code, err = self.failure(text, out, capsys, *stack)
+        assert code == 2 and pipeline["model_bin"] in err and emb4 in err, err
+
+    @pytest.mark.parametrize("command", ["similar", "evaluate"])
+    def test_model_replaced_while_loading_is_the_one_recorded(self, command, pipeline,
+                                                              fixture_dir, tmp_path, capsys,
+                                                              monkeypatch):
+        """A model.bin replaced after the command read it (say, by a
+        train-model into its directory): the outputs, the manifest's digest
+        and the index key all belong to the bytes that were parsed."""
+        original = open(pipeline["model_bin"], "rb").read()
+        params = mdl.load_model(pipeline["model_bin"])
+        other = str(tmp_path / "other.bin")
+        mdl.save_model(other, mdl.init_params(params.embed_dim, replace(params.config, seed=99)))
+        model = tmp_path / "model.bin"
+        model.write_bytes(original)
+        load = mdl.load_model
+
+        def replaced_then_loaded(path, *rest):
+            shutil.copy(other, path)
+            return load(path, *rest)
+
+        def run(out, model):
+            args = (["evaluate", "--behaviors", fixture_dir.behaviors_test] if command == "evaluate"
+                    else ["similar", "--query", "N1"])
+            assert cli.main([*args, "--corpus", pipeline["corpus"], "--embeddings",
+                             pipeline["embeddings"], "--model", str(model),
+                             "--out-dir", str(out)]) == 0
+            name = "prediction.txt" if command == "evaluate" else "similar.json"
+            return (out / name).read_bytes()
+
+        want = run(tmp_path / "want", pipeline["model_bin"])
+        monkeypatch.setattr(mdl, "load_model", replaced_then_loaded)
+        assert run(tmp_path / "q", model) == want
+        assert model.read_bytes() != original
+        digest = hashlib.sha256(original).hexdigest()
+        manifest = json.loads((tmp_path / "q" / f"manifest_{command}.json").read_text("utf-8"))
+        assert manifest["inputs"][str(model)] == digest
+        if command == "similar":
+            header, _ = mind.read_checkpoint(str(tmp_path / "q" / "news_index.bin"),
+                                             b"NRECIDX1", "a news index", dtype="<f8")
+            assert header["inputs"]["model"] == digest
+            assert ((tmp_path / "q" / "news_index.bin").read_bytes()
+                    == (tmp_path / "want" / "news_index.bin").read_bytes())
 
     def test_checkpoints_name_no_dtype(self, pipeline, tmp_path):
         """model.bin and embeddings.bin keep the float32 layout they had

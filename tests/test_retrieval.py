@@ -74,6 +74,30 @@ class TestRecommend:
         assert scores == sorted(scores, reverse=True)
         assert {nid for nid, _ in rec.entries} == {"N2", "N3", "N5", "N6"}
 
+    @pytest.mark.parametrize("heads, d_head", [(2, 8), (8, 25), (16, 16)])
+    def test_scores_equal_score_click_bit_for_bit(self, heads, d_head):
+        """The pool's scores come from one stacked product; each must be the
+        float ``score_click`` gives, whatever the width d_model."""
+        tokens = [f"w{i}" for i in range(30)]
+        lookup = make_lookup(tokens, dim=8, seed=heads)
+        params = mdl.init_params(8, mdl.ModelConfig(heads=heads, d_head=d_head, d_attn=16,
+                                                    max_history=5, seed=heads))
+        rng = np.random.default_rng(d_head)
+        items = [TokenizedNews(f"N{i}", "c", "s", tuple(rng.choice(tokens, size=4)), (),
+                               f"title {i}", "") for i in range(40)]
+        index = ret.CorpusIndex(items, lookup, params)
+        history = ["N3", "N17", "N3", "N999", "N25"]
+        pool = ["N5", "N17", "N5", "N888", "N3", *(f"N{i}" for i in range(40, 0, -1)), "N0"]
+        rec = ret.recommend(history, pool, index, params, top_n=100)
+        rows = [index.by_id[nid] for nid in mdl.usable_history(history, index.by_id, 5)]
+        (uvec,) = mdl.user_vectors(index.matrix, [rows], params)
+        want = {nid: mdl.score_click(uvec, index.vector_of(nid))
+                for nid in pool if nid in index.by_id and nid not in history}
+        assert len(rec.entries) == len(want) == 37
+        for nid, score in rec.entries:
+            assert type(score) is float
+            assert score.hex() == want[nid].hex(), nid
+
     def test_cold_start_orders_by_news_id(self):
         items, _, params, index = crafted_index()
         rec = ret.recommend([], [i.news_id for i in items], index, params)
@@ -107,31 +131,31 @@ class TestRecommend:
 class TestSimilar:
     def test_query_by_news_id_excludes_itself(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N1", index, lookup, params, simple_normalize, top_n=10)
+        res = ret.similar_news("N1", index, lambda: lookup, params, simple_normalize, top_n=10)
         ids = [nb.news_id for nb in res.neighbors]
         assert "N1" not in ids
         assert len(ids) == 5
 
     def test_query_by_exact_headline_resolves_to_item(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("x0 x1", index, lookup, params, simple_normalize)
+        res = ret.similar_news("x0 x1", index, lambda: lookup, params, simple_normalize)
         assert all(nb.news_id != "N1" for nb in res.neighbors)
 
     def test_small_corpus_caps_neighbor_count(self):
         items, lookup, params, _ = crafted_index()
         index = ret.CorpusIndex(items[:2], lookup, params)
-        res = ret.similar_news("x0 x3", index, lookup, params, simple_normalize, top_n=5)
+        res = ret.similar_news("x0 x3", index, lambda: lookup, params, simple_normalize, top_n=5)
         assert len(res.neighbors) == 2
 
     def test_distances_non_decreasing(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N2", index, lookup, params, simple_normalize, top_n=10)
+        res = ret.similar_news("N2", index, lambda: lookup, params, simple_normalize, top_n=10)
         d = [nb.distance for nb in res.neighbors]
         assert d == sorted(d)
 
     def test_euclidean_distances_match_direct_formula(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N2", index, lookup, params, simple_normalize, top_n=10)
+        res = ret.similar_news("N2", index, lambda: lookup, params, simple_normalize, top_n=10)
         q = index.vector_of("N2")
         for nb in res.neighbors:
             want = float(np.linalg.norm(index.vector_of(nb.news_id) - q))
@@ -139,13 +163,13 @@ class TestSimilar:
 
     def test_duplicate_title_tokens_have_distance_zero(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N4", index, lookup, params, simple_normalize, top_n=1)
+        res = ret.similar_news("N4", index, lambda: lookup, params, simple_normalize, top_n=1)
         assert res.neighbors[0].news_id == "N6"
         assert res.neighbors[0].distance == 0.0
 
     def test_cosine_distance_metric(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N1", index, lookup, params, simple_normalize,
+        res = ret.similar_news("N1", index, lambda: lookup, params, simple_normalize,
                                top_n=10, metric="cosine-distance")
         for nb in res.neighbors:
             assert -1e-12 <= nb.distance <= 2.0 + 1e-12
@@ -155,19 +179,19 @@ class TestSimilar:
     def test_unknown_metric_rejected(self):
         _, lookup, params, index = crafted_index()
         with pytest.raises(ConfigError):
-            ret.similar_news("N1", index, lookup, params, simple_normalize, metric="manhattan")
+            ret.similar_news("N1", index, lambda: lookup, params, simple_normalize, metric="manhattan")
 
     def test_gibberish_query_raises(self):
         _, lookup, params, index = crafted_index()
         with pytest.raises(NoKnownTokens):
-            ret.similar_news("zzz qqq", index, lookup, params, simple_normalize)
+            ret.similar_news("zzz qqq", index, lambda: lookup, params, simple_normalize)
 
     def test_majority_of_neighbors_share_query_category(self, trained, glove_lookup, stopwords):
         index = trained["index"]
         params = trained["params"]
         item = index.items[0]
         res = ret.similar_news(
-            item.news_id, index, glove_lookup, params,
+            item.news_id, index, lambda: glove_lookup, params,
             lambda t: tp.normalize_text(t, stopwords), top_n=10)
         same = sum(nb.category == item.category for nb in res.neighbors)
         assert same > len(res.neighbors) // 2
@@ -181,7 +205,7 @@ class TestRendering:
 
     def test_similarity_rendering_format(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N1", index, lookup, params, simple_normalize, top_n=2)
+        res = ret.similar_news("N1", index, lambda: lookup, params, simple_normalize, top_n=2)
         text = ret.render_similarity(res)
         lines = text.splitlines()
         assert lines[0] == "===== Recommended News : ====="
@@ -195,7 +219,7 @@ class TestRendering:
 
     def test_similarity_json_rounds_distances(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N1", index, lookup, params, simple_normalize, top_n=3)
+        res = ret.similar_news("N1", index, lambda: lookup, params, simple_normalize, top_n=3)
         payload = json.loads(ret.similarity_json(res))
         assert payload["metric"] == "euclidean"
         for nb in payload["neighbors"]:
