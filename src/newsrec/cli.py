@@ -178,12 +178,13 @@ def cmd_prepare(args, cfg: AppConfig, manifest: RunManifest) -> None:
 
 def cmd_train_glove(args, cfg: AppConfig, manifest: RunManifest) -> None:
     _inputs(manifest, args.corpus)
-    documents = [list(item.title_tokens) + list(item.abstract_tokens)
-                 for item in tp.load_tokenized(args.corpus)]
+    corpus = gl.encode_documents(line.title_text.split() + line.abstract_text.split()
+                                 for line in tp.read_tokenized(args.corpus))
     with manifest.phase("vocabulary"):
-        tokens = gl.build_vocab(documents, min_count=cfg.glove.min_count)
+        tokens = gl.build_vocab(corpus, min_count=cfg.glove.min_count)
     with manifest.phase("cooccurrence"):
-        matrix = gl.build_cooccurrence(documents, tokens, window=cfg.glove.window)
+        matrix = gl.build_cooccurrence(corpus, tokens, window=cfg.glove.window)
+    del corpus
     with manifest.phase("train"):
         table, trace = gl.glove_train(matrix, cfg.glove)
     lookup = gl.EmbeddingLookup.from_rows(tokens, table.word_vectors())

@@ -9,11 +9,17 @@ word/context vectors and biases by minimizing
 with per-parameter AdaGrad.  Only stored (nonzero) entries contribute.
 The final vector for a word is ``w + wt``.
 
-The co-occurrence table is counted in one pass over the whole corpus,
-but each entry adds its 1/distance weights in a fixed order: document
-by document, nearest distance first.  Floating-point sums depend on
-their order, so this order is what keeps the table, and every file
-trained from it, the same bytes however the pairs are gathered.
+The corpus is held as one array of token ids plus the documents'
+lengths (``TokenIds``).  The co-occurrence table is counted in blocks of
+whole documents of about ``BLOCK_PAIRS`` windowed pairs each, so the
+count's working memory is the table plus one block, not every pair of
+the corpus at once.  Each block's distinct keys are merged into the
+table's sorted keys, then its weights are added in a fixed order:
+document by document, nearest distance first.  Floating-point sums
+depend on their order; because the blocks follow document order too,
+every entry sums the same weights in the same sequence whatever the
+block size, and the table, and every file trained from it, keeps its
+bytes.
 
 The vectors are saved either as text, one ``token v1 ... vd`` line per
 word as in the GloVe release, or as a self-contained binary checkpoint
@@ -24,8 +30,9 @@ saved with them; the run manifest records them.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,21 +51,58 @@ from .mind import read_checkpoint, write_checkpoint, write_text_atomic
 BINARY_MAGIC = b"NRECGLV2"
 
 
-def build_vocab(documents: Iterable[Sequence[str]], min_count: int = 1) -> tuple[str, ...]:
+# forward pairs (p < q, q - p <= window) per block of whole documents.  A
+# block's keys, weights, order and ``np.unique`` copies take about 100 B a
+# pair, 13 MB at this budget.  Merging a block copies the table, so a block
+# also takes up to a table's eighth as many pairs: at most about 8 entry
+# copies a pair, and the count stays linear in the corpus.
+BLOCK_PAIRS = 1 << 17
+
+
+@dataclass(frozen=True, slots=True)
+class TokenIds:
+    """A corpus as token ids: ``ids`` holds every document's ids end to
+    end (int64), ``lengths`` the documents' sizes, and ``tokens[i]`` is
+    the token of id i."""
+
+    tokens: tuple[str, ...]
+    ids: np.ndarray
+    lengths: np.ndarray
+
+
+def encode_documents(documents: Iterable[Iterable[str]]) -> TokenIds:
+    """Ids in first-seen order, read one document at a time: only the ids,
+    8 bytes a token, and one dict entry per distinct token are kept."""
+    index: defaultdict[str, int] = defaultdict()
+    index.default_factory = index.__len__   # an unseen token gets the next id
+    ids, lengths = array("q"), array("q")
+    for doc in documents:
+        before = len(ids)
+        ids.extend(map(index.__getitem__, doc))
+        lengths.append(len(ids) - before)
+    return TokenIds(tuple(index), np.frombuffer(ids, dtype=np.int64),
+                    np.frombuffer(lengths, dtype=np.int64))
+
+
+def _as_ids(documents: TokenIds | Iterable[Iterable[str]]) -> TokenIds:
+    return documents if isinstance(documents, TokenIds) else encode_documents(documents)
+
+
+def build_vocab(documents: TokenIds | Iterable[Iterable[str]],
+                min_count: int = 1) -> tuple[str, ...]:
     """The tokens seen at least ``min_count`` times, in id order: by
     descending corpus frequency, ties broken lexicographically, so the
-    same corpus always yields the same ids."""
-    counts: dict[str, int] = {}
-    for doc in documents:
-        for tok in doc:
-            counts[tok] = counts.get(tok, 0) + 1
-    kept = [(tok, n) for tok, n in counts.items() if n >= min_count]
+    same corpus always yields the same ids.  ``documents`` are token
+    lists or an encoded ``TokenIds``."""
+    corpus = _as_ids(documents)
+    counts = np.bincount(corpus.ids, minlength=len(corpus.tokens)).tolist()
+    kept = [i for i, n in enumerate(counts) if n >= min_count]
     if not kept:
         raise EmptyVocabulary(
             f"no token reaches min_count={min_count} (corpus has {len(counts)} distinct tokens)"
         )
-    kept.sort(key=lambda item: (-item[1], item[0]))
-    return tuple(tok for tok, _ in kept)
+    kept.sort(key=lambda i: (-counts[i], corpus.tokens[i]))
+    return tuple(corpus.tokens[i] for i in kept)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,29 +124,70 @@ class CooccurrenceMatrix:
 
 
 def build_cooccurrence(
-    documents: Sequence[Sequence[str]],
+    documents: TokenIds | Iterable[Iterable[str]],
     tokens: Sequence[str],
     window: int = 5,
 ) -> CooccurrenceMatrix:
     """Count windowed co-occurrences over tokenized documents.
 
+    ``documents`` are token lists or an encoded ``TokenIds``.
     ``tokens[i]`` gets id i, and tokens not in ``tokens`` are dropped
     first.  Positions p < q of one document with q - p = k <= window then
     add 1/k to (i, j) and (j, i) for distinct ids i, j, and once to (i, i)
-    for equal ids.  Each entry sums its weights document by document,
-    nearest distance first, so the table does not depend on how the
-    pairs are gathered.
+    for equal ids.
+
+    The documents are counted in document order, in blocks of whole
+    documents of at most ``BLOCK_PAIRS`` forward pairs, or an eighth of
+    the table's entries once that is more; a document with more pairs is
+    a block of its own.  Each block's distinct keys i * V + j are merged
+    into the table's sorted keys, then ``np.add.at`` adds its weights in
+    the order document, distance, direction, position.  Each entry so
+    sums its weights document by document, nearest distance first, and
+    the table does not depend on the block size.
     """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
+    corpus = _as_ids(documents)
     index = {tok: i for i, tok in enumerate(tokens)}
-    encoded = [[index[tok] for tok in doc if tok in index] for doc in documents]
-    lengths = [len(ids) for ids in encoded]
-    ids = np.fromiter(chain.from_iterable(encoded), dtype=np.int64, count=sum(lengths))
-    doc = np.repeat(np.arange(len(lengths)), lengths)
+    remap = np.array([index.get(tok, -1) for tok in corpus.tokens], dtype=np.int64)
+    ids = remap[corpus.ids]
+    kept = ids >= 0
+    # document boundaries in the ids that remain once unknown tokens go
+    bounds = np.concatenate(([0], np.cumsum(kept)))[
+        np.concatenate(([0], np.cumsum(corpus.lengths)))]
+    ids = ids[kept]
+    del kept
+    lengths = np.diff(bounds)
+    reach = np.clip(np.minimum(lengths - 1, window), 0, None)
+    pairs = np.concatenate(([0], np.cumsum(reach * lengths - reach * (reach + 1) // 2)))
     n = len(tokens)
-    keys, weights, owners = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.int64)]
-    for k in range(1, min(window, max(lengths, default=0) - 1) + 1):
+    keys, vals = np.empty(0, np.int64), np.empty(0)
+    start = 0
+    while start < lengths.size:
+        stop = _block_stop(pairs, start, keys.size)
+        if pairs[stop] > pairs[start]:
+            block_keys, weights = _block_pairs(ids[bounds[start]:bounds[stop]],
+                                               lengths[start:stop], n, window)
+            keys, vals = _add_block(keys, vals, block_keys, weights)
+        start = stop
+    return CooccurrenceMatrix(vocab_size=n, rows=keys // n, cols=keys % n, vals=vals)
+
+
+def _block_stop(pairs: np.ndarray, start: int, table_size: int) -> int:
+    """The document after the block that starts at document ``start``:
+    the most whole documents whose forward pairs fit the budget, and at
+    least one.  ``pairs[d]`` counts the pairs of the documents before d."""
+    budget = pairs[start] + max(BLOCK_PAIRS, table_size // 8)
+    return max(start + 1, int(np.searchsorted(pairs, budget, "right")) - 1)
+
+
+def _block_pairs(ids: np.ndarray, lengths: np.ndarray, n: int,
+                 window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys i * n + j and 1/k weights of a block's pairs, in the order
+    document, distance k, forward then reverse, position."""
+    doc = np.repeat(np.arange(lengths.size), lengths)
+    keys, weights, owners = [], [], []
+    for k in range(1, min(window, int(lengths.max()) - 1) + 1):
         same = doc[:-k] == doc[k:]
         a, b, d = ids[:-k][same], ids[k:][same], doc[k:][same]
         off = a != b
@@ -111,10 +196,25 @@ def build_cooccurrence(
         weights.append(np.full(a.size + int(off.sum()), 1.0 / k))
     # a stable sort by document keeps each document's pairs nearest distance first
     order = np.argsort(np.concatenate(owners), kind="stable")
-    uniq, inverse = np.unique(np.concatenate(keys)[order], return_inverse=True)
-    vals = np.zeros(uniq.size)
-    np.add.at(vals, inverse, np.concatenate(weights)[order])
-    return CooccurrenceMatrix(vocab_size=n, rows=uniq // n, cols=uniq % n, vals=vals)
+    del owners, doc   # free each list of pieces before the next full-size array
+    keys = np.concatenate(keys)[order]
+    return keys, np.concatenate(weights)[order]
+
+
+def _add_block(keys: np.ndarray, vals: np.ndarray, block_keys: np.ndarray,
+               weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge ``block_keys`` into the sorted table ``keys`` (new entries
+    start at 0.0), then add ``weights`` to their entries in order."""
+    uniq, inverse = np.unique(block_keys, return_inverse=True)
+    at = np.searchsorted(keys, uniq)
+    new = at == keys.size
+    new[~new] = keys[at[~new]] != uniq[~new]
+    if new.any():
+        keys = np.insert(keys, at[new], uniq[new])
+        vals = np.insert(vals, at[new], 0.0)
+        at += np.cumsum(new) - new   # each key moves past the new keys below it
+    np.add.at(vals, at[inverse], weights)
+    return keys, vals
 
 
 @dataclass(slots=True)

@@ -13,6 +13,7 @@ free-text query, needs the word embeddings.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 from dataclasses import dataclass
@@ -196,10 +197,12 @@ def recommend(
     # one (1, d) @ (d, 1) product per row, stacked: each is the dot product
     # ``model.score_click`` takes, bit for bit, which ``index.matrix @ uvec`` is not
     scores = (uvec[None, None, :] @ index.matrix[:, :, None])[:, 0, 0]
-    scored = sorted(zip(ids, scores[rows].tolist()), key=lambda e: (-e[1], e[0]))
+    # nsmallest(n, ...) is sorted(...)[:n], without sorting the whole pool
+    scored = heapq.nsmallest(top_n, zip(ids, scores[rows].tolist()),
+                             key=lambda e: (-e[1], e[0]))
     return RecommendationList(
         user_id=user_id,
-        entries=tuple(scored[:top_n]),
+        entries=tuple(scored),
         generated_from=len(history),
     )
 
@@ -273,7 +276,9 @@ def similar_news(
         raise EmptyCandidatePool("similarity corpus is empty")
     qvec, exclude = _resolve_query(query, index, lookup, params, normalize)
     distances = _DISTANCE_FNS[metric](index.matrix, qvec)
-    order = sorted(range(len(index)), key=lambda i: (distances[i], index.items[i].news_id))
+    # one more than top_n, in case the excluded query item is among them
+    order = heapq.nsmallest(top_n + 1, range(len(index)),
+                            key=lambda i: (distances[i], index.items[i].news_id))
     neighbors = []
     for i in order:
         item = index.items[i]

@@ -789,6 +789,17 @@ class TestTrainGlove:
         assert np.array_equal(lookup.matrix, (table.W + table.Wt).astype(np.float32))
         assert cli.main(["train-glove", *flags, "--epochs", "1"]) == 5
 
+    def test_every_token_below_min_count_exits_5(self, tmp_path, capsys):
+        corpus = str(tmp_path / "tokenized.tsv")
+        tp.save_tokenized(corpus, [tp.TokenizedNews("N1", "c", "s", ("alpha", "beta"), ("gamma",),
+                                                    "alpha beta", "gamma"),
+                                   tp.TokenizedNews("N2", "c", "s", ("beta",), (), "beta", "")])
+        out = tmp_path / "glove"
+        assert cli.main(["train-glove", "--corpus", corpus, "--out-dir", str(out),
+                         "--min-count", "3"]) == 5
+        assert "min_count=3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_binary_format_round_trips(self, pipeline, fixture_dir, tmp_path):
         """Binary embeddings load as the text ones do, and ``evaluate``
         writes the same bytes from either."""

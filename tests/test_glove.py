@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ def oracle_cost(table, matrix, config):
     return total
 
 
+def oracle_vocab(documents, min_count):
+    """Per-token reference vocabulary: count each token in a dict, keep
+    those seen ``min_count`` times, order by (-count, token)."""
+    counts = {}
+    for doc in documents:
+        for tok in doc:
+            counts[tok] = counts.get(tok, 0) + 1
+    kept = sorted((-n, tok) for tok, n in counts.items() if n >= min_count)
+    return tuple(tok for _, tok in kept)
+
+
 class TestVocabulary:
     def test_frequency_then_index(self):
         assert gl.build_vocab([["a", "b", "a"]], min_count=1) == ("a", "b")
@@ -88,6 +100,27 @@ class TestVocabulary:
 
     def test_frequency_tie_breaks_lexicographically(self):
         assert gl.build_vocab([["y", "x"]], min_count=1) == ("x", "y")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ids_match_per_token_oracle(self, seed):
+        """Small alphabets make count ties; first-seen order differs from
+        the final order; rare "oov" tokens fall under min_count."""
+        rng = np.random.default_rng(seed)
+        docs = random_corpus(rng, n_docs=50, alphabet=int(rng.integers(2, 40)))
+        docs = [[tok if rng.random() > 0.02 else f"oov{rng.integers(1000)}" for tok in doc]
+                for doc in docs]
+        corpus = gl.encode_documents(docs)
+        for min_count in (1, 2, 3, 7):
+            want = oracle_vocab(docs, min_count)
+            assert gl.build_vocab(corpus, min_count=min_count) == want
+            assert gl.build_vocab(docs, min_count=min_count) == want
+
+    def test_encode_documents_keeps_first_seen_order_and_lengths(self):
+        corpus = gl.encode_documents(iter([["b", "a", "b"], [], ["c", "a"]]))
+        assert corpus.tokens == ("b", "a", "c")
+        assert corpus.ids.tolist() == [0, 1, 0, 2, 1]
+        assert corpus.lengths.tolist() == [3, 0, 2]
+        assert corpus.ids.dtype == corpus.lengths.dtype == np.int64
 
 
 class TestCooccurrence:
@@ -118,8 +151,8 @@ class TestCooccurrence:
         m = gl.build_cooccurrence([["a", "b", "zzz", "a"]], tokens, window=1)
         assert entries(m) == {(0, 0): 1.0}   # the two a's are adjacent once b and zzz go
 
-    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6, 7, 8, 10**12])
-    def test_matches_per_position_oracle_bitwise(self, window):
+    @staticmethod
+    def assert_matches_oracle(window):
         rng = np.random.default_rng(window % 1000)
         for _ in range(4):
             docs = random_corpus(rng, n_docs=60, alphabet=int(rng.integers(3, 30)))
@@ -131,6 +164,63 @@ class TestCooccurrence:
             rows, cols, vals = oracle_cooccurrence(docs, tokens, window)
             assert (m.rows.tobytes(), m.cols.tobytes(), m.vals.tobytes()) == (
                 rows.tobytes(), cols.tobytes(), vals.tobytes())
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6, 7, 8, 10**12])
+    def test_matches_per_position_oracle_bitwise(self, window):
+        self.assert_matches_oracle(window)
+
+    @pytest.mark.parametrize("block_docs", [1, 3, None])
+    @pytest.mark.parametrize("window", [1, 3, 10**12])
+    def test_block_size_keeps_the_oracle_bits(self, monkeypatch, window, block_docs):
+        """Blocks of 1 document, of 3, and of the whole corpus."""
+        if block_docs is not None:
+            monkeypatch.setattr(gl, "_block_stop",
+                                lambda pairs, start, _: min(start + block_docs, pairs.size - 1))
+        else:
+            monkeypatch.setattr(gl, "BLOCK_PAIRS", 1 << 62)
+        self.assert_matches_oracle(window)
+
+    @pytest.mark.parametrize("budget", [1, 10, 200])
+    def test_edge_documents_keep_the_oracle_bits(self, monkeypatch, budget):
+        """Empty documents, one document with far more pairs than a block,
+        and a window longer than every document."""
+        monkeypatch.setattr(gl, "BLOCK_PAIRS", budget)
+        rng = np.random.default_rng(budget)
+        long_doc = [f"w{c}" for c in rng.integers(0, 9, size=120)]
+        docs = [[], ["w1", "w2"], [], long_doc, [], [], ["w3"], ["w2", "w1", "w2"], []]
+        tokens = gl.build_vocab(docs)
+        for window in (2, 7, 10**12):
+            m = gl.build_cooccurrence(docs, tokens, window=window)
+            rows, cols, vals = oracle_cooccurrence(docs, tokens, window)
+            assert (m.rows.tobytes(), m.cols.tobytes(), m.vals.tobytes()) == (
+                rows.tobytes(), cols.tobytes(), vals.tobytes())
+
+    def test_blocks_hold_whole_documents_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(gl, "BLOCK_PAIRS", 10)
+        pairs = np.array([0, 4, 8, 30, 30, 33, 40])   # document d has pairs[d+1] - pairs[d]
+        assert gl._block_stop(pairs, 0, 0) == 2       # 8 pairs fit, 30 do not
+        assert gl._block_stop(pairs, 2, 0) == 3       # 22 pairs: a block of its own
+        assert gl._block_stop(pairs, 3, 0) == 6       # 0 + 3 + 7 pairs
+        assert gl._block_stop(pairs, 0, 8 * 30) == 4  # a larger table, larger blocks
+
+    def test_peak_memory_is_the_table_plus_one_block(self):
+        """On about 100k tokens the count stays under the table (keys,
+        values, rows and columns, 8 B an entry each), three int64 copies of
+        the ids, and one block of ``BLOCK_PAIRS`` pairs at 128 B a pair.
+        Forming every pair of the corpus at once takes about 3.5 times that."""
+        rng = np.random.default_rng(2)
+        lengths = rng.integers(20, 60, size=2500)
+        docs = [[f"w{c}" for c in rng.zipf(1.3, size=n) % 400] for n in lengths]
+        corpus = gl.encode_documents(docs)
+        tokens = gl.build_vocab(corpus)
+        tracemalloc.start()
+        try:
+            m = gl.build_cooccurrence(corpus, tokens, window=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.ids.size > 90_000
+        assert peak < 32 * m.nnz + 24 * corpus.ids.size + 128 * gl.BLOCK_PAIRS
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)

@@ -105,6 +105,14 @@ class TestRecommend:
         assert all(score == 0.0 for _, score in rec.entries)
         assert [nid for nid, _ in rec.entries] == ["N1", "N2", "N3", "N4", "N5", "N6"]
 
+    def test_each_top_n_is_a_prefix_of_the_full_ranking(self):
+        items, _, params, index = crafted_index()
+        pool = [i.news_id for i in items]
+        full = ret.recommend(["N1", "N4"], pool, index, params, top_n=len(pool)).entries
+        for top_n in range(1, len(pool) + 1):
+            got = ret.recommend(["N1", "N4"], pool, index, params, top_n=top_n).entries
+            assert got == full[:top_n]
+
     def test_duplicate_pool_ids_appear_once(self):
         _, _, params, index = crafted_index()
         rec = ret.recommend(["N1"], ["N2", "N2", "N3"], index, params)
@@ -135,6 +143,17 @@ class TestSimilar:
         ids = [nb.news_id for nb in res.neighbors]
         assert "N1" not in ids
         assert len(ids) == 5
+
+    @pytest.mark.parametrize("query", ["N1", "N5", "twin headline", "x0 y1"])
+    def test_each_top_n_is_a_prefix_of_the_full_list(self, query):
+        """Also when the excluded query item is among the nearest."""
+        _, lookup, params, index = crafted_index()
+        def neighbors(top_n):
+            return ret.similar_news(query, index, lambda: lookup, params, simple_normalize,
+                                    top_n=top_n).neighbors
+        full = neighbors(len(index))
+        for top_n in range(1, len(index) + 1):
+            assert neighbors(top_n) == full[:top_n]
 
     def test_query_by_exact_headline_resolves_to_item(self):
         _, lookup, params, index = crafted_index()
