@@ -254,11 +254,10 @@ def _model_stack(args, manifest: RunManifest):
 
     ``--embeddings`` is digested but parsed only when the loader is first
     called: to build the index, or to encode a free-text ``similar`` query.
-    ``--corpus`` is read as ``tp.TokenizedLine`` records, whose token
-    columns only a build splits."""
+    Of the ``--corpus`` records, only a build splits the token columns."""
     _inputs(manifest, args.corpus, args.embeddings)
     model = _read_input(manifest, args.model)
-    corpus = list(tp.read_tokenized(args.corpus))
+    corpus = tp.load_tokenized(args.corpus)
     params = mdl.load_model(args.model, model)
     lookup = functools.cache(lambda: _load_embeddings(args, params))
     digests = {name: manifest.inputs[getattr(args, name)]

@@ -84,17 +84,10 @@ def encode_documents(documents: Iterable[Iterable[str]]) -> TokenIds:
                     np.frombuffer(lengths, dtype=np.int64))
 
 
-def _as_ids(documents: TokenIds | Iterable[Iterable[str]]) -> TokenIds:
-    return documents if isinstance(documents, TokenIds) else encode_documents(documents)
-
-
-def build_vocab(documents: TokenIds | Iterable[Iterable[str]],
-                min_count: int = 1) -> tuple[str, ...]:
-    """The tokens seen at least ``min_count`` times, in id order: by
-    descending corpus frequency, ties broken lexicographically, so the
-    same corpus always yields the same ids.  ``documents`` are token
-    lists or an encoded ``TokenIds``."""
-    corpus = _as_ids(documents)
+def build_vocab(corpus: TokenIds, min_count: int = 1) -> tuple[str, ...]:
+    """The tokens seen at least ``min_count`` times in ``corpus``, in id
+    order: by descending corpus frequency, ties broken lexicographically,
+    so the same corpus always yields the same ids."""
     counts = np.bincount(corpus.ids, minlength=len(corpus.tokens)).tolist()
     kept = [i for i, n in enumerate(counts) if n >= min_count]
     if not kept:
@@ -123,14 +116,10 @@ class CooccurrenceMatrix:
         return int(self.rows.size)
 
 
-def build_cooccurrence(
-    documents: TokenIds | Iterable[Iterable[str]],
-    tokens: Sequence[str],
-    window: int = 5,
-) -> CooccurrenceMatrix:
-    """Count windowed co-occurrences over tokenized documents.
+def build_cooccurrence(corpus: TokenIds, tokens: Sequence[str],
+                       window: int = 5) -> CooccurrenceMatrix:
+    """Count windowed co-occurrences over the documents of ``corpus``.
 
-    ``documents`` are token lists or an encoded ``TokenIds``.
     ``tokens[i]`` gets id i, and tokens not in ``tokens`` are dropped
     first.  Positions p < q of one document with q - p = k <= window then
     add 1/k to (i, j) and (j, i) for distinct ids i, j, and once to (i, i)
@@ -147,7 +136,6 @@ def build_cooccurrence(
     """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    corpus = _as_ids(documents)
     index = {tok: i for i, tok in enumerate(tokens)}
     remap = np.array([index.get(tok, -1) for tok in corpus.tokens], dtype=np.int64)
     ids = remap[corpus.ids]

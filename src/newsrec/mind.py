@@ -78,16 +78,15 @@ class ParseError:
     detail: str = ""
 
 
-def _decode(line: str | bytes, line_no: int) -> tuple[str | None, ParseError | None]:
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return None, ParseError(line_no, "NonUtf8Line", str(exc))
-    return line.rstrip("\r\n"), None
+def _decode(line: bytes, line_no: int) -> tuple[str | None, ParseError | None]:
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return None, ParseError(line_no, "NonUtf8Line", str(exc))
+    return text.rstrip("\r\n"), None
 
 
-def _parse_news_line(line: str | bytes, line_no: int):
+def _parse_news_line(line: bytes, line_no: int):
     text, err = _decode(line, line_no)
     if err is not None:
         return None, err
@@ -103,7 +102,7 @@ def _parse_news_line(line: str | bytes, line_no: int):
     return article, None
 
 
-def _parse_behavior_line(line: str | bytes, line_no: int):
+def _parse_behavior_line(line: bytes, line_no: int):
     text, err = _decode(line, line_no)
     if err is not None:
         return None, err
@@ -137,13 +136,13 @@ def _parse_lines(lines, line_parser):
     return records, errors
 
 
-def parse_news(lines: Iterable[str | bytes]):
-    """Parse news.tsv lines into (articles, parse errors)."""
+def parse_news(lines: Iterable[bytes]):
+    """Parse news.tsv lines, as bytes, into (articles, parse errors)."""
     return _parse_lines(lines, _parse_news_line)
 
 
-def parse_behaviors(lines: Iterable[str | bytes]):
-    """Parse behaviors.tsv lines into (impression logs, parse errors)."""
+def parse_behaviors(lines: Iterable[bytes]):
+    """Parse behaviors.tsv lines, as bytes, into (impression logs, parse errors)."""
     return _parse_lines(lines, _parse_behavior_line)
 
 

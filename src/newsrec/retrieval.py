@@ -8,7 +8,9 @@ finds the corpus items whose encoded vectors lie closest to a query
 Both read news vectors from a ``CorpusIndex``.  ``load_or_build_index``
 reads one from a ``news_index.bin`` file written by ``save_index`` for the
 same inputs, or builds it when there is no such file; only a build, or a
-free-text query, needs the word embeddings.
+free-text query, needs the word embeddings.  The index holds the corpus's
+``textprep.TokenizedNews`` records; only a build reads their title tokens,
+so a query over a stored index splits no token column.
 """
 
 from __future__ import annotations
@@ -25,10 +27,7 @@ from .errors import ConfigError, EmptyCandidatePool, NoKnownTokens
 from .glove import EmbeddingLookup
 from .mind import read_checkpoint, write_checkpoint
 from .model import ModelParams, news_vector, news_vectors, title_rows, usable_history, user_vectors
-from .textprep import TokenizedLine, TokenizedNews
-
-# a corpus record: what the index holds of each news item
-News = TokenizedNews | TokenizedLine
+from .textprep import TokenizedNews
 
 SNIPPET_WIDTH = 48
 METRICS = ("euclidean", "cosine-distance")
@@ -74,7 +73,8 @@ class CorpusIndex:
     raw title and raw abstract the queries read.
     """
 
-    def __init__(self, corpus: Sequence[News], lookup: EmbeddingLookup, params: ModelParams):
+    def __init__(self, corpus: Sequence[TokenizedNews], lookup: EmbeddingLookup,
+                 params: ModelParams):
         rows = [title_rows(item.title_tokens, lookup, params.config.max_title_tokens)
                 for item in corpus]
         self.items = [item for item, r in zip(corpus, rows) if len(r)]
@@ -84,7 +84,7 @@ class CorpusIndex:
                        if self.items else np.empty((0, params.config.d_model)))
 
     @classmethod
-    def _of_rows(cls, corpus: Sequence[News], items: list[News],
+    def _of_rows(cls, corpus: Sequence[TokenizedNews], items: list[TokenizedNews],
                  matrix: np.ndarray) -> "CorpusIndex":
         """The index of ``corpus`` whose row i, ``matrix[i]``, is the vector
         of ``items[i]``, as ``save_index`` stored it."""
@@ -114,9 +114,9 @@ def save_index(path: str, index: CorpusIndex, inputs: dict[str, str]) -> None:
     write_checkpoint(path, INDEX_MAGIC, header, [index.matrix], dtype="<f8")
 
 
-def load_or_build_index(path: str, corpus: Sequence[News], lookup: Callable[[], EmbeddingLookup],
-                        params: ModelParams, inputs: dict[str, str]
-                        ) -> tuple[CorpusIndex, bytes | None]:
+def load_or_build_index(path: str, corpus: Sequence[TokenizedNews],
+                        lookup: Callable[[], EmbeddingLookup], params: ModelParams,
+                        inputs: dict[str, str]) -> tuple[CorpusIndex, bytes | None]:
     """The ``save_index`` file at ``path`` as an index, and the bytes it
     was read from, if it was written for these ``inputs`` digests and this
     numpy; else a new ``CorpusIndex`` over the embeddings ``lookup()``

@@ -6,6 +6,12 @@ whitespace tokens.  Stage two (:func:`preprocess_article`) normalizes the
 surviving text: tokenize, remove stopwords, stem.  Every operation here is
 a pure function, so corpora can be mapped in any order with identical
 results.
+
+One record type, :class:`TokenizedNews`, holds a news item from here on:
+the seven fields of its ``tokenized.tsv`` line as they are written, the
+token columns as space-joined text that is split only when a caller reads
+``title_tokens`` or ``abstract_tokens``.  :func:`save_tokenized` writes the
+records and :func:`read_tokenized` streams them back.
 """
 
 from __future__ import annotations
@@ -36,16 +42,31 @@ class CleanReport:
         return self.removed_duplicates + self.removed_nan + self.removed_short_title + self.kept
 
 
-@dataclass(frozen=True, slots=True)
-class TokenizedNews:
+class TokenizedNews(NamedTuple):
+    """One ``tokenized.tsv`` line: its seven fields in file order.
+
+    ``title_text`` and ``abstract_text`` are the normalized tokens joined
+    by single spaces; ``title_tokens`` and ``abstract_tokens`` split them
+    when read, so a caller that does not read a token column never splits
+    it.  The raw title and abstract are carried along for analytics and
+    display.
+    """
+
     news_id: str
     category: str
     subcategory: str
-    title_tokens: tuple[str, ...]
-    abstract_tokens: tuple[str, ...]
-    # raw strings are carried along for analytics and display
-    raw_title: str = ""
-    raw_abstract: str = ""
+    raw_title: str
+    raw_abstract: str
+    title_text: str
+    abstract_text: str
+
+    @property
+    def title_tokens(self) -> tuple[str, ...]:
+        return tuple(self.title_text.split())
+
+    @property
+    def abstract_tokens(self) -> tuple[str, ...]:
+        return tuple(self.abstract_text.split())
 
 
 def clean_corpus(articles: Sequence[NewsArticle]) -> tuple[list[NewsArticle], CleanReport]:
@@ -155,15 +176,9 @@ def preprocess_article(
     if not title_tokens:
         raise AllTokensRemoved(f"title of {article.news_id} reduced to zero tokens")
     abstract_tokens = normalize_text(article.abstract, stopwords, stems)
-    return TokenizedNews(
-        news_id=article.news_id,
-        category=article.category,
-        subcategory=article.subcategory,
-        title_tokens=tuple(title_tokens),
-        abstract_tokens=tuple(abstract_tokens),
-        raw_title=article.title,
-        raw_abstract=article.abstract,
-    )
+    return TokenizedNews(article.news_id, article.category, article.subcategory,
+                         article.title, article.abstract,
+                         " ".join(title_tokens), " ".join(abstract_tokens))
 
 
 def preprocess_corpus(
@@ -185,77 +200,39 @@ def preprocess_corpus(
     return out, dropped
 
 
-TOKENIZED_COLUMNS = 7
-
-
-class TokenizedLine(NamedTuple):
-    """The seven fields of one ``tokenized.tsv`` line, as they are written.
-
-    The token columns stay space-joined strings: ``title_tokens`` splits
-    the title's, and ``news`` makes the full record, abstract tokens
-    included.  A query reads the index's news from these fields alone.
-    """
-
-    news_id: str
-    category: str
-    subcategory: str
-    raw_title: str
-    raw_abstract: str
-    title_text: str
-    abstract_text: str
-
-    @property
-    def title_tokens(self) -> tuple[str, ...]:
-        return tuple(self.title_text.split())
-
-    def news(self) -> TokenizedNews:
-        news_id, category, subcategory, raw_title, raw_abstract, title, abstract = self
-        return TokenizedNews(news_id, category, subcategory, tuple(title.split()),
-                             tuple(abstract.split()), raw_title, raw_abstract)
-
-
-def format_tokenized_line(news: TokenizedNews) -> str:
-    return "\t".join(
-        [
-            news.news_id,
-            news.category,
-            news.subcategory,
-            news.raw_title,
-            news.raw_abstract,
-            " ".join(news.title_tokens),
-            " ".join(news.abstract_tokens),
-        ]
-    )
-
-
 def save_tokenized(path: str, corpus: Sequence[TokenizedNews]) -> None:
-    write_text_atomic(path, "".join(format_tokenized_line(n) + "\n" for n in corpus))
+    write_text_atomic(path, "".join("\t".join(news) + "\n" for news in corpus))
 
 
-def read_tokenized(path: str) -> Iterator[TokenizedLine]:
-    """The lines of a ``save_tokenized`` file, a leading byte-order mark
+def read_tokenized(path: str) -> Iterator[TokenizedNews]:
+    """The records of a ``save_tokenized`` file, a leading byte-order mark
     ignored, one at a time as they are read; a line without 7 columns or a
-    repeated id raises InputError."""
+    repeated id raises InputError.
+
+    Lines end at ``\n`` only (a trailing ``\r`` is dropped), so a raw
+    title or abstract may hold ``\r`` or any other line separator but
+    ``\n``."""
     if not os.path.isfile(path):
         raise MissingInput(f"tokenized corpus not found: {path}")
+    columns = len(TokenizedNews._fields)
     first_line: dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8-sig", newline="\n") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 fields = line.rstrip("\r\n").split("\t")
-                if len(fields) != TOKENIZED_COLUMNS:
-                    raise InputError(f"{path}:{lineno}: expected {TOKENIZED_COLUMNS} columns, "
+                if len(fields) != columns:
+                    raise InputError(f"{path}:{lineno}: expected {columns} columns, "
                                      f"got {len(fields)}")
                 seen = first_line.setdefault(fields[0], lineno)
                 if seen != lineno:
                     raise InputError(f"{path}:{lineno}: news id {fields[0]!r} repeats line {seen}")
-                yield TokenizedLine._make(fields)
+                yield TokenizedNews._make(fields)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def load_tokenized(path: str) -> list[TokenizedNews]:
     """The records of a ``save_tokenized`` file, read by ``read_tokenized``."""
-    return [line.news() for line in read_tokenized(path)]
+    return list(read_tokenized(path))

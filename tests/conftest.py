@@ -60,9 +60,9 @@ def prepared(fixture_dir, stopwords):
 
 @pytest.fixture(scope="session")
 def glove_lookup(prepared):
-    docs = [n.title_tokens + n.abstract_tokens for n in prepared["corpus"]]
-    tokens = gl.build_vocab(docs, min_count=1)
-    matrix = gl.build_cooccurrence(docs, tokens, window=4)
+    corpus = gl.encode_documents(n.title_tokens + n.abstract_tokens for n in prepared["corpus"])
+    tokens = gl.build_vocab(corpus, min_count=1)
+    matrix = gl.build_cooccurrence(corpus, tokens, window=4)
     config = gl.GloveConfig(dim=16, window=4, x_max=20.0, epochs=8, min_count=1, seed=3)
     table, trace = gl.glove_train(matrix, config)
     assert len(trace) == config.epochs

@@ -14,8 +14,8 @@ from newsrec.textprep import TokenizedNews
 
 def item(news_id, category="sports", subcategory="golf", title=("alpha", "beta"),
          abstract=(), raw_title="Alpha beta gamma delta"):
-    return TokenizedNews(news_id, category, subcategory, tuple(title),
-                         tuple(abstract), raw_title, "raw abstract")
+    return TokenizedNews(news_id, category, subcategory, raw_title, "raw abstract",
+                         " ".join(title), " ".join(abstract))
 
 
 class TestCategoryDistribution:

@@ -426,6 +426,36 @@ class TestByteOrderMark:
         assert outputs[0] and outputs[0] == outputs[1]
 
 
+class TestLineSeparatorsInText:
+    """A raw title may hold any line separator but ``\\n``: ``\\r`` among them."""
+
+    SEPARATORS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+    def test_every_command_runs_and_the_raw_title_keeps_it(self, fixture_dir, tmp_path, capsys):
+        with open(fixture_dir.news, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        titles = {}
+        for i, sep in enumerate(self.SEPARATORS):
+            fields = lines[i].split("\t")
+            fields[3] = fields[3].replace(" ", sep, 1)
+            titles[fields[0]] = fields[3]
+            lines[i] = "\t".join(fields)
+        news = tmp_path / "news.tsv"
+        news.write_bytes("\n".join(lines).encode("utf-8"))
+        fixture = argparse.Namespace(news=str(news), behaviors_train=fixture_dir.behaviors_train,
+                                     behaviors_test=fixture_dir.behaviors_test)
+        paths = run_pipeline(fixture, str(tmp_path))
+        first = next(iter(titles))
+        for argv in (["analytics", "--corpus", paths["corpus"]],
+                     ["similar", "--corpus", paths["corpus"], "--embeddings", paths["embeddings"],
+                      "--model", paths["model_bin"], "--query", first]):
+            assert cli.main([*argv, "--out-dir", str(tmp_path / argv[0])]) == 0
+        capsys.readouterr()
+        raw = {item.news_id: item.raw_title for item in tp.load_tokenized(paths["corpus"])}
+        assert {nid: raw[nid] for nid in titles} == titles
+        assert "\r" in titles[first]
+
+
 class TestCorruptInputs:
     """A corrupt artifact ends in a documented exit code naming it, never in exit 1."""
 
@@ -779,7 +809,7 @@ class TestTrainGlove:
 
     def test_zero_epochs_without_cooccurring_pairs_writes_initialization(self, tmp_path):
         corpus = str(tmp_path / "tokenized.tsv")
-        tp.save_tokenized(corpus, [tp.TokenizedNews(f"N{i}", "c", "s", (word,), (), word, "")
+        tp.save_tokenized(corpus, [tp.TokenizedNews(f"N{i}", "c", "s", word, "", word, "")
                                    for i, word in enumerate(("alpha", "beta", "gamma"))])
         out = str(tmp_path / "glove0")
         flags = ["--corpus", corpus, "--out-dir", out, "--dim", "4", "--min-count", "1"]
@@ -791,9 +821,9 @@ class TestTrainGlove:
 
     def test_every_token_below_min_count_exits_5(self, tmp_path, capsys):
         corpus = str(tmp_path / "tokenized.tsv")
-        tp.save_tokenized(corpus, [tp.TokenizedNews("N1", "c", "s", ("alpha", "beta"), ("gamma",),
+        tp.save_tokenized(corpus, [tp.TokenizedNews("N1", "c", "s", "alpha beta", "gamma",
                                                     "alpha beta", "gamma"),
-                                   tp.TokenizedNews("N2", "c", "s", ("beta",), (), "beta", "")])
+                                   tp.TokenizedNews("N2", "c", "s", "beta", "", "beta", "")])
         out = tmp_path / "glove"
         assert cli.main(["train-glove", "--corpus", corpus, "--out-dir", str(out),
                          "--min-count", "3"]) == 5
@@ -921,7 +951,7 @@ class TestEvaluate:
 
     def test_unreferenced_news_leaves_outputs_unchanged(self, pipeline, fixture_dir, tmp_path):
         corpus = tp.load_tokenized(pipeline["corpus"])
-        extra = replace(corpus[0], news_id="NEXTRA")
+        extra = corpus[0]._replace(news_id="NEXTRA")
         bigger = str(tmp_path / "tokenized.tsv")
         tp.save_tokenized(bigger, [extra, *corpus])
         out = str(tmp_path / "eval")
@@ -1182,8 +1212,8 @@ class TestNewsIndex:
             raise AssertionError("a warm query parsed what it does not read")
 
         monkeypatch.setattr(gl, "load_embeddings", unused)
-        monkeypatch.setattr(tp.TokenizedLine, "news", unused)
-        monkeypatch.setattr(tp.TokenizedLine, "title_tokens", property(unused))
+        monkeypatch.setattr(tp.TokenizedNews, "title_tokens", property(unused))
+        monkeypatch.setattr(tp.TokenizedNews, "abstract_tokens", property(unused))
         assert self.run(args, out, capsys, *self.stack(pipeline)) == cold
 
     def test_free_text_query_loads_the_embeddings_once(self, pipeline, fixture_dir, tmp_path,
@@ -1358,7 +1388,7 @@ class TestAnalyticsCommand:
         names = ["a/b", "a%2Fb", "x\0y", "health"]
         corpus = tmp_path / "tokenized.tsv"
         tp.save_tokenized(str(corpus), [
-            tp.TokenizedNews(f"N{i}", cat, "sub", (f"w{i}",), (), f"title {i}", "abstract")
+            tp.TokenizedNews(f"N{i}", cat, "sub", f"title {i}", "abstract", f"w{i}", "")
             for i, cat in enumerate(names)])
         out = tmp_path / "ana"
         assert cli.main(["analytics", "--corpus", str(corpus), "--out-dir", str(out)]) == 0
@@ -1388,7 +1418,7 @@ class TestAnalyticsCommand:
         category = "c" * 300
         corpus = tmp_path / "tokenized.tsv"
         tp.save_tokenized(str(corpus), [
-            tp.TokenizedNews("N1", category, "sub", ("w",), (), "title", "abstract")])
+            tp.TokenizedNews("N1", category, "sub", "title", "abstract", "w", "")])
         out = tmp_path / "ana"
         assert cli.main(["analytics", "--corpus", str(corpus), "--out-dir", str(out)]) == 3
         assert f"category {category!r}" in capsys.readouterr().err

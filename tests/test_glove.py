@@ -92,14 +92,14 @@ def oracle_vocab(documents, min_count):
 
 class TestVocabulary:
     def test_frequency_then_index(self):
-        assert gl.build_vocab([["a", "b", "a"]], min_count=1) == ("a", "b")
+        assert gl.build_vocab(gl.encode_documents([["a", "b", "a"]]), min_count=1) == ("a", "b")
 
     def test_min_count_filters_everything(self):
         with pytest.raises(EmptyVocabulary):
-            gl.build_vocab([["a", "b"]], min_count=3)
+            gl.build_vocab(gl.encode_documents([["a", "b"]]), min_count=3)
 
     def test_frequency_tie_breaks_lexicographically(self):
-        assert gl.build_vocab([["y", "x"]], min_count=1) == ("x", "y")
+        assert gl.build_vocab(gl.encode_documents([["y", "x"]]), min_count=1) == ("x", "y")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_ids_match_per_token_oracle(self, seed):
@@ -113,7 +113,6 @@ class TestVocabulary:
         for min_count in (1, 2, 3, 7):
             want = oracle_vocab(docs, min_count)
             assert gl.build_vocab(corpus, min_count=min_count) == want
-            assert gl.build_vocab(docs, min_count=min_count) == want
 
     def test_encode_documents_keeps_first_seen_order_and_lengths(self):
         corpus = gl.encode_documents(iter([["b", "a", "b"], [], ["c", "a"]]))
@@ -125,30 +124,33 @@ class TestVocabulary:
 
 class TestCooccurrence:
     def test_adjacent_pairs_window_one(self):
-        tokens = gl.build_vocab([["a", "b", "a"]])
-        m = gl.build_cooccurrence([["a", "b", "a"]], tokens, window=1)
+        corpus = gl.encode_documents([["a", "b", "a"]])
+        tokens = gl.build_vocab(corpus)
+        m = gl.build_cooccurrence(corpus, tokens, window=1)
         a, b = tokens.index("a"), tokens.index("b")
         assert entries(m) == {(a, b): 2.0, (b, a): 2.0}
 
     def test_distance_two_pair_gets_half_weight_once(self):
-        tokens = gl.build_vocab([["a", "b", "a"]])
-        m = gl.build_cooccurrence([["a", "b", "a"]], tokens, window=2)
+        corpus = gl.encode_documents([["a", "b", "a"]])
+        tokens = gl.build_vocab(corpus)
+        m = gl.build_cooccurrence(corpus, tokens, window=2)
         a, b = tokens.index("a"), tokens.index("b")
         assert entries(m) == {(a, b): 2.0, (b, a): 2.0, (a, a): 0.5}
 
     def test_empty_corpus_gives_empty_matrix(self):
-        tokens = gl.build_vocab([["a", "b"]])
-        m = gl.build_cooccurrence([], tokens, window=2)
+        tokens = gl.build_vocab(gl.encode_documents([["a", "b"]]))
+        m = gl.build_cooccurrence(gl.encode_documents([]), tokens, window=2)
         assert m.nnz == 0
 
     def test_windows_do_not_span_documents(self):
-        tokens = gl.build_vocab([["a"], ["b"]])
-        m = gl.build_cooccurrence([["a"], ["b"]], tokens, window=5)
+        corpus = gl.encode_documents([["a"], ["b"]])
+        tokens = gl.build_vocab(corpus)
+        m = gl.build_cooccurrence(corpus, tokens, window=5)
         assert m.nnz == 0
 
     def test_out_of_vocabulary_tokens_are_dropped(self):
-        tokens = gl.build_vocab([["a", "a", "b"]], min_count=2)
-        m = gl.build_cooccurrence([["a", "b", "zzz", "a"]], tokens, window=1)
+        tokens = gl.build_vocab(gl.encode_documents([["a", "a", "b"]]), min_count=2)
+        m = gl.build_cooccurrence(gl.encode_documents([["a", "b", "zzz", "a"]]), tokens, window=1)
         assert entries(m) == {(0, 0): 1.0}   # the two a's are adjacent once b and zzz go
 
     @staticmethod
@@ -158,9 +160,9 @@ class TestCooccurrence:
             docs = random_corpus(rng, n_docs=60, alphabet=int(rng.integers(3, 30)))
             # min_count 3 over part of the corpus leaves rare tokens out, and
             # about a tenth of the tokens are swapped for one never counted
-            tokens = gl.build_vocab(docs[:40] + [["w0"] * 3], min_count=3)
+            tokens = gl.build_vocab(gl.encode_documents(docs[:40] + [["w0"] * 3]), min_count=3)
             docs = [[tok if rng.random() > 0.1 else "oov" for tok in doc] for doc in docs]
-            m = gl.build_cooccurrence(docs, tokens, window=window)
+            m = gl.build_cooccurrence(gl.encode_documents(docs), tokens, window=window)
             rows, cols, vals = oracle_cooccurrence(docs, tokens, window)
             assert (m.rows.tobytes(), m.cols.tobytes(), m.vals.tobytes()) == (
                 rows.tobytes(), cols.tobytes(), vals.tobytes())
@@ -188,9 +190,10 @@ class TestCooccurrence:
         rng = np.random.default_rng(budget)
         long_doc = [f"w{c}" for c in rng.integers(0, 9, size=120)]
         docs = [[], ["w1", "w2"], [], long_doc, [], [], ["w3"], ["w2", "w1", "w2"], []]
-        tokens = gl.build_vocab(docs)
+        corpus = gl.encode_documents(docs)
+        tokens = gl.build_vocab(corpus)
         for window in (2, 7, 10**12):
-            m = gl.build_cooccurrence(docs, tokens, window=window)
+            m = gl.build_cooccurrence(corpus, tokens, window=window)
             rows, cols, vals = oracle_cooccurrence(docs, tokens, window)
             assert (m.rows.tobytes(), m.cols.tobytes(), m.vals.tobytes()) == (
                 rows.tobytes(), cols.tobytes(), vals.tobytes())
@@ -226,8 +229,9 @@ class TestCooccurrence:
         rng = np.random.default_rng(0)
         docs = [[f"w{c}" for c in rng.integers(0, 12, size=rng.integers(2, 30))]
                 for _ in range(40)]
-        tokens = gl.build_vocab(docs)
-        m = gl.build_cooccurrence(docs, tokens, window=4)
+        corpus = gl.encode_documents(docs)
+        tokens = gl.build_vocab(corpus)
+        m = gl.build_cooccurrence(corpus, tokens, window=4)
         keys = m.rows * m.vocab_size + m.cols
         assert np.all(np.diff(keys) > 0)   # sorted by (row, col), no duplicates
         d = entries(m)
@@ -302,7 +306,8 @@ class TestTraining:
         for _ in range(60):
             pool = left if rng.random() < 0.5 else right
             docs.append([pool[int(rng.integers(8))] for _ in range(12)])
-        return gl.build_cooccurrence(docs, gl.build_vocab(docs), window=4)
+        corpus = gl.encode_documents(docs)
+        return gl.build_cooccurrence(corpus, gl.build_vocab(corpus), window=4)
 
     def test_cost_halves_on_two_cluster_corpus(self):
         m = self.cluster_matrix()
@@ -359,8 +364,9 @@ class TestTraining:
 
 class TestLookup:
     def test_word_vector_is_sum_of_both_tables(self):
-        tokens = gl.build_vocab([["flu", "shot", "flu"]])
-        m = gl.build_cooccurrence([["flu", "shot", "flu"]], tokens, window=2)
+        corpus = gl.encode_documents([["flu", "shot", "flu"]])
+        tokens = gl.build_vocab(corpus)
+        m = gl.build_cooccurrence(corpus, tokens, window=2)
         table, _ = gl.glove_train(m, gl.GloveConfig(dim=4, epochs=3, seed=1))
         lookup = gl.EmbeddingLookup.from_rows(tokens, table.word_vectors())
         i = tokens.index("flu")

@@ -11,7 +11,7 @@ import pytest
 import newsrec.mind as mind
 from newsrec.errors import ConfigError, MissingInput, NotAPermutation
 
-NEWS_LINE = "N1\tsports\tgolf\tPGA Tour winners\tA gallery.\thttp://x\t[]\t[]"
+NEWS_LINE = b"N1\tsports\tgolf\tPGA Tour winners\tA gallery.\thttp://x\t[]\t[]"
 
 
 def test_parse_news_maps_fields_directly():
@@ -27,7 +27,7 @@ def test_parse_news_maps_fields_directly():
 
 
 def test_parse_news_wrong_column_count_is_recorded_not_raised():
-    articles, errors = mind.parse_news(["a\tb\tc\td\te\tf\tg"])
+    articles, errors = mind.parse_news([b"a\tb\tc\td\te\tf\tg"])
     assert articles == []
     assert len(errors) == 1
     assert errors[0].reason == "WrongColumnCount"
@@ -38,9 +38,9 @@ def test_parse_news_mixed_fixture_counts():
     lines = []
     for i in range(20):
         if i in (4, 11):
-            lines.append("truncated line without tabs")
+            lines.append(b"truncated line without tabs")
         else:
-            lines.append(f"N{i}\tnews\tworld\tTitle number {i} here\tBody {i}.\tu\t[]\t[]")
+            lines.append(f"N{i}\tnews\tworld\tTitle number {i} here\tBody {i}.\tu\t[]\t[]".encode())
     articles, errors = mind.parse_news(lines)
     assert len(articles) == 18
     assert len(errors) == 2
@@ -49,7 +49,7 @@ def test_parse_news_mixed_fixture_counts():
 
 
 def test_parse_behaviors_splits_labeled_candidates():
-    line = "1\tU1\t11/11/2019 9:05:58 AM\tN100 N101\tN5-1 N7-0 N9-0"
+    line = b"1\tU1\t11/11/2019 9:05:58 AM\tN100 N101\tN5-1 N7-0 N9-0"
     logs, errors = mind.parse_behaviors([line])
     assert errors == []
     (log,) = logs
@@ -61,24 +61,24 @@ def test_parse_behaviors_splits_labeled_candidates():
 
 
 def test_parse_behaviors_empty_history_is_cold_start():
-    logs, errors = mind.parse_behaviors(["1\tU1\tt\t\tN5-1 N6-0"])
+    logs, errors = mind.parse_behaviors([b"1\tU1\tt\t\tN5-1 N6-0"])
     assert errors == []
     assert logs[0].history == ()
 
 
 def test_parse_behaviors_bad_label_suffix():
-    logs, errors = mind.parse_behaviors(["1\tU1\tt\tN2\tN5-2"])
+    logs, errors = mind.parse_behaviors([b"1\tU1\tt\tN2\tN5-2"])
     assert logs == []
     assert errors[0].reason == "BadLabelSuffix"
 
 
 def test_behavior_round_trip():
     lines = [
-        "1\tU1\t11/11/2019 9:05:58 AM\tN1 N2\tN5-1 N7-0",
-        "2\tU2\t11/12/2019 1:00:00 PM\t\tN8-0 N9-1 N10-0",
+        b"1\tU1\t11/11/2019 9:05:58 AM\tN1 N2\tN5-1 N7-0",
+        b"2\tU2\t11/12/2019 1:00:00 PM\t\tN8-0 N9-1 N10-0",
     ]
     logs, _ = mind.parse_behaviors(lines)
-    rewritten = [mind.format_behavior_line(log) for log in logs]
+    rewritten = [mind.format_behavior_line(log).encode() for log in logs]
     logs2, errors2 = mind.parse_behaviors(rewritten)
     assert errors2 == []
     assert logs2 == logs
@@ -92,13 +92,13 @@ def test_compute_stats_empty_corpora():
 
 def test_compute_stats_hand_counted():
     news, _ = mind.parse_news([
-        "N1\tc\ts\ttwo words\tthree more words\tu\t[]\t[]",
-        "N2\tc\ts\tone\t\tu\t[]\t[]",
+        b"N1\tc\ts\ttwo words\tthree more words\tu\t[]\t[]",
+        b"N2\tc\ts\tone\t\tu\t[]\t[]",
     ])
     logs, _ = mind.parse_behaviors([
-        "1\tU1\tt\tN1 N2\tN3-1 N4-0",
-        "2\tU1\tt\t\tN5-0 N6-1 N7-1",
-        "3\tU2\tt\tN1\tN8-0",
+        b"1\tU1\tt\tN1 N2\tN3-1 N4-0",
+        b"2\tU1\tt\t\tN5-0 N6-1 N7-1",
+        b"3\tU2\tt\tN1\tN8-0",
     ])
     stats = mind.compute_stats(news, logs)
     assert stats.users == 2

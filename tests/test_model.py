@@ -504,7 +504,7 @@ class TestBatchedEncoders:
         monkeypatch.setattr(mdl, "ROW_BUDGET", 4)
         lookup, title_map, _ = ragged_batch()
         params = tiny_params()
-        corpus = [TokenizedNews(nid, "c", "s", toks, (), " ".join(toks), "")
+        corpus = [TokenizedNews(nid, "c", "s", " ".join(toks), "", " ".join(toks), "")
                   for nid, toks in title_map.items()]
         index = ret.CorpusIndex(corpus, lookup, params)
         want = np.stack([mdl.news_vector(item.title_tokens, lookup, params) for item in corpus])
@@ -569,7 +569,7 @@ class TestFloat32Training:
 
 def title_index(title_map, lookup, params):
     """The ``CorpusIndex`` of ``title_map``'s titles, as ``evaluate`` builds it."""
-    corpus = [TokenizedNews(nid, "c", "s", toks, (), " ".join(toks), "")
+    corpus = [TokenizedNews(nid, "c", "s", " ".join(toks), "", " ".join(toks), "")
               for nid, toks in title_map.items()]
     return ret.CorpusIndex(corpus, lookup, params)
 

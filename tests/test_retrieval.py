@@ -27,12 +27,12 @@ def crafted_index(seed=0):
                              max_history=4, seed=2)
     params = mdl.init_params(4, config)
     items = [
-        TokenizedNews("N1", "tech", "s", ("x0", "x1"), ("x2",), "x0 x1", "x2 body one"),
-        TokenizedNews("N2", "tech", "s", ("x1", "x2"), ("x3",), "x1 x2", "x3 body two"),
-        TokenizedNews("N3", "tech", "s", ("x0", "x3"), ("x1",), "x0 x3", "x1 body three"),
-        TokenizedNews("N4", "food", "s", ("y0", "y1"), ("y2",), "y0 y1", "y2 body four"),
-        TokenizedNews("N5", "food", "s", ("y1", "y2"), ("y3",), "y1 y2", "y3 body five"),
-        TokenizedNews("N6", "food", "s", ("y0", "y1"), ("y3",), "twin headline", "duplicate tokens"),
+        TokenizedNews("N1", "tech", "s", "x0 x1", "x2 body one", "x0 x1", "x2"),
+        TokenizedNews("N2", "tech", "s", "x1 x2", "x3 body two", "x1 x2", "x3"),
+        TokenizedNews("N3", "tech", "s", "x0 x3", "x1 body three", "x0 x3", "x1"),
+        TokenizedNews("N4", "food", "s", "y0 y1", "y2 body four", "y0 y1", "y2"),
+        TokenizedNews("N5", "food", "s", "y1 y2", "y3 body five", "y1 y2", "y3"),
+        TokenizedNews("N6", "food", "s", "twin headline", "duplicate tokens", "y0 y1", "y3"),
     ]
     return items, lookup, params, ret.CorpusIndex(items, lookup, params)
 
@@ -40,7 +40,7 @@ def crafted_index(seed=0):
 class TestCorpusIndex:
     def test_unencodable_items_are_skipped(self):
         items, lookup, params, _ = crafted_index()
-        items = items + [TokenizedNews("N7", "tech", "s", ("zzz",), (), "zzz", "")]
+        items = items + [TokenizedNews("N7", "tech", "s", "zzz", "", "zzz", "")]
         index = ret.CorpusIndex(items, lookup, params)
         assert index.skipped == ("N7",)
         assert index.vector_of("N7") is None
@@ -83,8 +83,8 @@ class TestRecommend:
         params = mdl.init_params(8, mdl.ModelConfig(heads=heads, d_head=d_head, d_attn=16,
                                                     max_history=5, seed=heads))
         rng = np.random.default_rng(d_head)
-        items = [TokenizedNews(f"N{i}", "c", "s", tuple(rng.choice(tokens, size=4)), (),
-                               f"title {i}", "") for i in range(40)]
+        items = [TokenizedNews(f"N{i}", "c", "s", f"title {i}", "",
+                               " ".join(rng.choice(tokens, size=4)), "") for i in range(40)]
         index = ret.CorpusIndex(items, lookup, params)
         history = ["N3", "N17", "N3", "N999", "N25"]
         pool = ["N5", "N17", "N5", "N888", "N3", *(f"N{i}" for i in range(40, 0, -1)), "N0"]

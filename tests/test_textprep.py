@@ -1,10 +1,13 @@
 """Cleaning, tokenization, stopword removal, and stemming behavior."""
 
 import sys
+import tempfile
 import unicodedata
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import newsrec.porter as porter
 import newsrec.synth as synth
@@ -320,3 +323,28 @@ def test_tokenized_file_round_trip(tmp_path, stopwords):
     path = tmp_path / "tokenized.tsv"
     tp.save_tokenized(str(path), records)
     assert tp.load_tokenized(str(path)) == records
+
+
+# any character a MIND field can hold: all but tab, newline and the
+# surrogates UTF-8 cannot encode, with the other line separators drawn often
+LINE_SEPARATORS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+field_chars = st.one_of(st.sampled_from(LINE_SEPARATORS),
+                        st.characters(exclude_characters="\t\n", exclude_categories=("Cs",)))
+raw_text = st.text(field_chars, max_size=12)
+# a read drops a leading byte-order mark, and mind rejects a blank news id
+news_ids = st.text(field_chars, min_size=1, max_size=6).filter(
+    lambda nid: nid.strip() and not nid.startswith("\ufeff"))
+token_text = st.lists(st.text(st.characters(exclude_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+                              min_size=1, max_size=5).filter(lambda tok: tok.split() == [tok]),
+                      max_size=4).map(" ".join)
+records = st.builds(tp.TokenizedNews, news_ids, raw_text, raw_text, raw_text, raw_text,
+                    token_text.filter(bool), token_text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(records, max_size=5, unique_by=lambda news: news.news_id))
+def test_tokenized_file_round_trips_any_raw_text(corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/tokenized.tsv"
+        tp.save_tokenized(path, corpus)
+        assert tp.load_tokenized(path) == corpus
