@@ -34,7 +34,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
-from typing import Sequence, get_type_hints
+from typing import Collection, Sequence, get_type_hints
 
 from . import analytics as ana
 from . import glove as gl
@@ -131,10 +131,13 @@ def _emit(args, manifest: RunManifest, name: str, text: str) -> str:
     return path
 
 
-def _load_embeddings(args, params: mdl.ModelParams) -> gl.EmbeddingLookup:
-    """Load ``--embeddings``, whose width must be the one ``--model`` was trained on."""
-    lookup = gl.load_embeddings(args.embeddings)
-    if params.embed_dim != lookup.dim:
+def _load_embeddings(args, params: mdl.ModelParams,
+                     only: Collection[str] | None = None) -> gl.EmbeddingLookup:
+    """Load ``--embeddings`` (the rows of the tokens in ``only``, if given),
+    whose width must be the one ``--model`` was trained on; a load of no
+    rows has no width to check."""
+    lookup = gl.load_embeddings(args.embeddings, only)
+    if len(lookup) and params.embed_dim != lookup.dim:
         raise ConfigError(f"{args.model} expects {params.embed_dim}-dim embeddings, "
                           f"but {args.embeddings} holds {lookup.dim}-dim vectors")
     return lookup
@@ -252,14 +255,23 @@ def _model_stack(args, manifest: RunManifest):
     writes ``news_index.bin`` to ``--out-dir`` if the index was built rather
     than read from there, and lists the file among the outputs.
 
-    ``--embeddings`` is digested but parsed only when the loader is first
-    called: to build the index, or to encode a free-text ``similar`` query.
-    Of the ``--corpus`` records, only a build splits the token columns."""
+    ``--embeddings`` is digested but parsed only when the loader is
+    called: whole, once, to build the index; and to encode a free-text
+    ``similar`` query, whole if the index was built, else only the rows of
+    the query's tokens.  The rows a reused index lets a query skip need no
+    check: an index is reused only if its key holds the digest of these
+    exact ``--embeddings`` bytes, and it was written by a query that loaded
+    and checked every row of them.  Of the ``--corpus`` records, only a
+    build splits the token columns."""
     _inputs(manifest, args.corpus, args.embeddings)
     model = _read_input(manifest, args.model)
     corpus = tp.load_tokenized(args.corpus)
     params = mdl.load_model(args.model, model)
-    lookup = functools.cache(lambda: _load_embeddings(args, params))
+    whole = functools.cache(lambda: _load_embeddings(args, params))
+
+    def lookup(only):
+        return whole() if only is None or stored is None else _load_embeddings(args, params, only)
+
     digests = {name: manifest.inputs[getattr(args, name)]
                for name in ("corpus", "embeddings", "model")}
     path = os.path.join(args.out_dir, ret.INDEX_FILE)

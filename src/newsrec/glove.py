@@ -33,7 +33,7 @@ import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -434,8 +434,12 @@ def save_embeddings_text(path: str, lookup: EmbeddingLookup) -> None:
 _TEXT_CHUNK_LINES = 256  # lines converted per vectorized parse; bounds the strings held
 
 
-def load_embeddings_text(path: str) -> EmbeddingLookup:
-    """Read a ``save_embeddings_text`` file; a leading byte-order mark is ignored."""
+def load_embeddings_text(path: str, only: Collection[str] | None = None) -> EmbeddingLookup:
+    """Read a ``save_embeddings_text`` file; a leading byte-order mark is ignored.
+
+    With ``only``, a line whose token is not in it is skipped before its
+    numbers are split, and the lookup holds the rows that are left, which
+    may be none."""
     tokens: list[str] = []
     blocks: list[np.ndarray] = []
     fields: list[list[str]] = []
@@ -444,7 +448,7 @@ def load_embeddings_text(path: str) -> EmbeddingLookup:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
-                if not line:
+                if not line or only is not None and line.partition(" ")[0] not in only:
                     continue
                 parts = line.split(" ")
                 tokens.append(parts[0])
@@ -458,6 +462,8 @@ def load_embeddings_text(path: str) -> EmbeddingLookup:
     if fields:
         blocks.extend(_parse_components(path, fields, linenos))
     if not tokens:
+        if only is not None:
+            return EmbeddingLookup.from_rows((), np.empty((0, 0)), path)
         raise EmptyVocabulary(f"embedding file {path} has no rows")
     widths = sorted({block.shape[1] for block in blocks})
     if widths == [0]:
@@ -492,9 +498,10 @@ def save_embeddings_binary(path: str, lookup: EmbeddingLookup) -> None:
                      [lookup.matrix])
 
 
-def load_embeddings_binary(path: str) -> EmbeddingLookup:
+def load_embeddings_binary(path: str, only: Collection[str] | None = None) -> EmbeddingLookup:
     """Read a ``save_embeddings_binary`` file; a garbled header or a
-    payload that is not its rows raises ConfigError naming ``path``."""
+    payload that is not its rows raises ConfigError naming ``path``.  With
+    ``only``, the lookup holds only the rows of the tokens in it."""
     header, values = read_checkpoint(path, BINARY_MAGIC, "an embedding checkpoint")
     tokens, dim = header.get("tokens"), header.get("dim")
     if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
@@ -505,14 +512,24 @@ def load_embeddings_binary(path: str) -> EmbeddingLookup:
         raise ConfigError(f"{path}: header dim must be an integer >= 1, got {dim!r}")
     if values.size != len(tokens) * dim:
         raise ConfigError(f"{path} holds {values.size} values, not {len(tokens)} rows of {dim}")
-    return EmbeddingLookup.from_rows(tokens, values.reshape(len(tokens), dim), path)
+    matrix = values.reshape(len(tokens), dim)
+    if only is not None:
+        rows = [i for i, tok in enumerate(tokens) if tok in only]
+        tokens, matrix = [tokens[i] for i in rows], matrix[rows]
+    return EmbeddingLookup.from_rows(tokens, matrix, path)
 
 
-def load_embeddings(path: str) -> EmbeddingLookup:
+def load_embeddings(path: str, only: Collection[str] | None = None) -> EmbeddingLookup:
     """Load either format: a file that starts with ``NRECGLV`` is binary,
-    so an older ``NRECGLV1`` file gets the bad-magic error."""
+    so an older ``NRECGLV1`` file gets the bad-magic error.
+
+    With ``only``, the lookup holds just the rows of those tokens that the
+    file has, which may be none.  The rows it reads get every check a
+    whole load gives a row (numbers, one width, finite, not repeated);
+    the rows it skips get none, so a caller passes ``only`` for a file it
+    has loaded whole before, as identified by its digest."""
     with open(path, "rb") as fh:
         head = fh.read(len(BINARY_MAGIC))
     if head.startswith(BINARY_MAGIC[:-1]):
-        return load_embeddings_binary(path)
-    return load_embeddings_text(path)
+        return load_embeddings_binary(path, only)
+    return load_embeddings_text(path, only)

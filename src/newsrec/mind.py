@@ -96,6 +96,10 @@ def _parse_news_line(line: bytes, line_no: int):
     news_id, category, subcategory, title, abstract, url, t_ent, a_ent = fields
     if not news_id.strip():
         return None, ParseError(line_no, "EmptyNewsId")
+    if news_id.startswith("\ufeff"):
+        # say, a second mark after the one _read_binary_lines drops: at the
+        # head of tokenized.tsv, its readers would drop it and see another id
+        return None, ParseError(line_no, "ByteOrderMarkInNewsId", f"news_id={news_id!r}")
     if not category.strip() or not subcategory.strip():
         return None, ParseError(line_no, "EmptyCategory", f"news_id={news_id}")
     article = NewsArticle(news_id, category, subcategory, title, abstract, url, t_ent, a_ent)

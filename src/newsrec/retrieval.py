@@ -8,7 +8,9 @@ finds the corpus items whose encoded vectors lie closest to a query
 Both read news vectors from a ``CorpusIndex``.  ``load_or_build_index``
 reads one from a ``news_index.bin`` file written by ``save_index`` for the
 same inputs, or builds it when there is no such file; only a build, or a
-free-text query, needs the word embeddings.  The index holds the corpus's
+free-text query, needs the word embeddings.  Their loader takes the tokens
+whose rows are wanted, or None for every row: a build asks for all of
+them, a free-text query only for its own.  The index holds the corpus's
 ``textprep.TokenizedNews`` records; only a build reads their title tokens,
 so a query over a stored index splits no token column.
 """
@@ -19,7 +21,7 @@ import heapq
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -33,6 +35,9 @@ SNIPPET_WIDTH = 48
 METRICS = ("euclidean", "cosine-distance")
 INDEX_FILE = "news_index.bin"
 INDEX_MAGIC = b"NRECIDX1"
+
+# a loader of the word embeddings: the rows of the given tokens, or of all if None
+Loader = Callable[[Collection[str] | None], EmbeddingLookup]
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,12 +119,12 @@ def save_index(path: str, index: CorpusIndex, inputs: dict[str, str]) -> None:
     write_checkpoint(path, INDEX_MAGIC, header, [index.matrix], dtype="<f8")
 
 
-def load_or_build_index(path: str, corpus: Sequence[TokenizedNews],
-                        lookup: Callable[[], EmbeddingLookup], params: ModelParams,
+def load_or_build_index(path: str, corpus: Sequence[TokenizedNews], lookup: Loader,
+                        params: ModelParams,
                         inputs: dict[str, str]) -> tuple[CorpusIndex, bytes | None]:
     """The ``save_index`` file at ``path`` as an index, and the bytes it
     was read from, if it was written for these ``inputs`` digests and this
-    numpy; else a new ``CorpusIndex`` over the embeddings ``lookup()``
+    numpy; else a new ``CorpusIndex`` over every embedding ``lookup(None)``
     loads, and None.
 
     A file for other inputs or another numpy is stale and ignored.  A file
@@ -146,7 +151,7 @@ def load_or_build_index(path: str, corpus: Sequence[TokenizedNews],
             # other kernels over unaligned rows than over a built index's
             matrix = values.reshape(len(ids), width).copy()
             return CorpusIndex._of_rows(corpus, [by_id[nid] for nid in ids], matrix), blob
-    return CorpusIndex(corpus, lookup(), params), None
+    return CorpusIndex(corpus, lookup(None), params), None
 
 
 def recommend(
@@ -229,7 +234,7 @@ _DISTANCE_FNS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 def _resolve_query(
     query: str,
     index: CorpusIndex,
-    lookup: Callable[[], EmbeddingLookup],
+    lookup: Loader,
     params: ModelParams,
     normalize: Callable[[str], list[str]],
 ) -> tuple[np.ndarray, str | None]:
@@ -237,7 +242,8 @@ def _resolve_query(
 
     Resolution order: exact news id, exact raw headline (first match),
     else normalize the text like a title and encode it over the
-    embeddings ``lookup()`` returns.
+    embeddings ``lookup`` returns for the tokens the encoder reads, the
+    first ``max_title_tokens``.
     """
     vec = index.vector_of(query)
     if vec is not None:
@@ -248,13 +254,14 @@ def _resolve_query(
     tokens = normalize(query)
     if not tokens:
         raise NoKnownTokens(f"query {query!r} has no tokens after normalization")
-    return news_vector(tokens, lookup(), params), None
+    words = lookup(set(tokens[:params.config.max_title_tokens]))
+    return news_vector(tokens, words, params), None
 
 
 def similar_news(
     query: str,
     index: CorpusIndex,
-    lookup: Callable[[], EmbeddingLookup],
+    lookup: Loader,
     params: ModelParams,
     normalize: Callable[[str], list[str]],
     top_n: int = 10,
@@ -262,8 +269,8 @@ def similar_news(
 ) -> SimilarityResult:
     """Corpus items nearest to the query vector, distance ascending.
 
-    ``lookup`` returns the word embeddings; only a free-text query, which
-    is encoded, calls it.
+    ``lookup`` loads the word embeddings; only a free-text query, which is
+    encoded, calls it, with the tokens it encodes.
 
     Equal distances order by ascending news id.  When the query resolves
     to a corpus item, that item is excluded from its own neighbor list.

@@ -425,6 +425,27 @@ class TestByteOrderMark:
         capsys.readouterr()
         assert outputs[0] and outputs[0] == outputs[1]
 
+    def test_second_mark_before_news_drops_the_first_record(self, fixture_dir, tmp_path,
+                                                            capsys):
+        """A second mark would stay in the first news id, which every reader
+        of tokenized.tsv then drops: prepare drops the record and counts it."""
+        news = tmp_path / "news.tsv"
+        with open(fixture_dir.news, "rb") as fh:
+            plain = fh.read()
+        news.write_bytes(b"\xef\xbb\xbf" * 2 + plain)
+        out = tmp_path / "prep"
+        assert cli.main(["prepare", "--news", str(news), "--behaviors",
+                         fixture_dir.behaviors_train, "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        corpus = out / "tokenized.tsv"
+        written = [line.split("\t", 1)[0] for line in
+                   corpus.read_bytes().decode("utf-8").split("\n") if line]
+        first_id = plain.split(b"\t", 1)[0].decode()
+        assert first_id not in written and not written[0].startswith("\ufeff")
+        assert [item.news_id for item in tp.load_tokenized(str(corpus))] == written
+        report = json.loads((out / "clean_report.json").read_text(encoding="utf-8"))
+        assert report["parse_errors_news"] == {"ByteOrderMarkInNewsId": 1}
+
 
 class TestLineSeparatorsInText:
     """A raw title may hold any line separator but ``\\n``: ``\\r`` among them."""
@@ -1216,18 +1237,72 @@ class TestNewsIndex:
         monkeypatch.setattr(tp.TokenizedNews, "abstract_tokens", property(unused))
         assert self.run(args, out, capsys, *self.stack(pipeline)) == cold
 
+    def embeddings(self, fmt, pipeline, tmp_path):
+        """The pipeline's embeddings as ``fmt``: its text file, or the same
+        vectors as a binary checkpoint."""
+        if fmt == "text":
+            return pipeline["embeddings"]
+        path = str(tmp_path / "embeddings.bin")
+        gl.save_embeddings_binary(path, gl.load_embeddings(pipeline["embeddings"]))
+        return path
+
     def test_free_text_query_loads_the_embeddings_once(self, pipeline, fixture_dir, tmp_path,
                                                        capsys, monkeypatch):
+        """Cold, one load of every row; warm, one load of the rows of the
+        query's first ``max_title_tokens`` normalized tokens; in both formats."""
         calls = []
         load = gl.load_embeddings
-        monkeypatch.setattr(gl, "load_embeddings", lambda path: calls.append(path) or load(path))
+        monkeypatch.setattr(gl, "load_embeddings",
+                            lambda path, only=None: calls.append((path, only)) or load(path, only))
         args = self.query_args("text", pipeline, fixture_dir)
-        outputs = []
-        for _ in ("cold", "warm"):
-            calls.clear()
-            outputs.append(self.run(args, tmp_path / "q", capsys, *self.stack(pipeline)))
-            assert calls == [pipeline["embeddings"]]
-        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        max_tokens = mdl.load_model(pipeline["model_bin"]).config.max_title_tokens
+        tokens = set(tp.normalize_text(args[-1], tp.load_stopwords())[:max_tokens])
+        for fmt in ("text", "binary"):
+            stack = (pipeline["corpus"], self.embeddings(fmt, pipeline, tmp_path),
+                     pipeline["model_bin"])
+            outputs = []
+            for only in (None, tokens):
+                calls.clear()
+                outputs.append(self.run(args, tmp_path / fmt, capsys, *stack))
+                assert calls == [(stack[1], only)]
+            assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_warm_free_text_query_parses_only_its_tokens_rows(self, fmt, pipeline, fixture_dir,
+                                                              tmp_path, capsys, monkeypatch):
+        args = self.query_args("text", pipeline, fixture_dir)
+        stack = (pipeline["corpus"], self.embeddings(fmt, pipeline, tmp_path), pipeline["model_bin"])
+        cold = self.run(args, tmp_path / "cold", capsys, *stack)
+        out = tmp_path / "q"
+        assert self.run(["similar", "--query", "N1"], out, capsys, *stack)[0] == 0
+        index = (out / "news_index.bin").read_bytes()
+        rows, parsed = [], []
+        from_rows, parse = gl.EmbeddingLookup.from_rows.__func__, gl._parse_components
+        monkeypatch.setattr(gl.EmbeddingLookup, "from_rows", classmethod(
+            lambda cls, tokens, *rest: rows.extend(tokens) or from_rows(cls, tokens, *rest)))
+        monkeypatch.setattr(gl, "_parse_components", lambda path, fields, linenos:
+                            parsed.extend(linenos) or parse(path, fields, linenos))
+        warm = self.run(args, out, capsys, *stack)
+        assert warm == cold and cold[0] == 0
+        max_tokens = mdl.load_model(pipeline["model_bin"]).config.max_title_tokens
+        tokens = tp.normalize_text(args[-1], tp.load_stopwords())[:max_tokens]
+        assert rows and set(rows) <= set(tokens) and len(rows) == len(set(rows))
+        assert len(parsed) == (len(rows) if fmt == "text" else 0)
+        assert len(rows) < len(gl.load_embeddings(stack[1]))
+        assert (out / "news_index.bin").read_bytes() == index
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_warm_free_text_query_with_no_known_token_exits_5(self, fmt, pipeline, tmp_path,
+                                                              capsys):
+        stack = (pipeline["corpus"], self.embeddings(fmt, pipeline, tmp_path), pipeline["model_bin"])
+        args = ["similar", "--query", "qqq zzz"]
+        cold = self.failure(args, tmp_path / "cold", capsys, *stack)
+        out = tmp_path / "q"
+        assert self.run(["similar", "--query", "N1"], out, capsys, *stack)[0] == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert self.failure(args, out, capsys, *stack) == cold
+        assert cold[0] == 5 and "no embeddable token among ['qqq', 'zzz']" in cold[1], cold
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     @staticmethod
     def change_one_byte(path, lineno, column):

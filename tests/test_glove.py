@@ -562,3 +562,44 @@ class TestCheckpoints:
         self.write_binary(path, {"dim": 5, "tokens": ["alpha", "beta", "gamma"]}, matrix)
         with pytest.raises(ConfigError, match=re.escape(f"{path}: token 'beta' has a nan")):
             gl.load_embeddings(str(path))
+
+    def save(self, fmt, path, lookup):
+        """Write ``lookup`` to ``path`` as ``fmt``, and return the path."""
+        save = gl.save_embeddings_text if fmt == "text" else gl.save_embeddings_binary
+        save(str(path), lookup)
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("only", [{"gamma", "alpha"}, {"beta", "zeta"}, {"zeta"}, set()])
+    def test_only_loads_the_rows_of_those_tokens(self, tmp_path, fmt, only):
+        path = self.save(fmt, tmp_path / "emb", self.small_lookup())
+        whole = gl.load_embeddings(path)
+        some = gl.load_embeddings(path, only)
+        assert some.tokens == tuple(tok for tok in whole.tokens if tok in only)
+        assert some.matrix.dtype == whole.matrix.dtype
+        for tok in some.tokens:
+            assert np.array_equal(some.matrix[some.index[tok]], whole.matrix[whole.index[tok]])
+
+    @pytest.mark.parametrize("text, message", [
+        ("a 1 2\nb 3 x\nc 5 6\n", ":2: embedding component is not a number"),
+        ("a 1 2\nb 3\nc 5 6\n", " has inconsistent row widths [1, 2]"),
+        ("a 1 2\nb 3 inf\nc 5 6\n", ": token 'b' has a nan or infinite component"),
+        ("a 1 2\nb 3 4\nc 5 6\nb 7 8\n", ": token 'b' occurs more than once"),
+    ])
+    def test_only_checks_the_rows_it_reads_and_skips_the_rest(self, tmp_path, text, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}{message}")):
+            gl.load_embeddings(str(path), {"a", "b"})
+        assert gl.load_embeddings(str(path), {"c"}).tokens == ("c",)
+
+    def test_only_checks_the_binary_rows_it_reads(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        matrix = self.small_lookup().matrix
+        matrix[1] = np.nan
+        self.write_binary(path, {"dim": 5, "tokens": ["alpha", "beta", "alpha"]}, matrix)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: token 'beta' has a nan")):
+            gl.load_embeddings(str(path), {"beta"})
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: token 'alpha' occurs")):
+            gl.load_embeddings(str(path), {"alpha"})
+        assert gl.load_embeddings(str(path), {"gamma"}).tokens == ()

@@ -34,6 +34,21 @@ def test_parse_news_wrong_column_count_is_recorded_not_raised():
     assert errors[0].line_no == 1
 
 
+def test_parse_news_records_an_id_that_starts_with_a_byte_order_mark():
+    marked = "\ufeff".encode() + NEWS_LINE
+    articles, errors = mind.parse_news([NEWS_LINE.replace(b"N1", b"N2"), marked])
+    assert [a.news_id for a in articles] == ["N2"]
+    assert [(e.line_no, e.reason) for e in errors] == [(2, "ByteOrderMarkInNewsId")]
+
+
+def test_load_news_drops_one_leading_mark_and_records_a_second(tmp_path):
+    path = tmp_path / "news.tsv"
+    path.write_bytes(codecs.BOM_UTF8 * 2 + NEWS_LINE + b"\n" + NEWS_LINE.replace(b"N1", b"N2"))
+    articles, errors = mind.load_news(str(path))
+    assert [a.news_id for a in articles] == ["N2"]
+    assert [(e.line_no, e.reason) for e in errors] == [(1, "ByteOrderMarkInNewsId")]
+
+
 def test_parse_news_mixed_fixture_counts():
     lines = []
     for i in range(20):

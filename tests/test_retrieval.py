@@ -139,7 +139,7 @@ class TestRecommend:
 class TestSimilar:
     def test_query_by_news_id_excludes_itself(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N1", index, lambda: lookup, params, simple_normalize, top_n=10)
+        res = ret.similar_news("N1", index, lambda _: lookup, params, simple_normalize, top_n=10)
         ids = [nb.news_id for nb in res.neighbors]
         assert "N1" not in ids
         assert len(ids) == 5
@@ -149,7 +149,7 @@ class TestSimilar:
         """Also when the excluded query item is among the nearest."""
         _, lookup, params, index = crafted_index()
         def neighbors(top_n):
-            return ret.similar_news(query, index, lambda: lookup, params, simple_normalize,
+            return ret.similar_news(query, index, lambda _: lookup, params, simple_normalize,
                                     top_n=top_n).neighbors
         full = neighbors(len(index))
         for top_n in range(1, len(index) + 1):
@@ -157,24 +157,24 @@ class TestSimilar:
 
     def test_query_by_exact_headline_resolves_to_item(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("x0 x1", index, lambda: lookup, params, simple_normalize)
+        res = ret.similar_news("x0 x1", index, lambda _: lookup, params, simple_normalize)
         assert all(nb.news_id != "N1" for nb in res.neighbors)
 
     def test_small_corpus_caps_neighbor_count(self):
         items, lookup, params, _ = crafted_index()
         index = ret.CorpusIndex(items[:2], lookup, params)
-        res = ret.similar_news("x0 x3", index, lambda: lookup, params, simple_normalize, top_n=5)
+        res = ret.similar_news("x0 x3", index, lambda _: lookup, params, simple_normalize, top_n=5)
         assert len(res.neighbors) == 2
 
     def test_distances_non_decreasing(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N2", index, lambda: lookup, params, simple_normalize, top_n=10)
+        res = ret.similar_news("N2", index, lambda _: lookup, params, simple_normalize, top_n=10)
         d = [nb.distance for nb in res.neighbors]
         assert d == sorted(d)
 
     def test_euclidean_distances_match_direct_formula(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N2", index, lambda: lookup, params, simple_normalize, top_n=10)
+        res = ret.similar_news("N2", index, lambda _: lookup, params, simple_normalize, top_n=10)
         q = index.vector_of("N2")
         for nb in res.neighbors:
             want = float(np.linalg.norm(index.vector_of(nb.news_id) - q))
@@ -182,13 +182,13 @@ class TestSimilar:
 
     def test_duplicate_title_tokens_have_distance_zero(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N4", index, lambda: lookup, params, simple_normalize, top_n=1)
+        res = ret.similar_news("N4", index, lambda _: lookup, params, simple_normalize, top_n=1)
         assert res.neighbors[0].news_id == "N6"
         assert res.neighbors[0].distance == 0.0
 
     def test_cosine_distance_metric(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N1", index, lambda: lookup, params, simple_normalize,
+        res = ret.similar_news("N1", index, lambda _: lookup, params, simple_normalize,
                                top_n=10, metric="cosine-distance")
         for nb in res.neighbors:
             assert -1e-12 <= nb.distance <= 2.0 + 1e-12
@@ -198,19 +198,19 @@ class TestSimilar:
     def test_unknown_metric_rejected(self):
         _, lookup, params, index = crafted_index()
         with pytest.raises(ConfigError):
-            ret.similar_news("N1", index, lambda: lookup, params, simple_normalize, metric="manhattan")
+            ret.similar_news("N1", index, lambda _: lookup, params, simple_normalize, metric="manhattan")
 
     def test_gibberish_query_raises(self):
         _, lookup, params, index = crafted_index()
         with pytest.raises(NoKnownTokens):
-            ret.similar_news("zzz qqq", index, lambda: lookup, params, simple_normalize)
+            ret.similar_news("zzz qqq", index, lambda _: lookup, params, simple_normalize)
 
     def test_majority_of_neighbors_share_query_category(self, trained, glove_lookup, stopwords):
         index = trained["index"]
         params = trained["params"]
         item = index.items[0]
         res = ret.similar_news(
-            item.news_id, index, lambda: glove_lookup, params,
+            item.news_id, index, lambda _: glove_lookup, params,
             lambda t: tp.normalize_text(t, stopwords), top_n=10)
         same = sum(nb.category == item.category for nb in res.neighbors)
         assert same > len(res.neighbors) // 2
@@ -224,7 +224,7 @@ class TestRendering:
 
     def test_similarity_rendering_format(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N1", index, lambda: lookup, params, simple_normalize, top_n=2)
+        res = ret.similar_news("N1", index, lambda _: lookup, params, simple_normalize, top_n=2)
         text = ret.render_similarity(res)
         lines = text.splitlines()
         assert lines[0] == "===== Recommended News : ====="
@@ -238,7 +238,7 @@ class TestRendering:
 
     def test_similarity_json_rounds_distances(self):
         _, lookup, params, index = crafted_index()
-        res = ret.similar_news("N1", index, lambda: lookup, params, simple_normalize, top_n=3)
+        res = ret.similar_news("N1", index, lambda _: lookup, params, simple_normalize, top_n=3)
         payload = json.loads(ret.similarity_json(res))
         assert payload["metric"] == "euclidean"
         for nb in payload["neighbors"]:
