@@ -32,6 +32,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from collections import Counter
 from dataclasses import asdict, fields
 from typing import Collection, Sequence, get_type_hints
@@ -44,7 +45,7 @@ from . import model as mdl
 from . import retrieval as ret
 from . import textprep as tp
 from .config import AppConfig, GloveConfig, ModelConfig, apply_overrides, load_config
-from .errors import ConfigError, InputError, MissingInput, NewsrecError
+from .errors import ConfigError, InputError, InsufficientNegatives, MissingInput, NewsrecError
 from .manifest import RunManifest
 
 
@@ -463,6 +464,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_warnings(command: str):
+    """A ``warnings.showwarning`` that prints a warning about the input as
+    one ``newsrec <command>: warning:`` line, and any other as Python does."""
+    show = warnings.showwarning
+
+    def plain(message, category, filename, lineno, file=None, line=None):
+        if issubclass(category, InsufficientNegatives):
+            print(f"newsrec {command}: warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, filename, lineno, file, line)
+
+    return plain
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -472,7 +487,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out_dir and not os.path.isdir(ancestor := _existing_ancestor(args.out_dir)):
             raise ConfigError(f"--out-dir {args.out_dir} cannot be made a directory: "
                               f"{ancestor} exists and is not one")
-        args.func(args, cfg, manifest)
+        with warnings.catch_warnings():
+            warnings.showwarning = _plain_warnings(args.command)
+            args.func(args, cfg, manifest)
         if args.out_dir:
             manifest.write(_out_path(args, f"manifest_{args.command.replace('-', '_')}.json"))
         return 0

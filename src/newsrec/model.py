@@ -156,8 +156,18 @@ def init_params(embed_dim: int, config: ModelConfig) -> ModelParams:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed with max subtraction."""
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    """Softmax over the last axis, computed with max subtraction.
+
+    The row max is taken column by column, one ``np.maximum`` per column:
+    over the short rows of attention scores that is about three times
+    faster than ``np.max`` along the last axis, and a max is exact in any
+    order (a NaN propagates as there), so the result keeps its bits.  The
+    sum stays ``np.sum``, whose pairwise order sets them.
+    """
+    top = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j], out=top)
+    e = np.exp(x - top[..., None])
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
@@ -194,6 +204,25 @@ def _project(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return rows @ weights
 
 
+def _scatter_add(target: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(target, index, rows)`` for a 1-D ``index`` of rows, bit for bit.
+
+    A stable sort ranks each entry among the earlier ones with its index;
+    the entries of one rank hold distinct indices, so each rank is one
+    fancy-indexed ``+=``.  Rank by rank, a target row gets its rows in
+    ``index`` order, the order in which ``np.add.at`` adds them.
+    """
+    order = np.argsort(index, kind="stable")
+    ordered = index[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    rank = np.arange(len(index)) - np.repeat(first, np.diff(np.append(first, len(index))))
+    by_rank = order[np.argsort(rank, kind="stable")]
+    bounds = np.cumsum(np.bincount(rank))
+    for start, stop in zip([0, *bounds[:-1].tolist()], bounds.tolist()):
+        sel = by_rank[start:stop]
+        target[index[sel]] += rows[sel]
+
+
 def _heads(rows: np.ndarray, count: int, length: int, d_head: int) -> np.ndarray:
     """Packed (count * length, 3 * d_model) Q|K|V rows -> views (3, count, heads, length, d_head)."""
     heads = rows.shape[1] // (3 * d_head)
@@ -217,7 +246,8 @@ def self_attention(x: np.ndarray, enc: EncoderParams, d_head: int,
     for row, count, length in _runs(lengths):
         q, k, v = _heads(qkv[row : row + count * length], count, length, d_head)
         a = softmax((q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_head)))
-        out[row : row + count * length] = (a @ v).transpose(0, 2, 1, 3).reshape(-1, enc.d_model)
+        rows = out[row : row + count * length].reshape(count, length, -1, d_head)
+        np.matmul(a, v, out=rows.transpose(0, 2, 1, 3))
         attn.append(a)
     return out, attn
 
@@ -309,11 +339,14 @@ def _backward(g: np.ndarray, source: np.ndarray, tape: list[tuple], enc: Encoder
             d_out = d_seq[row:stop].reshape(count, length, -1, d_head).transpose(0, 2, 1, 3)
             d_s = softmax_grad(a, d_out @ v.swapaxes(-1, -2))
             d_s *= scale
-            grads = (d_s @ k, d_s.swapaxes(-1, -2) @ q, a.swapaxes(-1, -2) @ d_out)
-            q[...], k[...], v[...] = grads
+            # each gradient overwrites its Q, K or V once that is read for the last time
+            np.matmul(a.swapaxes(-1, -2), d_out, out=v)
+            d_q = d_s @ k
+            np.matmul(d_s.swapaxes(-1, -2), q, out=k)
+            q[...] = d_q
         d_wqkv += x.T @ qkv
         if d_source is not None:
-            np.add.at(d_source, idx, qkv @ wqkv.T)
+            _scatter_add(d_source, idx, qkv @ wqkv.T)
 
 
 def _encoder_node(source: np.ndarray | ad.Tensor, seqs: Sequence[np.ndarray],
@@ -395,7 +428,8 @@ def sample_loss(users: ad.Tensor, news: ad.Tensor, candidates: np.ndarray) -> ad
         d_scores = e * (g / total)[:, None]
         d_scores[:, 0] -= g
         users.grad += (d_scores[:, None, :] @ vecs)[:, 0]
-        np.add.at(news.grad, cand, d_scores[:, :, None] * users.data[:, None, :])
+        rows = d_scores[:, :, None] * users.data[:, None, :]
+        _scatter_add(news.grad, cand.ravel(), rows.reshape(-1, rows.shape[-1]))
 
     out.bwd = bwd
     return out
@@ -416,16 +450,27 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        """``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)`` after the moment
+        updates, each temporary of the expression written into one of two
+        scratch arrays, with the same operations in the same order."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
+            step, denom = np.empty_like(m), np.empty_like(m)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=step)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            np.multiply(g, g, out=step)
+            v += np.multiply(1.0 - self.beta2, step, out=step)
+            np.divide(m, b1c, out=step)
+            np.multiply(self.lr, step, out=step)
+            np.divide(v, b2c, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data -= step
 
 
 @dataclass(frozen=True, slots=True)
@@ -451,12 +496,13 @@ def build_train_samples(
 
     Negatives are drawn uniformly without replacement from the same
     impression's non-clicked candidates; if fewer than K exist they are
-    drawn with replacement and a warning is issued (once).  Impressions
-    with no ``usable`` history or negative yield no samples.  A K too
-    large for numpy to draw raises ConfigError.
+    drawn with replacement, and one warning after the loop counts the
+    impressions that did so.  Impressions with no ``usable`` history or
+    negative yield no samples.  A K too large for numpy to draw raises
+    ConfigError.
     """
     samples: list[TrainSample] = []
-    warned = False
+    replaced = 0
     k = config.negatives
     for log in logs:
         history = usable_history(log.history, usable, config.max_history)
@@ -466,15 +512,9 @@ def build_train_samples(
         pool = [nid for nid, lab in log.candidates if lab == 0 and nid in usable]
         if not positives or not pool:
             continue
+        replace = len(pool) < k
+        replaced += replace
         for pos in positives:
-            replace = len(pool) < k
-            if replace and not warned:
-                warnings.warn(
-                    f"impression {log.impression_id} has {len(pool)} non-clicked "
-                    f"candidates, fewer than {k}; sampling negatives with replacement",
-                    InsufficientNegatives,
-                )
-                warned = True
             try:
                 chosen = rng.choice(len(pool), size=k, replace=replace)
             except (ValueError, MemoryError) as exc:
@@ -484,6 +524,9 @@ def build_train_samples(
                 positive=pos,
                 negatives=tuple(pool[int(c)] for c in chosen),
             ))
+    if replaced:
+        warnings.warn(f"{replaced} impression(s) with fewer than {k} non-clicked candidates "
+                      f"drew their negatives with replacement", InsufficientNegatives)
     return samples
 
 

@@ -928,6 +928,20 @@ class TestTrainModelDivergence:
                                            "non-finite (learning_rate=1e+38)\n")
 
 
+def test_negatives_drawn_with_replacement_is_one_plain_warning_line(pipeline, fixture_dir,
+                                                                     tmp_path, capsys):
+    """Impressions with 4 non-clicked candidates and ``--negatives 6``: one
+    ``warning:`` line on stderr, not Python's warning header and source line."""
+    assert cli.main(["train-model", "--corpus", pipeline["corpus"],
+                     "--behaviors", fixture_dir.behaviors_train,
+                     "--embeddings", pipeline["embeddings"], "--out-dir", str(tmp_path / "model"),
+                     *MODEL_FLAGS, "--epochs", "1", "--negatives", "6"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("newsrec train-model: warning: ") and err.count("\n") == 1
+    assert "fewer than 6 non-clicked candidates drew their negatives with replacement" in err
+    assert "warnings.warn" not in err and "InsufficientNegatives" not in err
+
+
 def test_epoch_trace_csv_writes_one_repr_line_per_epoch():
     assert cli.epoch_trace_csv("cost", [1.5, 0.25]) == "epoch,cost\n1,1.5\n2,0.25\n"
     assert cli.epoch_trace_csv("mean_loss", [0.1]) == "epoch,mean_loss\n1,0.1\n"

@@ -511,6 +511,140 @@ class TestBatchedEncoders:
         assert np.array_equal(index.matrix, want)
 
 
+def old_softmax(x):
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def old_self_attention(x, enc, d_head, lengths):
+    """``self_attention`` as it was written with temporaries and a copy."""
+    qkv = mdl._project(x, enc.Wqkv)
+    out = np.empty((len(x), enc.d_model), dtype=qkv.dtype)
+    attn = []
+    for row, count, length in mdl._runs(lengths):
+        q, k, v = mdl._heads(qkv[row : row + count * length], count, length, d_head)
+        a = old_softmax((q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_head)))
+        out[row : row + count * length] = (a @ v).transpose(0, 2, 1, 3).reshape(-1, enc.d_model)
+        attn.append(a)
+    return out, attn
+
+
+def old_backward(g, source, tape, enc, d_head, d_source):
+    """``_backward`` as it was written with temporaries, copies and ``np.add.at``."""
+    wqkv, proj, query = enc.parts(enc.weights.data)
+    d_wqkv, d_proj, d_query = enc.parts(enc.weights.grad)
+    scale = 1.0 / math.sqrt(d_head)
+    for chunk, idx, sizes, attn, seq, hidden, weights in tape:
+        starts = mdl._segment_starts(sizes)
+        g_rows = np.repeat(g[chunk], sizes, axis=0)
+        d_w = np.einsum("ij,ij->i", seq, g_rows)
+        d_scores = weights * (d_w - np.repeat(np.add.reduceat(weights * d_w, starts), sizes))
+        d_query += hidden.T @ d_scores
+        d_hidden = (1.0 - hidden * hidden) * d_scores[:, None] * query
+        d_proj += seq.T @ d_hidden
+        d_seq = d_hidden @ proj.T + g_rows * weights[:, None]
+        x = source[idx]
+        qkv = mdl._project(x, wqkv)
+        for (row, count, length), a in zip(mdl._runs(sizes), attn):
+            stop = row + count * length
+            q, k, v = mdl._heads(qkv[row:stop], count, length, d_head)
+            d_out = d_seq[row:stop].reshape(count, length, -1, d_head).transpose(0, 2, 1, 3)
+            d_s = mdl.softmax_grad(a, d_out @ v.swapaxes(-1, -2))
+            d_s *= scale
+            grads = (d_s @ k, d_s.swapaxes(-1, -2) @ q, a.swapaxes(-1, -2) @ d_out)
+            q[...], k[...], v[...] = grads
+        d_wqkv += x.T @ qkv
+        if d_source is not None:
+            np.add.at(d_source, idx, qkv @ wqkv.T)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestExactRewrites:
+    """The training step's in-place and layered forms give the bits of the
+    expressions they replace, kept here as oracles."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [1, 2, 9, 50])
+    def test_softmax_matches_last_axis_max(self, dtype, length):
+        x = np.random.default_rng(length).normal(scale=30.0, size=(3, 4, length)).astype(dtype)
+        x[0, 0, -1] = np.inf
+        x[0, 1, 0] = -np.inf
+        x[0, 2] = -np.inf
+        x[0, 3] = 0.0
+        x[0, 3, ::2] = -0.0                      # a -0.0/+0.0 tie for the max
+        x[1, 0, length // 2] = np.nan
+        x[1, 1, 0] = np.inf
+        x[1, 1, -1] = -np.inf
+        with np.errstate(invalid="ignore"):
+            got, want = mdl.softmax(x), old_softmax(x)
+        assert same_bits(got, want)
+        assert np.isnan(got[1, 0]).all() and np.isnan(got[0, 2]).all()
+
+    @pytest.mark.parametrize("index", [
+        np.array([3, 0, 3, 5, 3, 1, 3, 0, 3, 2]),   # row 3 five times
+        np.array([4, 1, 0, 6, 2]),
+    ], ids=["repeated", "distinct"])
+    def test_scatter_add_matches_add_at(self, index):
+        rng = np.random.default_rng(4)
+        rows = (rng.normal(size=(len(index), 6)) * 10.0 ** rng.integers(-6, 7, (len(index), 1)))
+        rows = rows.astype(np.float32)
+        target = rng.normal(size=(7, 6)).astype(np.float32)
+        want = target.copy()
+        np.add.at(want, index, rows)
+        mdl._scatter_add(target, index, rows)
+        assert same_bits(target, want)
+
+    def test_adam_steps_match_the_textbook_formula(self):
+        rng = np.random.default_rng(5)
+        tensors = [ad.Tensor(rng.normal(size=shape)) for shape in ((4, 3), (7,))]
+        want = [t.data.copy() for t in tensors]
+        m = [np.zeros_like(p) for p in want]
+        v = [np.zeros_like(p) for p in want]
+        opt = mdl.Adam(tensors, lr=0.01)
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        for t in range(1, 6):
+            for i, tensor in enumerate(tensors):
+                g = rng.normal(size=tensor.data.shape) * 10.0 ** (t - 3)
+                tensor.grad = g
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                want[i] = want[i] - 0.01 * (m[i] / (1.0 - b1 ** t)) / (
+                    np.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
+            opt.step()
+            for i, tensor in enumerate(tensors):
+                assert same_bits(tensor.data, want[i])
+                assert same_bits(opt.m[i], m[i]) and same_bits(opt.v[i], v[i])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encoder_node_matches_the_temporaries_and_copy_code(self, monkeypatch, dtype):
+        """A user-encoder node over repeated source rows, in several chunks
+        of several lengths: the same vectors and gradients, bit for bit."""
+        monkeypatch.setattr(mdl, "ROW_BUDGET", 8)
+        rng = np.random.default_rng(6)
+        params = tiny_params(embed_dim=4, heads=3, d_head=4, d_attn=5).astype(dtype)
+        news = rng.normal(size=(9, params.config.d_model)).astype(dtype)
+        histories = [rng.integers(0, 9, n) for n in (3, 1, 5, 3, 2, 6, 1, 4, 3, 5)]
+        g = rng.normal(size=(len(histories), params.config.d_model)).astype(dtype)
+
+        def run():
+            source = ad.Tensor(news.copy())
+            enc = params.user
+            enc.weights.grad = np.zeros_like(enc.weights.data)
+            source.grad = np.zeros_like(source.data)
+            node = mdl._encoder_node(source, histories, enc, params.config.d_head)
+            node.bwd(g)
+            return node.data, enc.weights.grad, source.grad
+
+        got = run()
+        monkeypatch.setattr(mdl, "self_attention", old_self_attention)
+        monkeypatch.setattr(mdl, "_backward", old_backward)
+        want = run()
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
 class TestFloat32Training:
     """Training computes in float32 on a float32 copy of the float64 masters."""
 
