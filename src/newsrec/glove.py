@@ -473,10 +473,13 @@ def load_embeddings_text(path: str, only: Collection[str] | None = None) -> Embe
     return EmbeddingLookup.from_rows(tokens, np.vstack(blocks), path)
 
 
+@np.errstate(over="ignore")
 def _parse_components(path: str, fields: list[list[str]], linenos: list[int]) -> list[np.ndarray]:
     """Float32 blocks of the number strings in ``fields``: one block when
     they convert in one call, else one block per line, so that a bad
-    component is named by its line and ragged rows reach the width check."""
+    component is named by its line and ragged rows reach the width check.
+    A component beyond float32's range becomes inf without numpy's
+    overflow warning: ``EmbeddingLookup.from_rows`` names its token."""
     try:
         return [np.array(fields, dtype=np.float32)]
     except ValueError:

@@ -14,10 +14,15 @@ matrix, a history its ``max_history`` most recent encodable clicks
 (``usable_history``) in the news vectors; there is no positional signal.
 An encoder takes a whole batch of such ragged sequences and packs them
 instead of padding them: sorted by length, their rows are cut into chunks
-of at most ``ROW_BUDGET`` rows, Q, K and V are one GEMM per chunk, and
-attention runs once per group of equal-length sequences as (sequences,
-heads, length, d_head) products, so no row attends to padding and
-nothing is masked.
+of at most ``ROW_BUDGET`` rows, and attention runs once per run of
+equal-length sequences as (sequences, heads, length, d_head) products,
+so no row attends to padding and nothing is masked.  A source row that
+repeats (a word in many titles, a news item in many histories) is
+projected once: consecutive chunks whose distinct source rows fit
+``TABLE_ROWS`` share one Q|K|V table, one GEMM over those rows, from
+which each chunk takes its rows with the bits its own GEMM would give
+them.  That holds where the BLAS gives a row the same bits at any row
+count (``_rows_agree``); elsewhere each chunk projects its own rows.
 Pooling is a segment softmax over each sequence's rows.  In training a
 batch is four autodiff nodes over the two encoders' weights: the news
 encoder over the batch's distinct titles, the user encoder over rows of
@@ -42,6 +47,7 @@ from rows of that table, a cold-start user as the zero vector.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -68,6 +74,10 @@ MODEL_MAGIC = b"NRECMDL2"
 # Rows of one packed chunk of sequences: bounds the memory an encoder
 # call holds for its backward pass.
 ROW_BUDGET = 256
+# Distinct source rows of one Q|K|V table, shared by consecutive chunks:
+# bounds the table (3 MiB in float32 at the default 16x16 heads) when a
+# call spans a whole corpus.
+TABLE_ROWS = 1024
 
 
 @dataclass(slots=True)
@@ -229,19 +239,18 @@ def _heads(rows: np.ndarray, count: int, length: int, d_head: int) -> np.ndarray
     return rows.reshape(count, length, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
 
 
-def self_attention(x: np.ndarray, enc: EncoderParams, d_head: int,
+def self_attention(qkv: np.ndarray, d_head: int,
                    lengths: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Multi-head scaled dot-product self-attention within each sequence.
 
-    The sequences are packed as consecutive rows of ``x``, ``lengths``
-    rows each.  Q, K and V for all rows are one GEMM; attention runs once
-    per run of equal lengths as rank-4 (sequences, heads, length, d_head)
-    products, so nothing is padded or masked.  Returns the (rows,
+    ``qkv`` holds the Q|K|V projections (``Wqkv``) of the sequences' rows,
+    packed as consecutive rows, ``lengths`` rows each.  Attention runs
+    once per run of equal lengths as rank-4 (sequences, heads, length,
+    d_head) products, so nothing is padded or masked.  Returns the (rows,
     heads*d_head) output and the attention weights of each run, which the
     backward pass reuses.
     """
-    qkv = _project(x, enc.Wqkv)
-    out = np.empty((len(x), enc.d_model), dtype=qkv.dtype)
+    out = np.empty((len(qkv), qkv.shape[1] // 3), dtype=qkv.dtype)
     attn = []
     for row, count, length in _runs(lengths):
         q, k, v = _heads(qkv[row : row + count * length], count, length, d_head)
@@ -283,70 +292,141 @@ def _pack(lengths: np.ndarray) -> list[np.ndarray]:
     return chunks
 
 
+@functools.cache
+def _rows_agree(dtype: np.dtype, d_in: int, width: int) -> bool:
+    """Whether ``_project`` gives each row of a (rows, d_in) @ (d_in, width)
+    product in ``dtype`` the bits that row gets alone, at every row count
+    up to 17, with this BLAS: only then does a shared Q|K|V table keep the
+    bits of one projection per chunk.  OpenBLAS does for the default
+    model's shapes.  On an AVX-512 CPU, OpenBLAS 0.3.31 does not for a
+    width of 18 over 50 inputs (2 heads of 3 over 50-dim embeddings): the
+    last two columns of a row in a full block of 4 rows get other bits
+    than in a shorter block."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(17, d_in)).astype(dtype)
+    w = rng.normal(size=(d_in, width)).astype(dtype)
+    alone = np.concatenate([_project(row[None], w) for row in x])
+    return all(np.array_equal(_project(x[:n], w), alone[:n]) for n in range(2, 18))
+
+
+def _tables(seqs: Sequence[np.ndarray], lengths: np.ndarray,
+            projection: tuple[np.dtype, int, int]):
+    """The packed chunks of one encoder call, in runs that share a Q|K|V table.
+
+    A run is consecutive chunks whose distinct source rows number at most
+    ``TABLE_ROWS``; a chunk with more is a run of its own.  Yields, per
+    run, the source rows its table projects and, per chunk, its sequence
+    indices and the places of its rows among those (``slice(None)`` where
+    they are the chunk's rows as they are).  A call whose distinct rows
+    all fit, as a training batch's do, is one run, found without walking
+    its chunks.  A call of one chunk (a query's), a call with no repeated
+    row, and a call whose ``projection`` (dtype, d_in, width) fails
+    ``_rows_agree`` project each chunk's rows as they are, a run of its
+    own.
+    """
+    chunks = [(chunk, np.concatenate([seqs[i] for i in chunk])) for chunk in _pack(lengths)]
+    whole = _table(chunks) if len(chunks) > 1 else None
+    if whole is None or len(whole[0]) == lengths.sum() or not _rows_agree(*projection):
+        for chunk, idx in chunks:
+            yield idx, [(chunk, slice(None))]
+        return
+    if len(whole[0]) <= TABLE_ROWS:
+        yield whole
+        return
+    run, seen = [], set()
+    for chunk, idx in chunks:
+        rows = idx.tolist()
+        seen.update(rows)
+        if run and len(seen) > TABLE_ROWS:
+            yield _table(run)
+            run, seen = [], set(rows)
+        run.append((chunk, idx))
+    yield _table(run)
+
+
+def _table(run: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, list[tuple]]:
+    """A run's distinct source rows and, per chunk, (sequence indices, places)."""
+    distinct, place = np.unique(np.concatenate([idx for _, idx in run]), return_inverse=True)
+    stops = np.cumsum([len(idx) for _, idx in run]).tolist()
+    return distinct, [(chunk, place[stop - len(idx):stop])
+                      for (chunk, idx), stop in zip(run, stops)]
+
+
 def _forward(source: np.ndarray, seqs: Sequence[np.ndarray], enc: EncoderParams,
              d_head: int, keep: bool = False) -> tuple[np.ndarray, list[tuple]]:
     """Attention then pooling for every sequence of row indices into ``source``.
 
     This is the one forward of both encoders, in training and inference.
-    Returns the (len(seqs), d_model) vectors and, if ``keep``, per chunk
-    what the backward pass needs: Q, K and V are not kept, the backward
-    recomputes them.
+    Q, K and V are one GEMM per run of chunks (``_tables``), over that
+    run's distinct source rows, from which each chunk takes its rows with
+    the bits a GEMM of its own would give them (``_rows_agree``).
+    Returns the (len(seqs), d_model) vectors and, if ``keep``, per run its
+    source rows and per chunk what the backward pass needs: the Q|K|V
+    table is not kept, the backward projects it again.
     """
     lengths = np.array([len(s) for s in seqs])
     out = np.empty((len(seqs), enc.d_model), dtype=np.result_type(source, enc.weights.data))
     tape = []
-    for chunk in _pack(lengths):
-        idx = np.concatenate([seqs[i] for i in chunk])
-        sizes = lengths[chunk]
-        seq, attn = self_attention(source[idx], enc, d_head, sizes)
-        out[chunk], (hidden, weights) = additive_pool(seq, enc, sizes)
+    for rows, chunks in _tables(seqs, lengths, (out.dtype, enc.d_in, 3 * enc.d_model)):
+        table = _project(source[rows], enc.Wqkv)
+        kept = []
+        for chunk, at in chunks:
+            sizes = lengths[chunk]
+            seq, attn = self_attention(table[at], d_head, sizes)
+            out[chunk], (hidden, weights) = additive_pool(seq, enc, sizes)
+            if keep:
+                kept.append((chunk, at, sizes, attn, seq, hidden, weights))
         if keep:
-            tape.append((chunk, idx, sizes, attn, seq, hidden, weights))
+            tape.append((rows, kept))
     return out, tape
 
 
 def _backward(g: np.ndarray, source: np.ndarray, tape: list[tuple], enc: EncoderParams,
               d_head: int, d_source: np.ndarray | None) -> None:
     """Add the gradients of ``_forward`` into the encoder's weights and,
-    if ``d_source`` is given, into the source rows.  It overwrites the
-    tape: ``hidden`` with the gradient of the pooling's tanh input, ``seq``
-    with the gradient of the attention output, and so runs once."""
+    if ``d_source`` is given, into the source rows.  Each run's Q|K|V
+    table is projected again, once, and each chunk takes its rows from it
+    as the forward did.  It overwrites the tape: ``hidden`` with the
+    gradient of the pooling's tanh input, ``seq`` with the gradient of the
+    attention output, and so runs once."""
     wqkv, proj, query = enc.parts(enc.weights.data)
     d_wqkv, d_proj, d_query = enc.parts(enc.weights.grad)
     scale = 1.0 / math.sqrt(d_head)
-    for chunk, idx, sizes, attn, seq, hidden, weights in tape:
-        starts = _segment_starts(sizes)
-        # pooling: vec = sum_i weights_i seq_i, weights = softmax(tanh(seq @ proj) @ query)
-        g_rows = np.repeat(g[chunk], sizes, axis=0)
-        d_w = np.einsum("ij,ij->i", seq, g_rows)
-        d_scores = weights * (d_w - np.repeat(np.add.reduceat(weights * d_w, starts), sizes))
-        d_query += hidden.T @ d_scores
-        d_hidden = hidden
-        np.multiply(hidden, hidden, out=d_hidden)
-        np.subtract(1.0, d_hidden, out=d_hidden)
-        d_hidden *= d_scores[:, None]
-        d_hidden *= query
-        d_proj += seq.T @ d_hidden
-        d_seq = np.matmul(d_hidden, proj.T, out=seq)
-        g_rows *= weights[:, None]
-        d_seq += g_rows
-        # attention, per run of equal lengths: out = attn @ v, attn = softmax(q @ k.T * scale)
-        x = source[idx]
-        qkv = _project(x, wqkv)
-        for (row, count, length), a in zip(_runs(sizes), attn):
-            stop = row + count * length
-            q, k, v = _heads(qkv[row:stop], count, length, d_head)
-            d_out = d_seq[row:stop].reshape(count, length, -1, d_head).transpose(0, 2, 1, 3)
-            d_s = softmax_grad(a, d_out @ v.swapaxes(-1, -2))
-            d_s *= scale
-            # each gradient overwrites its Q, K or V once that is read for the last time
-            np.matmul(a.swapaxes(-1, -2), d_out, out=v)
-            d_q = d_s @ k
-            np.matmul(d_s.swapaxes(-1, -2), q, out=k)
-            q[...] = d_q
-        d_wqkv += x.T @ qkv
-        if d_source is not None:
-            _scatter_add(d_source, idx, qkv @ wqkv.T)
+    for rows, chunks in tape:
+        inputs = source[rows]
+        table = _project(inputs, wqkv)
+        for chunk, at, sizes, attn, seq, hidden, weights in chunks:
+            starts = _segment_starts(sizes)
+            # pooling: vec = sum_i weights_i seq_i, weights = softmax(tanh(seq @ proj) @ query)
+            g_rows = np.repeat(g[chunk], sizes, axis=0)
+            d_w = np.einsum("ij,ij->i", seq, g_rows)
+            d_scores = weights * (d_w - np.repeat(np.add.reduceat(weights * d_w, starts), sizes))
+            d_query += hidden.T @ d_scores
+            d_hidden = hidden
+            np.multiply(hidden, hidden, out=d_hidden)
+            np.subtract(1.0, d_hidden, out=d_hidden)
+            d_hidden *= d_scores[:, None]
+            d_hidden *= query
+            d_proj += seq.T @ d_hidden
+            d_seq = np.matmul(d_hidden, proj.T, out=seq)
+            g_rows *= weights[:, None]
+            d_seq += g_rows
+            # attention, per run of equal lengths: out = attn @ v, attn = softmax(q @ k.T * scale)
+            qkv = table[at]
+            for (row, count, length), a in zip(_runs(sizes), attn):
+                stop = row + count * length
+                q, k, v = _heads(qkv[row:stop], count, length, d_head)
+                d_out = d_seq[row:stop].reshape(count, length, -1, d_head).transpose(0, 2, 1, 3)
+                d_s = softmax_grad(a, d_out @ v.swapaxes(-1, -2))
+                d_s *= scale
+                # each gradient overwrites its Q, K or V once that is read for the last time
+                np.matmul(a.swapaxes(-1, -2), d_out, out=v)
+                d_q = d_s @ k
+                np.matmul(d_s.swapaxes(-1, -2), q, out=k)
+                q[...] = d_q
+            d_wqkv += inputs[at].T @ qkv
+            if d_source is not None:
+                _scatter_add(d_source, rows[at], qkv @ wqkv.T)
 
 
 def _encoder_node(source: np.ndarray | ad.Tensor, seqs: Sequence[np.ndarray],

@@ -563,6 +563,28 @@ class TestCorruptInputs:
         assert f"{emb}: token {token!r} has a nan" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("command", ["train-model", "similar"])
+    def test_out_of_range_embedding_is_one_error_line(self, pipeline, fixture_dir, tmp_path,
+                                                      capsys, command):
+        """A component beyond float32's range reads as inf: exit 2 and one
+        error line naming its token, with no numpy overflow warning before it."""
+        with open(pipeline["embeddings"], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        token, _, rest = lines[0].split(" ", 2)
+        emb = tmp_path / "embeddings.txt"
+        emb.write_text("".join([f"{token} 1e300 {rest}", *lines[1:]]), encoding="utf-8")
+        out = tmp_path / "out"
+        flags = {"train-model": ["--behaviors", fixture_dir.behaviors_train, *MODEL_FLAGS],
+                 "similar": ["--model", pipeline["model_bin"], "--query", "N1"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([command, "--corpus", pipeline["corpus"], "--embeddings", str(emb),
+                             "--out-dir", str(out), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == (f"newsrec {command}: error: {emb}: token {token!r} "
+                                           "has a nan or infinite component\n")
+        assert not out.exists()
+
     def test_model_and_embedding_dimensions_must_agree(self, pipeline, fixture_dir, tmp_path,
                                                        capsys):
         glove = str(tmp_path / "glove4")

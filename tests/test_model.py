@@ -67,6 +67,11 @@ def whole(x):
     return np.array([len(x)])
 
 
+def attend(x, enc, d_head=3):
+    """``self_attention`` over one sequence made of every row of ``x``."""
+    return mdl.self_attention(mdl._project(x, enc.Wqkv), d_head, whole(x))[0]
+
+
 def title_table(title_map, lookup, max_tokens=5):
     """Id -> ``title_rows`` of each encodable title, as ``train_model`` builds it."""
     table = {nid: mdl.title_rows(toks, lookup, max_tokens) for nid, toks in title_map.items()}
@@ -77,7 +82,7 @@ class TestSelfAttention:
     def test_single_row_reduces_to_value_projection(self):
         params = tiny_params()
         x = RNG.normal(size=(1, 4))
-        out = mdl.self_attention(x, params.news, 3, whole(x))[0]
+        out = attend(x, params.news)
         want = x @ params.news.Wqkv[:, 2 * params.news.d_model:]
         assert rel_err(out, want) <= 1e-12
 
@@ -85,22 +90,22 @@ class TestSelfAttention:
         params = tiny_params()
         row = RNG.normal(size=4)
         x = np.stack([row, row, row])
-        out = mdl.self_attention(x, params.news, 3, whole(x))[0]
+        out = attend(x, params.news)
         assert rel_err(out[1], out[0]) <= 1e-12
         assert rel_err(out[2], out[0]) <= 1e-12
 
     def test_matches_naive_oracle(self):
         params = tiny_params()
         x = RNG.normal(size=(5, 4))
-        out = mdl.self_attention(x, params.news, 3, whole(x))[0]
+        out = attend(x, params.news)
         assert rel_err(out, naive_attention(x, params.news, 3)) <= 1e-10
 
     def test_permutation_equivariant(self):
         params = tiny_params()
         x = RNG.normal(size=(6, 4))
         perm = RNG.permutation(6)
-        out = mdl.self_attention(x, params.news, 3, whole(x))[0]
-        out_p = mdl.self_attention(x[perm], params.news, 3, whole(x))[0]
+        out = attend(x, params.news)
+        out_p = attend(x[perm], params.news)
         assert rel_err(out_p, out[perm]) <= 1e-12
 
 
@@ -558,6 +563,21 @@ def old_backward(g, source, tape, enc, d_head, d_source):
             np.add.at(d_source, idx, qkv @ wqkv.T)
 
 
+def per_chunk_forward(source, seqs, enc, d_head, keep=False):
+    """``_forward`` as it was written with one Q|K|V projection per chunk."""
+    lengths = np.array([len(s) for s in seqs])
+    out = np.empty((len(seqs), enc.d_model), dtype=np.result_type(source, enc.weights.data))
+    tape = []
+    for chunk in mdl._pack(lengths):
+        idx = np.concatenate([seqs[i] for i in chunk])
+        sizes = lengths[chunk]
+        seq, attn = old_self_attention(source[idx], enc, d_head, sizes)
+        out[chunk], (hidden, weights) = mdl.additive_pool(seq, enc, sizes)
+        if keep:
+            tape.append((chunk, idx, sizes, attn, seq, hidden, weights))
+    return out, tape
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -639,10 +659,193 @@ class TestExactRewrites:
             return node.data, enc.weights.grad, source.grad
 
         got = run()
-        monkeypatch.setattr(mdl, "self_attention", old_self_attention)
+        monkeypatch.setattr(mdl, "_forward", per_chunk_forward)
         monkeypatch.setattr(mdl, "_backward", old_backward)
         want = run()
         assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+class TestQkvTables:
+    """Consecutive chunks share one Q|K|V projection of their distinct
+    source rows.  Every output and gradient keeps the bits of one
+    projection per chunk (``per_chunk_forward`` and ``old_backward``)."""
+
+    CASES = {
+        # titles: tokens repeated within a title and across titles
+        "news": (7, [[0, 1, 0], [2, 2, 2, 2], [1, 3], [4], [0, 5, 6, 0, 1], [3], [6, 6],
+                     [5, 1, 2], [0]]),
+        # histories that repeat news
+        "user": (6, [[0, 1, 2], [1], [2, 1, 0, 1], [5, 5], [3], [4, 0, 3, 1, 2, 5], [0, 1]]),
+        # one distinct source row: the table takes _project's doubled-row path
+        "one_row": (3, [[2], [2, 2], [2, 2, 2]]),
+        "one_sequence_of_one": (3, [[1]]),
+    }
+
+    @staticmethod
+    def assert_per_chunk_bits(source, seqs, enc, d_head, g):
+        """``_forward`` and ``_backward`` give the vectors, weight gradients
+        and source gradients of the per-chunk oracle, bit for bit."""
+
+        def run(forward, backward):
+            enc.weights.grad = np.zeros_like(enc.weights.data)
+            d_source = np.zeros_like(source)
+            out, tape = forward(source, seqs, enc, d_head, keep=True)
+            backward(g, source, tape, enc, d_head, d_source)
+            return out, enc.weights.grad, d_source
+
+        want = run(per_chunk_forward, old_backward)
+        got = run(mdl._forward, mdl._backward)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+        assert got[0].dtype == source.dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("budget", [3, 4])
+    @pytest.mark.parametrize("cap", [1, 5, 1024])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_one_projection_per_chunk(self, monkeypatch, dtype, budget, cap, case):
+        monkeypatch.setattr(mdl, "ROW_BUDGET", budget)
+        monkeypatch.setattr(mdl, "TABLE_ROWS", cap)
+        n, seqs = self.CASES[case]
+        seqs = [np.array(s) for s in seqs]
+        params = tiny_params(heads=3, d_head=4, d_attn=5).astype(dtype)
+        enc = params.user if case == "user" else params.news
+        rng = np.random.default_rng(8)
+        source = rng.normal(size=(n, enc.d_in)).astype(dtype)
+        g = rng.normal(size=(len(seqs), enc.d_model)).astype(dtype)
+        self.assert_per_chunk_bits(source, seqs, enc, 4, g)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_default_heads_match_one_projection_per_chunk(self, monkeypatch, dtype):
+        """The default 16x16 heads over 50-dim inputs, in runs of a few chunks."""
+        monkeypatch.setattr(mdl, "ROW_BUDGET", 4)
+        monkeypatch.setattr(mdl, "TABLE_ROWS", 5)
+        params = mdl.init_params(50, mdl.ModelConfig(seed=2)).astype(dtype)
+        enc = params.news
+        rng = np.random.default_rng(11)
+        source = rng.normal(size=(9, 50)).astype(dtype)
+        seqs = [rng.integers(0, 9, n) for n in (3, 1, 4, 2, 4, 3, 1, 2)]
+        g = rng.normal(size=(len(seqs), enc.d_model)).astype(dtype)
+        self.assert_per_chunk_bits(source, seqs, enc, 16, g)
+
+    def test_runs_are_consecutive_chunks_that_fit_the_cap(self, monkeypatch):
+        monkeypatch.setattr(mdl, "ROW_BUDGET", 4)
+        monkeypatch.setattr(mdl, "TABLE_ROWS", 5)
+        monkeypatch.setattr(mdl, "_rows_agree", lambda *projection: True)
+        rng = np.random.default_rng(9)
+        seqs = [rng.integers(0, 12, n) for n in rng.integers(1, 6, 30)]
+        lengths = np.array([len(s) for s in seqs])
+        runs = list(mdl._tables(seqs, lengths, (np.dtype(np.float64), 4, 18)))
+        assert len(runs) >= 3
+        chunks = [chunk for _, run in runs for chunk, _ in run]
+        packed = mdl._pack(lengths)
+        assert len(chunks) == len(packed)
+        assert all(np.array_equal(a, b) for a, b in zip(chunks, packed))
+        for i, (distinct, run) in enumerate(runs):
+            idx = np.concatenate([seqs[j] for chunk, _ in run for j in chunk])
+            assert np.array_equal(distinct, np.unique(idx))
+            assert np.array_equal(distinct[np.concatenate([at for _, at in run])], idx)
+            assert len(distinct) <= 5 or len(run) == 1
+            if i + 1 < len(runs):   # the next run starts where one more chunk would not fit
+                (first, _), *_ = runs[i + 1][1]
+                assert len(np.union1d(distinct, np.concatenate([seqs[j] for j in first]))) > 5
+
+    def test_each_encoder_call_projects_each_distinct_source_row_once(self, monkeypatch):
+        """Forward or backward, training or inference, ``_project`` sees no
+        more ``Wqkv`` rows per encoder call than the call has distinct
+        source rows, though the call spans several chunks."""
+        monkeypatch.setattr(mdl, "ROW_BUDGET", 4)
+        lookup, title_map, batch = ragged_batch()
+        params = tiny_params()
+        width = 3 * params.config.d_model
+        for d_in in (lookup.dim, params.config.d_model):   # the premise, on this BLAS
+            assert mdl._rows_agree(np.dtype(np.float64), d_in, width)
+        counts = []
+        project = mdl._project
+
+        def spy(rows, weights):
+            if weights.shape[1] == width:   # Wqkv, not the pooling's proj
+                counts.append(len(rows))
+            return project(rows, weights)
+
+        monkeypatch.setattr(mdl, "_project", spy)
+
+        def check(call, seqs):
+            counts.clear()
+            result = call()
+            idx = np.concatenate([np.asarray(s) for s in seqs])
+            assert len(idx) > len(np.unique(idx)) and len(mdl._pack(np.array(
+                [len(s) for s in seqs]))) > 1
+            assert 0 < sum(counts) <= len(np.unique(idx))
+            return result
+
+        titles = title_table(title_map, lookup)
+        ids = list(dict.fromkeys(n for s in batch for n in (*s.history, s.positive, *s.negatives)))
+        seqs = [titles[n] for n in ids]
+        histories = [[ids.index(n) for n in s.history] for s in batch]
+        news = check(lambda: mdl.encode_news(seqs, lookup.matrix, params), seqs)
+        users = check(lambda: mdl.encode_user(news, histories, params), histories)
+        loss = ad.mean(mdl.sample_loss(users, news, [[ids.index(s.positive)] for s in batch]))
+        counts.clear()
+        ad.backward(loss)
+        assert len(counts) == 2   # one table per node: the user encoder's, then the news encoder's
+        assert counts[0] <= len({i for h in histories for i in h})
+        assert counts[1] <= len(np.unique(np.concatenate(seqs)))
+        vecs = check(lambda: mdl.news_vectors(seqs, lookup.matrix, params), seqs)
+        check(lambda: mdl.user_vectors(vecs, histories, params), histories)
+        corpus = [TokenizedNews(n, "c", "s", " ".join(title_map[n]), "", " ".join(title_map[n]), "")
+                  for n in ids]
+        check(lambda: ret.CorpusIndex(corpus, lookup, params), seqs)
+
+    @pytest.mark.parametrize("case", ["rows_disagree", "no_repeats", "one_chunk"])
+    def test_calls_a_table_cannot_help_project_per_chunk(self, monkeypatch, case):
+        """Where this BLAS would give a row other bits in a larger product,
+        no source row repeats, or the call is one chunk, each chunk projects
+        its own rows as they are, with the bits of the per-chunk oracle."""
+        monkeypatch.setattr(mdl, "ROW_BUDGET", 256 if case == "one_chunk" else 4)
+        if case == "rows_disagree":
+            monkeypatch.setattr(mdl, "_rows_agree", lambda *projection: False)
+        n, seqs = self.CASES["news"]
+        if case == "no_repeats":
+            n, seqs = 9, [[0, 1], [2, 3, 4], [5], [6, 7, 8]]
+        seqs = [np.array(s) for s in seqs]
+        params = tiny_params()
+        rng = np.random.default_rng(10)
+        source = rng.normal(size=(n, params.news.d_in))
+        g = rng.normal(size=(len(seqs), params.news.d_model))
+        counts = []
+        project = mdl._project
+
+        def spy(rows, weights):
+            if weights.shape[1] == 3 * params.config.d_model:   # Wqkv, not the pooling's proj
+                counts.append(len(rows))
+            return project(rows, weights)
+
+        monkeypatch.setattr(mdl, "_project", spy)
+        self.assert_per_chunk_bits(source, seqs, params.news, 3, g)
+        chunks = mdl._pack(np.array([len(s) for s in seqs]))
+        per_chunk = [sum(len(seqs[i]) for i in chunk) for chunk in chunks]
+        assert (len(chunks) == 1) == (case == "one_chunk")
+        # the oracle's forward and backward, then the encoder's: each a GEMM per chunk
+        assert counts == 4 * per_chunk
+
+    def test_rows_agree_finds_a_product_whose_rows_depend_on_the_row_count(self, monkeypatch):
+        project = mdl._project
+
+        def blocked(rows, weights):
+            """A product whose rows in a block of 4 get one more ulp."""
+            out = project(rows, weights)
+            full = len(rows) - len(rows) % 4
+            out[:full] = np.nextafter(out[:full], np.inf)
+            return out
+
+        mdl._rows_agree.cache_clear()
+        try:
+            assert mdl._rows_agree(np.dtype(np.float64), 3, 5)
+            mdl._rows_agree.cache_clear()
+            monkeypatch.setattr(mdl, "_project", blocked)
+            assert not mdl._rows_agree(np.dtype(np.float64), 3, 5)
+        finally:
+            mdl._rows_agree.cache_clear()
 
 
 class TestFloat32Training:
