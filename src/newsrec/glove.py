@@ -294,31 +294,6 @@ def glove_cost(table: EmbeddingTable, matrix: CooccurrenceMatrix, config: GloveC
     return float(np.sum(fw * diff * diff))
 
 
-def glove_cost_grads(
-    table: EmbeddingTable, matrix: CooccurrenceMatrix, config: GloveConfig
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Cost plus analytic gradients for every parameter array."""
-    table.check_finite()
-    grads = {
-        "W": np.zeros_like(table.W),
-        "Wt": np.zeros_like(table.Wt),
-        "b": np.zeros_like(table.b),
-        "bt": np.zeros_like(table.bt),
-    }
-    if matrix.nnz == 0:
-        return 0.0, grads
-    i = matrix.rows
-    j = matrix.cols
-    fw, diff = _weighted_residuals(table, matrix, config)
-    cost = float(np.sum(fw * diff * diff))
-    g = 2.0 * fw * diff
-    np.add.at(grads["W"], i, g[:, None] * table.Wt[j])
-    np.add.at(grads["Wt"], j, g[:, None] * table.W[i])
-    np.add.at(grads["b"], i, g)
-    np.add.at(grads["bt"], j, g)
-    return cost, grads
-
-
 def glove_train(
     matrix: CooccurrenceMatrix, config: GloveConfig
 ) -> tuple[EmbeddingTable, list[float]]:

@@ -33,11 +33,14 @@ builds no node.
 Each encoder's weights are one flat float64 array (``EncoderParams``),
 and ``model.bin`` stores the two arrays as they are, in float32.  The
 encoders, ``sample_loss`` and their backwards compute in the dtype of
-their inputs.  Training is mixed precision: the float64 weights are the
-masters, which Adam steps with float64 moments, and each step computes
-in float32, on the embeddings cast once per run and a float32 copy of the
-masters; the step's gradients are cast back to float64.  Inference
-computes in float64 over the loaded weights.
+their inputs.  Training is mixed precision: ``Adam`` owns the float64
+weights, the masters, with their float64 moments, and the float32
+working weights, cast once per run like the embeddings, that each step
+computes with.  The step's float32 gradients go to one blocked pass over
+each tensor, which casts a block of ``ADAM_BLOCK`` gradients to float64,
+steps that block's moments and masters, and writes the masters' float32
+cast back into the working weights, so no step copies a whole tensor.
+Inference computes in float64 over the loaded weights.
 
 Inference encodes each news item once: ``retrieval.CorpusIndex`` holds
 the ``news_vectors`` of a whole corpus, and ``evaluate``, ``recommend`` and
@@ -78,6 +81,9 @@ ROW_BUDGET = 256
 # bounds the table (3 MiB in float32 at the default 16x16 heads) when a
 # call spans a whole corpus.
 TABLE_ROWS = 1024
+# Elements of one block of an Adam step: bounds the step's float64
+# scratch to three 128 KiB blocks, however large a tensor is.
+ADAM_BLOCK = 16384
 
 
 @dataclass(slots=True)
@@ -516,41 +522,63 @@ def sample_loss(users: ad.Tensor, news: ad.Tensor, candidates: np.ndarray) -> ad
 
 
 class Adam:
-    """Adam with bias correction; steps each tensor's data along its ``grad``."""
+    """Adam with bias correction, over float64 masters and moments, for
+    weights that each training step computes with in float32.
+
+    ``params`` are the flat master tensors and ``working`` their float32
+    casts, one per master: ``step`` takes the float32 gradients of
+    ``working``, steps each master, and writes its new float32 cast into
+    the working tensor's ``data``.  The step's float64 scratch is three
+    blocks of at most ``ADAM_BLOCK`` elements, kept from step to step.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params: Sequence[ad.Tensor], lr: float):
+    def __init__(self, params: Sequence[ad.Tensor], working: Sequence[ad.Tensor], lr: float):
         self.params = list(params)
+        self.working = list(working)
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self.scratch = np.empty((3, min(ADAM_BLOCK, max(p.data.size for p in self.params))))
 
-    def step(self) -> None:
+    def step(self, grads: Sequence[np.ndarray]) -> None:
         """``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)`` after the moment
-        updates, each temporary of the expression written into one of two
-        scratch arrays, with the same operations in the same order."""
+        updates, ``ADAM_BLOCK`` elements at a time.
+
+        Each block's gradient is cast into the first scratch block, and
+        each temporary of the expression is written into one of the others,
+        with the same operations in the same order as over a whole tensor,
+        so the masters get the same bits.  Then the block's masters are
+        cast into the working weights; one beyond float32's range becomes
+        inf there, for the caller to check.
+        """
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            step, denom = np.empty_like(m), np.empty_like(m)
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=step)
-            v *= self.beta2
-            np.multiply(g, g, out=step)
-            v += np.multiply(1.0 - self.beta2, step, out=step)
-            np.divide(m, b1c, out=step)
-            np.multiply(self.lr, step, out=step)
-            np.divide(v, b2c, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            step /= denom
-            p.data -= step
+        with np.errstate(over="ignore"):
+            for p, w, m, v, grad in zip(self.params, self.working, self.m, self.v, grads):
+                for start in range(0, p.data.size, ADAM_BLOCK):
+                    at = slice(start, start + ADAM_BLOCK)
+                    pb, mb, vb = p.data[at], m[at], v[at]
+                    g, step, denom = self.scratch[:, :len(pb)]
+                    np.copyto(g, grad[at])
+                    mb *= self.beta1
+                    mb += np.multiply(1.0 - self.beta1, g, out=step)
+                    vb *= self.beta2
+                    np.multiply(g, g, out=step)
+                    vb += np.multiply(1.0 - self.beta2, step, out=step)
+                    np.divide(mb, b1c, out=step)
+                    np.multiply(self.lr, step, out=step)
+                    np.divide(vb, b2c, out=denom)
+                    np.sqrt(denom, out=denom)
+                    denom += self.eps
+                    step /= denom
+                    pb -= step
+                    np.copyto(w.data[at], pb, casting="same_kind")
 
 
 @dataclass(frozen=True, slots=True)
@@ -610,17 +638,13 @@ def build_train_samples(
     return samples
 
 
-def _float32_copy(params: ModelParams) -> ModelParams:
-    """The float32 cast of the master weights: what a training step
-    computes with and what ``model.bin`` stores.  A weight that is nan/inf
-    in float32 (beyond its range, too) raises NonfiniteParameter."""
-    with np.errstate(over="ignore"):
-        copy = params.astype(np.float32)
-    for tag, enc in (("news", copy.news), ("user", copy.user)):
+def _check_float32(params: ModelParams) -> None:
+    """Raise NonfiniteParameter for a nan/inf weight of the float32
+    ``params`` (a master beyond float32's range casts to inf), naming its part."""
+    for tag, enc in (("news", params.news), ("user", params.user)):
         for name, part in zip(("Wqkv", "proj", "query"), enc.parts(enc.weights.data)):
             if not np.isfinite(part).all():
                 raise NonfiniteParameter(f"model parameter {tag}.{name} is nan/inf in float32")
-    return copy
 
 
 def train_model(
@@ -632,9 +656,9 @@ def train_model(
     """Fit both encoders with Adam; returns (params, per-epoch mean loss).
 
     Word embeddings are inputs, not parameters: they are never updated.
-    They are cast to float32 once, and each step computes in float32 (see
-    ``_train_batch``); the returned weights are the float64 masters, whose
-    float32 cast is checked finite before they are returned.
+    They and the weights are cast to float32 once, and each step computes
+    in float32 (see ``_train_batch``); the returned weights are the float64
+    masters, whose float32 cast each step checks finite.
     One seed drives initialization, negative sampling, and the per-epoch
     shuffle, so identical inputs give identical parameters.
     """
@@ -651,16 +675,16 @@ def train_model(
             "a clicked candidate, or an encodable negative"
         )
     words = lookup.matrix.astype(np.float32)
-    optimizer = Adam(params.tensors(), config.learning_rate)
+    working = params.astype(np.float32)
+    optimizer = Adam(params.tensors(), working.tensors(), config.learning_rate)
     trace: list[float] = []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(len(samples))
         epoch_losses: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = [samples[i] for i in order[start : start + config.batch_size]]
-            epoch_losses.extend(_train_batch(batch, titles, words, params, optimizer))
+            epoch_losses.extend(_train_batch(batch, titles, words, working, optimizer))
         trace.append(math.fsum(epoch_losses) / len(epoch_losses))
-    _float32_copy(params)   # the last step's weights, which model.bin stores
     return params, trace
 
 
@@ -678,30 +702,29 @@ def _batch_losses(batch: Sequence[TrainSample], titles: Mapping[str, np.ndarray]
 
 
 def _train_batch(batch: Sequence[TrainSample], titles: Mapping[str, np.ndarray],
-                 words: np.ndarray, params: ModelParams, optimizer: Adam) -> list[float]:
+                 words: np.ndarray, working: ModelParams, optimizer: Adam) -> list[float]:
     """One Adam step on one batch; returns the per-sample losses.
 
-    The batch runs in float32, on the float32 ``words`` and a float32 copy
-    of the master weights ``params``; its gradients are cast back to
-    float64 for the Adam step on the masters.  The batch's graph is freed
-    on return, before the next batch builds its own.
+    The batch runs in float32, on the float32 ``words`` and ``working``,
+    the float32 weights whose masters ``optimizer`` holds; its float32
+    gradients go to the Adam step, which writes the masters' new float32
+    cast into ``working``.  The batch's graph is freed on return, before
+    the next batch builds its own.
 
     Weights that grow past float32 overflow in the forward, which numpy
     would warn of; the step raises DivergedCost for the non-finite loss,
-    and ``_float32_copy`` NonfiniteParameter for the weights, instead.
+    and ``_check_float32`` NonfiniteParameter for the weights, instead.
     """
-    compute = _float32_copy(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = _batch_losses(batch, titles, words, compute)
+        losses = _batch_losses(batch, titles, words, working)
         batch_loss = ad.mean(losses)
         if not math.isfinite(batch_loss.data):
             raise DivergedCost(
                 f"training loss became non-finite (learning_rate={optimizer.lr})"
             )
         ad.backward(batch_loss)
-    for master, copy in zip(params.tensors(), compute.tensors()):
-        master.grad = copy.grad.astype(np.float64)
-    optimizer.step()
+    optimizer.step([t.grad for t in working.tensors()])
+    _check_float32(working)
     return losses.data.tolist()
 
 

@@ -88,6 +88,25 @@ def make_lookup(tokens, dim, seed=0):
     return gl.EmbeddingLookup.from_rows(list(tokens), rng.normal(size=(len(tokens), dim)))
 
 
+def glove_cost_grads(table, matrix, config):
+    """GloVe's cost and its analytic gradient for each parameter array of
+    ``table``: the reference that finite differences check and that one
+    AdaGrad sweep over distinct entries steps along."""
+    table.check_finite()
+    grads = {key: np.zeros_like(getattr(table, key)) for key in ("W", "Wt", "b", "bt")}
+    if matrix.nnz == 0:
+        return 0.0, grads
+    i, j = matrix.rows, matrix.cols
+    fw, diff = gl._weighted_residuals(table, matrix, config)
+    cost = float(np.sum(fw * diff * diff))
+    g = 2.0 * fw * diff
+    np.add.at(grads["W"], i, g[:, None] * table.Wt[j])
+    np.add.at(grads["Wt"], j, g[:, None] * table.W[i])
+    np.add.at(grads["b"], i, g)
+    np.add.at(grads["bt"], j, g)
+    return cost, grads
+
+
 def rel_err(got, want):
     got = np.asarray(got, dtype=np.float64)
     want = np.asarray(want, dtype=np.float64)

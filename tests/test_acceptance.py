@@ -27,7 +27,7 @@ import newsrec.synth as synth
 import newsrec.textprep as tp
 from newsrec import cli
 
-from conftest import nce_probability
+from conftest import glove_cost_grads, nce_probability
 
 
 def report(index: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -67,7 +67,7 @@ def test_embedding_gradients_match_finite_differences():
     start = time.perf_counter()
     for _ in range(20):
         table, matrix, config = random_glove_instance(rng, max_vocab=8, max_dim=6, max_nnz=64)
-        _, grads = gl.glove_cost_grads(table, matrix, config)
+        _, grads = glove_cost_grads(table, matrix, config)
         for key in ("W", "Wt", "b", "bt"):
             arr = getattr(table, key)
             # arr is a strided view of table.params: perturb it in place

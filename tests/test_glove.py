@@ -12,7 +12,7 @@ import newsrec.glove as gl
 import newsrec.mind as mind
 from newsrec.errors import ConfigError, EmptyVocabulary
 
-from conftest import rel_err
+from conftest import glove_cost_grads, rel_err
 
 
 def random_matrix(rng, vocab_size, max_entries):
@@ -279,7 +279,7 @@ class TestGradients:
         for _ in range(8):
             m = random_matrix(rng, vocab_size=4, max_entries=12)
             table = random_table(rng, 4, 3)
-            _, grads = gl.glove_cost_grads(table, m, config)
+            _, grads = glove_cost_grads(table, m, config)
             for name in ("W", "Wt", "b", "bt"):
                 arr = getattr(table, name)
                 # arr is a strided view of table.params: perturb it in place

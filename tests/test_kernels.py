@@ -8,6 +8,8 @@ import pytest
 import newsrec._kernels as kern
 import newsrec.glove as gl
 
+from conftest import glove_cost_grads
+
 
 PARAMS = ("W", "Wt", "b", "bt", "accW", "accWt", "accb", "accbt")
 
@@ -154,7 +156,7 @@ def test_sweep_over_disjoint_entries_steps_by_the_checked_gradient():
                                    cols=rng.permutation(vocab_size)[:nnz],
                                    vals=rng.uniform(0.5, 30.0, size=nnz))
     table = gl.init_table(vocab_size, config.dim, seed=4)
-    cost, grads = gl.glove_cost_grads(table, matrix, config)
+    cost, grads = glove_cost_grads(table, matrix, config)
     stepped = {"params": table.params.copy(), "acc": table.acc.copy()}
     got = kern.adagrad_sweep(rng.permutation(nnz), matrix.rows, matrix.cols,
                              gl.cost_weight(matrix.vals, config.x_max, config.alpha),

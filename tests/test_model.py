@@ -3,7 +3,8 @@
 import json
 import math
 import struct
-from dataclasses import asdict, fields
+import tracemalloc
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ import newsrec.glove as gl
 import newsrec.mind as mind
 import newsrec.model as mdl
 import newsrec.retrieval as ret
-from newsrec.errors import ConfigError, EmptyHistory, InsufficientNegatives, NoKnownTokens
+from newsrec.errors import (ConfigError, EmptyHistory, InsufficientNegatives, NoKnownTokens,
+                            NonfiniteParameter)
 from newsrec.textprep import TokenizedNews, save_tokenized
 
 from conftest import make_lookup, nce_probability, rel_err, weighted_sum
@@ -582,6 +584,47 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def whole_tensor_adam_step(opt):
+    """The Adam step on the masters' float64 ``grad``, a whole tensor at a
+    time, as it was before the blocked step."""
+    opt.t += 1
+    b1c = 1.0 - opt.beta1 ** opt.t
+    b2c = 1.0 - opt.beta2 ** opt.t
+    for p, m, v in zip(opt.params, opt.m, opt.v):
+        g = p.grad
+        step, denom = np.empty_like(m), np.empty_like(m)
+        m *= opt.beta1
+        m += np.multiply(1.0 - opt.beta1, g, out=step)
+        v *= opt.beta2
+        np.multiply(g, g, out=step)
+        v += np.multiply(1.0 - opt.beta2, step, out=step)
+        np.divide(m, b1c, out=step)
+        np.multiply(opt.lr, step, out=step)
+        np.divide(v, b2c, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += opt.eps
+        step /= denom
+        p.data -= step
+
+
+def two_copy_train_batch(batch, titles, words, working, optimizer):
+    """``model._train_batch`` as it was before the blocked Adam step, the
+    reference for its bits: a float32 copy of the masters per step, its
+    gradients cast to float64, then the whole-tensor step on the masters.
+    It neither reads nor writes ``working``."""
+    news, user = optimizer.params
+    masters = replace(working, news=replace(working.news, weights=news),
+                      user=replace(working.user, weights=user))
+    compute = masters.astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = mdl._batch_losses(batch, titles, words, compute)
+        ad.backward(ad.mean(losses))
+    for master, copy in zip(masters.tensors(), compute.tensors()):
+        master.grad = copy.grad.astype(np.float64)
+    whole_tensor_adam_step(optimizer)
+    return losses.data.tolist()
+
+
 class TestExactRewrites:
     """The training step's in-place and layered forms give the bits of the
     expressions they replace, kept here as oracles."""
@@ -618,25 +661,34 @@ class TestExactRewrites:
         assert same_bits(target, want)
 
     def test_adam_steps_match_the_textbook_formula(self):
+        """Five steps on float32 gradients, over tensors of one element,
+        of a block less one, of one block, of a block and one, and of
+        three blocks and seven: the masters and moments get the bits of
+        the whole-tensor float64 formula on the gradients cast to float64,
+        and the working weights those of the masters' float32 cast."""
         rng = np.random.default_rng(5)
-        tensors = [ad.Tensor(rng.normal(size=shape)) for shape in ((4, 3), (7,))]
-        want = [t.data.copy() for t in tensors]
-        m = [np.zeros_like(p) for p in want]
-        v = [np.zeros_like(p) for p in want]
-        opt = mdl.Adam(tensors, lr=0.01)
+        block = mdl.ADAM_BLOCK
+        sizes = (1, block - 1, block, block + 1, 3 * block + 7)
+        masters = [ad.Tensor(rng.normal(size=n)) for n in sizes]
+        working = [ad.Tensor(t.data.astype(np.float32)) for t in masters]
+        want = [t.data.copy() for t in masters]
+        m = [np.zeros(n) for n in sizes]
+        v = [np.zeros(n) for n in sizes]
+        opt = mdl.Adam(masters, working, lr=0.01)
         b1, b2, eps = opt.beta1, opt.beta2, opt.eps
         for t in range(1, 6):
-            for i, tensor in enumerate(tensors):
-                g = rng.normal(size=tensor.data.shape) * 10.0 ** (t - 3)
-                tensor.grad = g
+            grads = [(rng.normal(size=n) * 10.0 ** (t - 3)).astype(np.float32) for n in sizes]
+            for i, g32 in enumerate(grads):
+                g = g32.astype(np.float64)
                 m[i] = b1 * m[i] + (1.0 - b1) * g
                 v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
                 want[i] = want[i] - 0.01 * (m[i] / (1.0 - b1 ** t)) / (
                     np.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
-            opt.step()
-            for i, tensor in enumerate(tensors):
-                assert same_bits(tensor.data, want[i])
+            opt.step(grads)
+            for i in range(len(sizes)):
+                assert same_bits(masters[i].data, want[i])
                 assert same_bits(opt.m[i], m[i]) and same_bits(opt.v[i], v[i])
+                assert same_bits(working[i].data, want[i].astype(np.float32))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_encoder_node_matches_the_temporaries_and_copy_code(self, monkeypatch, dtype):
@@ -849,7 +901,8 @@ class TestQkvTables:
 
 
 class TestFloat32Training:
-    """Training computes in float32 on a float32 copy of the float64 masters."""
+    """Training computes in float32 on working weights, the float32 casts of
+    the float64 masters that Adam keeps beside them."""
 
     # Largest float32-float64 difference allowed: of a per-sample loss,
     # relative to the largest loss, and of each gradient, as a relative norm.
@@ -881,10 +934,16 @@ class TestFloat32Training:
         steps = []
         step = mdl.Adam.step
 
-        def spy(self):
-            step(self)
-            steps.append([(p.data.dtype, p.grad.dtype, m.dtype, v.dtype)
+        def spy(self, grads):
+            step(self, grads)
+            # the gradient block the arithmetic read last: the last one's float64 cast
+            tail = grads[-1][(grads[-1].size - 1) // mdl.ADAM_BLOCK * mdl.ADAM_BLOCK:]
+            read = self.scratch[0, :tail.size]
+            assert np.array_equal(read, tail.astype(np.float64))
+            steps.append([(p.data.dtype, m.dtype, v.dtype, read.dtype)
                           for p, m, v in zip(self.params, self.m, self.v)])
+            assert {g.dtype for g in grads} == {w.data.dtype for w in self.working} == {
+                np.dtype(np.float32)}
 
         monkeypatch.setattr(mdl.Adam, "step", spy)
         logs, title_map, lookup = planted_setup()
@@ -893,6 +952,51 @@ class TestFloat32Training:
         assert {dtype for record in steps for dtypes in record for dtype in dtypes} == {
             np.dtype(np.float64)}
         assert all(t.data.dtype == np.float64 for t in params.tensors())
+
+    def test_adam_step_holds_no_full_size_temporary(self):
+        """One step over the default model's 337,808 weights allocates less
+        than 1 MiB (a float64 copy of them is 2.6 MiB)."""
+        params = mdl.init_params(50, mdl.ModelConfig())
+        assert sum(t.data.size for t in params.tensors()) == 337_808
+        working = params.astype(np.float32)
+        opt = mdl.Adam(params.tensors(), working.tensors(), lr=1e-3)
+        rng = np.random.default_rng(2)
+        grads = [rng.normal(size=t.data.size).astype(np.float32) for t in working.tensors()]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            opt.step(grads)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, f"{peak} bytes"
+
+    @pytest.mark.parametrize("shape", [dict(heads=2, d_head=4, d_attn=8),
+                                       dict(heads=4, d_head=32, d_attn=32)],
+                             ids=["one_block", "blocks"])
+    def test_training_keeps_the_two_copy_steps_bits(self, monkeypatch, prepared, glove_lookup,
+                                                    shape):
+        """The desk fixture's 96 samples in 11 steps an epoch, the last of 6
+        samples, with 6 negatives from pools of 4: the masters and the loss
+        trace are the bits of steps that copy the masters to float32 and
+        the gradients to float64, then step whole tensors."""
+        config = mdl.ModelConfig(negatives=6, learning_rate=0.01, epochs=2, batch_size=9,
+                                 seed=5, **shape)
+        args = (prepared["train_logs"], prepared["news_tokens"], glove_lookup)
+
+        def train(config):
+            with pytest.warns(InsufficientNegatives):
+                return mdl.train_model(*args, config)
+
+        params, trace = train(config)
+        monkeypatch.setattr(mdl, "_train_batch", two_copy_train_batch)
+        want, want_trace = train(config)
+        assert trace == want_trace and len(trace) == 2
+        for got, master in zip(params.tensors(), want.tensors()):
+            assert same_bits(got.data, master.data)
+        monkeypatch.undo()
+        with pytest.raises(NonfiniteParameter, match="is nan/inf in float32"):
+            train(replace(config, learning_rate=1e39, epochs=1, batch_size=1024))
 
     def test_astype_copies_into_new_leaves(self):
         params = tiny_params()
@@ -1066,8 +1170,6 @@ class TestOneTitleRule:
     def test_unencodable_titles_stay_out_of_training_and_the_index(self, monkeypatch):
         """LATE's only known token is the sixth, one past the budget of five;
         NONE has no known token.  Both are clicked, shown and in histories."""
-        from dataclasses import replace
-
         logs, title_map, lookup = planted_setup()
         title_map = dict(title_map, LATE=("zzz",) * 5 + ("a0",), NONE=("zzz", "qqq"))
         assert len(mdl.title_rows(title_map["LATE"], lookup, 6)) == 1
