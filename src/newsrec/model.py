@@ -28,7 +28,12 @@ batch is four autodiff nodes over the two encoders' weights: the news
 encoder over the batch's distinct titles, the user encoder over rows of
 its output, ``sample_loss`` and the mean.  Each but the mean carries a
 backward derived here by hand; inference calls the same forward and
-builds no node.
+builds no node.  An encoder node's tape keeps, per chunk, only its
+attention weights and its pooling's tanh rows and weights: the backward
+projects each Q|K|V table again and rebuilds each chunk's (rows,
+d_model) attention output from it, with the forward's own code and so
+its bits, trading a little recomputation for memory (Chen et al.,
+"Training Deep Nets with Sublinear Memory Cost", 2016).
 
 Each encoder's weights are one flat float64 array (``EncoderParams``),
 and ``model.bin`` stores the two arrays as they are, in float32.  The
@@ -256,15 +261,24 @@ def self_attention(qkv: np.ndarray, d_head: int,
     heads*d_head) output and the attention weights of each run, which the
     backward pass reuses.
     """
-    out = np.empty((len(qkv), qkv.shape[1] // 3), dtype=qkv.dtype)
     attn = []
     for row, count, length in _runs(lengths):
-        q, k, v = _heads(qkv[row : row + count * length], count, length, d_head)
-        a = softmax((q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_head)))
+        q, k, _ = _heads(qkv[row : row + count * length], count, length, d_head)
+        attn.append(softmax((q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_head))))
+    return _attend(qkv, d_head, lengths, attn), attn
+
+
+def _attend(qkv: np.ndarray, d_head: int, lengths: np.ndarray,
+            attn: list[np.ndarray]) -> np.ndarray:
+    """The (rows, heads*d_head) attention output: each run's attention
+    weights applied to its V rows.  The forward computes its output here
+    and the backward rebuilds it here, so the two agree bit for bit."""
+    out = np.empty((len(qkv), qkv.shape[1] // 3), dtype=qkv.dtype)
+    for (row, count, length), a in zip(_runs(lengths), attn):
+        v = _heads(qkv[row : row + count * length], count, length, d_head)[2]
         rows = out[row : row + count * length].reshape(count, length, -1, d_head)
         np.matmul(a, v, out=rows.transpose(0, 2, 1, 3))
-        attn.append(a)
-    return out, attn
+    return out
 
 
 def additive_pool(seq: np.ndarray, enc: EncoderParams,
@@ -367,8 +381,12 @@ def _forward(source: np.ndarray, seqs: Sequence[np.ndarray], enc: EncoderParams,
     run's distinct source rows, from which each chunk takes its rows with
     the bits a GEMM of its own would give them (``_rows_agree``).
     Returns the (len(seqs), d_model) vectors and, if ``keep``, per run its
-    source rows and per chunk what the backward pass needs: the Q|K|V
-    table is not kept, the backward projects it again.
+    source rows and per chunk what the backward pass needs: its sequence
+    indices, the places of its rows in the table, its lengths, its
+    attention weights and its pooling's ``hidden`` and ``weights``.
+    Neither the Q|K|V table nor the (rows, d_model) attention output is
+    kept: the backward projects the table again and rebuilds the output
+    from it (``_attend``).
     """
     lengths = np.array([len(s) for s in seqs])
     out = np.empty((len(seqs), enc.d_model), dtype=np.result_type(source, enc.weights.data))
@@ -381,7 +399,7 @@ def _forward(source: np.ndarray, seqs: Sequence[np.ndarray], enc: EncoderParams,
             seq, attn = self_attention(table[at], d_head, sizes)
             out[chunk], (hidden, weights) = additive_pool(seq, enc, sizes)
             if keep:
-                kept.append((chunk, at, sizes, attn, seq, hidden, weights))
+                kept.append((chunk, at, sizes, attn, hidden, weights))
         if keep:
             tape.append((rows, kept))
     return out, tape
@@ -392,16 +410,21 @@ def _backward(g: np.ndarray, source: np.ndarray, tape: list[tuple], enc: Encoder
     """Add the gradients of ``_forward`` into the encoder's weights and,
     if ``d_source`` is given, into the source rows.  Each run's Q|K|V
     table is projected again, once, and each chunk takes its rows from it
-    as the forward did.  It overwrites the tape: ``hidden`` with the
-    gradient of the pooling's tanh input, ``seq`` with the gradient of the
-    attention output, and so runs once."""
+    as the forward did.  From those rows, before its Q, K and V are
+    overwritten by their gradients, ``_attend`` rebuilds the chunk's
+    attention output with the forward's bits, into a buffer that the
+    gradient of that output then overwrites.  It overwrites the tape's
+    ``hidden`` with the gradient of the pooling's tanh input, and so runs
+    once."""
     wqkv, proj, query = enc.parts(enc.weights.data)
     d_wqkv, d_proj, d_query = enc.parts(enc.weights.grad)
     scale = 1.0 / math.sqrt(d_head)
     for rows, chunks in tape:
         inputs = source[rows]
         table = _project(inputs, wqkv)
-        for chunk, at, sizes, attn, seq, hidden, weights in chunks:
+        for chunk, at, sizes, attn, hidden, weights in chunks:
+            qkv = table[at]
+            seq = _attend(qkv, d_head, sizes, attn)
             starts = _segment_starts(sizes)
             # pooling: vec = sum_i weights_i seq_i, weights = softmax(tanh(seq @ proj) @ query)
             g_rows = np.repeat(g[chunk], sizes, axis=0)
@@ -418,7 +441,6 @@ def _backward(g: np.ndarray, source: np.ndarray, tape: list[tuple], enc: Encoder
             g_rows *= weights[:, None]
             d_seq += g_rows
             # attention, per run of equal lengths: out = attn @ v, attn = softmax(q @ k.T * scale)
-            qkv = table[at]
             for (row, count, length), a in zip(_runs(sizes), attn):
                 stop = row + count * length
                 q, k, v = _heads(qkv[row:stop], count, length, d_head)
@@ -440,8 +462,12 @@ def _encoder_node(source: np.ndarray | ad.Tensor, seqs: Sequence[np.ndarray],
     """One batch through one encoder as one autodiff node.
 
     Its parents are the encoder's weights and, when ``source`` is a
-    tensor, the source (the user encoder's news vectors).  The backward
-    reuses the forward's buffers, so it runs once.
+    tensor, the source (the user encoder's news vectors).  Between the
+    forward and the backward the node holds ``_forward``'s tape: per chunk
+    the attention weights and the pooling's ``hidden`` and ``weights``,
+    not the Q|K|V table or the attention output, which the backward
+    rebuilds.  The backward overwrites the tape's ``hidden``, so it runs
+    once.
     """
     linked = isinstance(source, ad.Tensor)
     data = source.data if linked else source

@@ -1008,6 +1008,56 @@ class TestFloat32Training:
         assert copy.config is params.config and copy.news.d_in == params.news.d_in
 
 
+class TestTrainingTape:
+    """An encoder node holds per chunk its attention weights and its
+    pooling's rows, not the attention output, which the backward rebuilds."""
+
+    def test_forward_keeps_no_attention_output(self, monkeypatch):
+        monkeypatch.setattr(mdl, "ROW_BUDGET", 8)
+        rng = np.random.default_rng(13)
+        params = tiny_params(embed_dim=7, heads=3, d_head=4, d_attn=5)
+        enc = params.news
+        source = rng.normal(size=(9, enc.d_in))
+        seqs = [rng.integers(0, 9, n) for n in (3, 1, 5, 3, 2, 6, 1, 4, 3, 5)]
+        _, tape = mdl._forward(source, seqs, enc, params.config.d_head, keep=True)
+        kept, chunks = [], 0
+        for _, run in tape:
+            for chunk, at, sizes, attn, hidden, weights in run:
+                chunks += 1
+                rows = int(sizes.sum())
+                assert hidden.shape == (rows, enc.d_attn) and weights.shape == (rows,)
+                assert [a.shape for a in attn] == [(count, 3, length, length)
+                                                   for _, count, length in mdl._runs(sizes)]
+                kept += [chunk, sizes, *attn, hidden, weights]
+        assert chunks > 1
+        assert not [a.shape for a in kept if a.ndim == 2 and a.shape[1] == enc.d_model]
+
+    def test_default_model_step_peak(self):
+        """One step of the default model over a fixed batch of 32 samples
+        (240 titles of 1-30 rows) peaks below 14 MiB of traced
+        allocations; with each chunk's attention output on the tape it
+        peaked at 15.7 MiB, without it at 12.5 MiB."""
+        rng = np.random.default_rng(12)
+        words = rng.normal(size=(300, 50)).astype(np.float32)
+        titles = {f"N{i}": rng.integers(0, 300, 1 + i % 30) for i in range(240)}
+        batch = []
+        for _ in range(32):
+            picks = rng.choice(list(titles), 17, replace=False).tolist()
+            batch.append(mdl.TrainSample(history=tuple(picks[:12]), positive=picks[12],
+                                         negatives=tuple(picks[13:])))
+        params = mdl.init_params(50, mdl.ModelConfig())
+        working = params.astype(np.float32)
+        opt = mdl.Adam(params.tensors(), working.tensors(), lr=1e-3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mdl._train_batch(batch, titles, words, working, opt)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2 ** 20, f"{peak} bytes"
+
+
 def title_index(title_map, lookup, params):
     """The ``CorpusIndex`` of ``title_map``'s titles, as ``evaluate`` builds it."""
     corpus = [TokenizedNews(nid, "c", "s", " ".join(toks), "", " ".join(toks), "")
