@@ -10,6 +10,12 @@ run as one gather, compute and scatter.  Its results are bitwise those of
 visiting the entries one at a time, so a seed gives the same vectors on
 every machine with the same numpy and BLAS.
 
+Per entry it reads only what ``glove_train`` holds: the int32 visit
+order, int32 row and column and float64 count, 20 B in all.  The weight
+f(x) and log x of each block of ``_BLOCK`` visits are derived from the
+counts as the block is cut into runs, with the same elementwise
+operations as over the whole array.
+
 ``benchmarks/bench_kernels.py`` times it.
 """
 
@@ -29,7 +35,13 @@ def backend_name() -> str:
     return "numpy"
 
 
-_BLOCK = 1 << 16  # entries of ``order`` split into runs at a time
+_BLOCK = 1 << 14  # entries of ``order`` split into runs at a time
+
+
+def cost_weight(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:
+    """f(x) = (x / x_max)^alpha for x < x_max, else 1."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x < x_max, (x / x_max) ** alpha, 1.0)
 
 
 def _run_starts(rows, cols):
@@ -58,28 +70,37 @@ def _run_starts(rows, cols):
     return starts
 
 
-def _runs(order, rows, cols, vocab):
+def _runs(order, rows, cols, vals, x_max, alpha, vocab):
     """Cut ``order`` into runs of consecutive entries with distinct rows and
-    distinct columns; yield each run's entries and their rows in the
-    stacked tables (``i``, then ``vocab + j``).
+    distinct columns; yield each run's rows in the stacked tables (``i``,
+    then ``vocab + j``), its weights f(x) and its log x.
 
     Runs are maximal within blocks of ``_BLOCK`` entries, which bounds the
-    memory the split takes; an extra cut changes no result.
+    memory the split takes; an extra cut changes no result.  Each block
+    gathers its values and derives f(x) and log x from them, elementwise,
+    so no full-length weight array is held.
     """
     for lo in range(0, len(order), _BLOCK):
         block = order[lo:lo + _BLOCK]
-        at = np.stack((rows[block], cols[block] + vocab))
+        at = np.empty((2, block.size), dtype=np.intp)  # vocab + j can pass int32
+        at[0] = rows[block]
+        at[1] = cols[block]
+        at[1] += vocab
+        x = vals.take(block)
+        fweight, logx = cost_weight(x, x_max, alpha), np.log(x)
         starts = _run_starts(at[0], at[1])
         for s, e in zip(starts[:-1], starts[1:]):
-            yield block[s:e], at[:, s:e]
+            yield at[:, s:e], fweight[s:e], logx[s:e]
 
 
-def adagrad_sweep(order, rows, cols, fweight, logx, params, acc, lr):
+def adagrad_sweep(order, rows, cols, vals, x_max, alpha, params, acc, lr):
     """One AdaGrad sweep over co-occurrence entries, in ``order``.
 
-    ``params`` is GloVe's stacked table, ``[W | b]`` over ``[Wt | bt]``
-    with shape (2V, d+1), and ``acc`` its AdaGrad sums in the same layout.
-    Updates both in place and returns the summed weighted squared residual
+    Entry ``u`` is the count ``vals[u]`` at (``rows[u]``, ``cols[u]``), and
+    its cost weight is ``cost_weight(vals[u], x_max, alpha)``.  ``params``
+    is GloVe's stacked table, ``[W | b]`` over ``[Wt | bt]`` with shape
+    (2V, d+1), and ``acc`` its AdaGrad sums in the same layout.  Updates
+    both in place and returns the summed weighted squared residual
     measured just before each update.  Each step uses the pre-step
     accumulator, then adds the squared gradient to it.
 
@@ -94,12 +115,11 @@ def adagrad_sweep(order, rows, cols, fweight, logx, params, acc, lr):
     """
     vocab, d = params.shape[0] // 2, params.shape[1] - 1
     total = 0.0
-    for idx, at in _runs(np.asarray(order), rows, cols, vocab):
+    for at, fw, logx in _runs(np.asarray(order), rows, cols, vals, x_max, alpha, vocab):
         p = params.take(at, axis=0)  # p[0]: [W[i] | b[i]], p[1]: [Wt[j] | bt[j]]
         a = acc.take(at, axis=0)
         dot = (p[0, :, None, :d] @ p[1, :, :d, None])[:, 0, 0]
-        diff = dot + p[0, :, d] + p[1, :, d] - logx.take(idx)
-        fw = fweight.take(idx)
+        diff = dot + p[0, :, d] + p[1, :, d] - logx
         for cost in (fw * diff * diff).tolist():
             total += cost
         g = 2.0 * fw * diff

@@ -192,6 +192,8 @@ def cmd_train_glove(args, cfg: AppConfig, manifest: RunManifest) -> None:
     with manifest.phase("train"):
         table, trace = gl.glove_train(matrix, cfg.glove)
     lookup = gl.EmbeddingLookup.from_rows(tokens, table.word_vectors())
+    nnz = matrix.nnz
+    del matrix, table   # the files need only the word vectors
     if args.format == "text":
         emb_path = _out_path(args, "embeddings.txt")
         gl.save_embeddings_text(emb_path, lookup)
@@ -201,7 +203,7 @@ def cmd_train_glove(args, cfg: AppConfig, manifest: RunManifest) -> None:
     manifest.add_output(emb_path)
     _emit(args, manifest, "glove_trace.csv", epoch_trace_csv("cost", trace))
     last = f", final cost {trace[-1]:.6f}" if trace else ""
-    print(f"train-glove: {len(tokens)} tokens, {matrix.nnz} pairs, "
+    print(f"train-glove: {len(tokens)} tokens, {nnz} pairs, "
           f"{cfg.glove.epochs} epochs{last} -> {emb_path}")
 
 

@@ -21,6 +21,12 @@ every entry sums the same weights in the same sequence whatever the
 block size, and the table, and every file trained from it, keeps its
 bytes.
 
+Ids, keys, rows, columns and the visit order are int32 wherever the
+vocabulary and the table allow it.  The table holds 16 B an entry
+(int32 row and column, float64 count), and training adds 4 B an entry
+for the visit order: the sweep derives each entry's weight f(x) and
+log x block by block from the counts.
+
 The vectors are saved either as text, one ``token v1 ... vd`` line per
 word as in the GloVe release, or as a self-contained binary checkpoint
 that holds its token list in its header.  Training settings are not
@@ -37,7 +43,7 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import adagrad_sweep
+from ._kernels import adagrad_sweep, cost_weight
 from .config import GloveConfig, check
 from .errors import (
     ConfigError,
@@ -52,11 +58,14 @@ BINARY_MAGIC = b"NRECGLV2"
 
 
 # forward pairs (p < q, q - p <= window) per block of whole documents.  A
-# block's keys, weights, order and ``np.unique`` copies take about 100 B a
-# pair, 13 MB at this budget.  Merging a block copies the table, so a block
-# also takes up to a table's eighth as many pairs: at most about 8 entry
-# copies a pair, and the count stays linear in the corpus.
+# block's pairs, about two for each forward pair, each an int32 key and group
+# (its pieces, then joined, then one int64 sort code), take about 45 B a
+# forward pair, under 6 MB at this budget.  Merging a block copies the
+# table's keys and values, one array at a time, so a block also takes up to
+# a table's eighth as many pairs: at most about 8 entry copies a pair, and
+# the count stays linear in the corpus.
 BLOCK_PAIRS = 1 << 17
+_CODE_BITS = 63   # a block's pairs sort as one int64 code where key and group fit
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +112,8 @@ class CooccurrenceMatrix:
     """Sparse symmetric co-occurrence counts in coordinate form.
 
     Entries are sorted by (row, col) and strictly deduplicated; ``vals``
-    holds the accumulated distance weights.
+    holds the accumulated distance weights.  ``build_cooccurrence`` gives
+    int32 rows and columns (int64 only past 2**31 tokens).
     """
 
     vocab_size: int
@@ -128,16 +138,19 @@ def build_cooccurrence(corpus: TokenIds, tokens: Sequence[str],
     The documents are counted in document order, in blocks of whole
     documents of at most ``BLOCK_PAIRS`` forward pairs, or an eighth of
     the table's entries once that is more; a document with more pairs is
-    a block of its own.  Each block's distinct keys i * V + j are merged
-    into the table's sorted keys, then ``np.add.at`` adds its weights in
-    the order document, distance, direction, position.  Each entry so
-    sums its weights document by document, nearest distance first, and
-    the table does not depend on the block size.
+    a block of its own.  Each block's pairs are sorted by key i * V + j,
+    then by (document, distance); the distinct keys are merged into the
+    table's sorted keys, and ``np.add.at`` adds the weights in that order.
+    Each entry so sums its weights document by document, nearest distance
+    first, and the table does not depend on the block size.  Keys are
+    int32 up to V = 46,340 and int64 beyond.
     """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
+    n = len(tokens)
+    key = _index_type(n * n)   # keys i * n + j, and the ids they are made of
     index = {tok: i for i, tok in enumerate(tokens)}
-    remap = np.array([index.get(tok, -1) for tok in corpus.tokens], dtype=np.int64)
+    remap = np.array([index.get(tok, -1) for tok in corpus.tokens], dtype=key)
     ids = remap[corpus.ids]
     kept = ids >= 0
     # document boundaries in the ids that remain once unknown tokens go
@@ -148,17 +161,24 @@ def build_cooccurrence(corpus: TokenIds, tokens: Sequence[str],
     lengths = np.diff(bounds)
     reach = np.clip(np.minimum(lengths - 1, window), 0, None)
     pairs = np.concatenate(([0], np.cumsum(reach * lengths - reach * (reach + 1) // 2)))
-    n = len(tokens)
-    keys, vals = np.empty(0, np.int64), np.empty(0)
+    table = [np.empty(0, key), np.empty(0)]   # sorted keys and their values
     start = 0
     while start < lengths.size:
-        stop = _block_stop(pairs, start, keys.size)
+        stop = _block_stop(pairs, start, table[0].size)
         if pairs[stop] > pairs[start]:
-            block_keys, weights = _block_pairs(ids[bounds[start]:bounds[stop]],
-                                               lengths[start:stop], n, window)
-            keys, vals = _add_block(keys, vals, block_keys, weights)
+            _add_block(table, *_block_pairs(ids[bounds[start]:bounds[stop]],
+                                            lengths[start:stop], n, window))
         start = stop
-    return CooccurrenceMatrix(vocab_size=n, rows=keys // n, cols=keys % n, vals=vals)
+    keys, vals = table
+    coord = _index_type(n)
+    rows = (keys // n).astype(coord, copy=False)
+    cols = np.remainder(keys, n, out=keys).astype(coord, copy=False)
+    return CooccurrenceMatrix(vocab_size=n, rows=rows, cols=cols, vals=vals)
+
+
+def _index_type(count: int) -> type:
+    """int32 for the integers below ``count`` where they fit, else int64."""
+    return np.int32 if count <= 1 << 31 else np.int64
 
 
 def _block_stop(pairs: np.ndarray, start: int, table_size: int) -> int:
@@ -170,39 +190,60 @@ def _block_stop(pairs: np.ndarray, start: int, table_size: int) -> int:
 
 
 def _block_pairs(ids: np.ndarray, lengths: np.ndarray, n: int,
-                 window: int) -> tuple[np.ndarray, np.ndarray]:
-    """The keys i * n + j and 1/k weights of a block's pairs, in the order
-    document, distance k, forward then reverse, position."""
-    doc = np.repeat(np.arange(lengths.size), lengths)
-    keys, weights, owners = [], [], []
-    for k in range(1, min(window, int(lengths.max()) - 1) + 1):
+                 window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's pairs sorted by key i * n + j, then group, as their keys
+    and groups, and each group's weight.
+
+    Each (document, distance k) of the block is a group, numbered document
+    by document, nearest distance first, and each of its pairs weighs 1/k,
+    so each key's weights come in the order document, distance.  Key and
+    group are packed into one int64 for the sort where both fit in
+    ``_CODE_BITS``, else sorted by ``np.lexsort``."""
+    reach = np.clip(np.minimum(lengths - 1, window), 0, None)   # groups per document
+    first = np.cumsum(reach) - reach                            # each document's first group
+    count = int(first[-1] + reach[-1])
+    doc = np.repeat(np.arange(lengths.size, dtype=_index_type(lengths.size)), lengths)
+    base = np.repeat((first - 1).astype(_index_type(count)), lengths)  # + k: group at k
+    keys, groups = [], []
+    for k in range(1, int(reach.max()) + 1):
         same = doc[:-k] == doc[k:]
-        a, b, d = ids[:-k][same], ids[k:][same], doc[k:][same]
+        a, b, g = ids[:-k][same], ids[k:][same], base[:-k][same] + k
         off = a != b
         keys += [a * n + b, b[off] * n + a[off]]
-        owners += [d, d[off]]
-        weights.append(np.full(a.size + int(off.sum()), 1.0 / k))
-    # a stable sort by document keeps each document's pairs nearest distance first
-    order = np.argsort(np.concatenate(owners), kind="stable")
-    del owners, doc   # free each list of pieces before the next full-size array
-    keys = np.concatenate(keys)[order]
-    return keys, np.concatenate(weights)[order]
+        groups += [g, g[off]]
+    del doc, base   # free the per-token arrays before the pieces are joined
+    keys, groups = np.concatenate(keys), np.concatenate(groups)
+    weights = 1.0 / (np.arange(1, count + 1) - np.repeat(first, reach))
+    shift = (count - 1).bit_length()
+    if (n * n - 1).bit_length() + shift > _CODE_BITS:
+        order = np.lexsort((groups, keys))
+        return keys[order], groups[order], weights
+    codes = keys.astype(np.int64) << shift
+    codes |= groups
+    codes.sort()   # equal codes are pairs of one group: one key, one weight
+    np.right_shift(codes, shift, out=keys, casting="unsafe")
+    np.bitwise_and(codes, (1 << shift) - 1, out=groups, casting="unsafe")
+    return keys, groups, weights
 
 
-def _add_block(keys: np.ndarray, vals: np.ndarray, block_keys: np.ndarray,
-               weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge ``block_keys`` into the sorted table ``keys`` (new entries
-    start at 0.0), then add ``weights`` to their entries in order."""
-    uniq, inverse = np.unique(block_keys, return_inverse=True)
-    at = np.searchsorted(keys, uniq)
-    new = at == keys.size
-    new[~new] = keys[at[~new]] != uniq[~new]
+def _add_block(table: list[np.ndarray], block_keys: np.ndarray, groups: np.ndarray,
+               weights: np.ndarray) -> None:
+    """Merge the sorted ``block_keys`` into ``table``, the sorted keys and
+    their values, replacing its two arrays one at a time so that each old
+    one is freed once copied (new entries start at 0.0); then add
+    ``weights[groups]`` to the pairs' entries in order."""
+    starts = np.flatnonzero(np.r_[True, block_keys[1:] != block_keys[:-1]])
+    uniq = block_keys[starts]
+    at = np.searchsorted(table[0], uniq)
+    new = at == table[0].size
+    new[~new] = table[0][at[~new]] != uniq[~new]
     if new.any():
-        keys = np.insert(keys, at[new], uniq[new])
-        vals = np.insert(vals, at[new], 0.0)
+        table[0] = np.insert(table[0], at[new], uniq[new])
+        table[1] = np.insert(table[1], at[new], 0.0)
         at += np.cumsum(new) - new   # each key moves past the new keys below it
-    np.add.at(vals, at[inverse], weights)
-    return keys, vals
+    del uniq, new
+    at = np.repeat(at, np.diff(starts, append=block_keys.size))
+    np.add.at(table[1], at, weights[groups])
 
 
 @dataclass(slots=True)
@@ -264,12 +305,6 @@ def init_table(vocab_size: int, dim: int, seed: int) -> EmbeddingTable:
     return table
 
 
-def cost_weight(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:
-    """f(x) = (x / x_max)^alpha for x < x_max, else 1."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x < x_max, (x / x_max) ** alpha, 1.0)
-
-
 def _weighted_residuals(
     table: EmbeddingTable, matrix: CooccurrenceMatrix, config: GloveConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +334,9 @@ def glove_train(
 ) -> tuple[EmbeddingTable, list[float]]:
     """Fit embeddings with per-entry AdaGrad; returns (table, per-epoch costs).
 
-    Each epoch visits every stored entry once in a seeded shuffled order.
+    Each epoch visits every stored entry once in a seeded shuffled order:
+    an int32 range shuffled in place, which gives ``rng.permutation``'s
+    order and leaves the generator in its state.
     The reported cost per epoch sums the weighted squared residuals as seen
     just before each update.  A non-finite cost aborts training.  Zero
     epochs return the seeded initialization, even for a matrix with no
@@ -312,13 +349,13 @@ def glove_train(
     if matrix.nnz == 0:
         raise EmptyCorpus("cannot train embeddings: co-occurrence matrix has no entries")
     rng = np.random.default_rng(config.seed)
-    fweight = cost_weight(matrix.vals, config.x_max, config.alpha)
-    logx = np.log(matrix.vals)
     trace: list[float] = []
     for epoch in range(config.epochs):
-        order = rng.permutation(matrix.nnz)
-        cost = adagrad_sweep(order, matrix.rows, matrix.cols, fweight, logx,
-                             table.params, table.acc, config.learning_rate)
+        # rng.permutation(nnz)'s permutation and generator state, at 4 B an entry
+        order = np.arange(matrix.nnz, dtype=_index_type(matrix.nnz))
+        rng.shuffle(order)
+        cost = adagrad_sweep(order, matrix.rows, matrix.cols, matrix.vals, config.x_max,
+                             config.alpha, table.params, table.acc, config.learning_rate)
         if not math.isfinite(cost):
             raise DivergedCost(
                 f"training cost became non-finite at epoch {epoch + 1} "

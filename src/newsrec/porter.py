@@ -54,8 +54,8 @@ def _ends_cvc(word: str) -> bool:
     return word[-1] not in "wxy"
 
 
-# (suffix, replacement) pairs; longer suffixes listed before any suffix
-# they end with, so a linear first-match scan picks the right rule.
+# (suffix, replacement) pairs in step order; a longer suffix comes before
+# any suffix it ends with.
 _STEP2_RULES = (
     ("ational", "ate"),
     ("tional", "tion"),
@@ -89,9 +89,6 @@ _STEP3_RULES = (
     ("ness", ""),
 )
 
-_STEP2_SUFFIXES = tuple(suffix for suffix, _ in _STEP2_RULES)
-_STEP3_SUFFIXES = tuple(suffix for suffix, _ in _STEP3_RULES)
-
 _STEP4_SUFFIXES = (
     "al",
     "ance",
@@ -113,6 +110,36 @@ _STEP4_SUFFIXES = (
     "ive",
     "ize",
 )
+
+
+def _by_ending(suffixes) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, str]]:
+    """A step's suffixes, keyed by the endings a word is looked up by:
+    the suffixes, their lengths longest first, and ``table``.
+
+    Two suffixes that one word ends with end one another, so the suffixes
+    a word ends with all end the longest of them, ``s``.  ``table[s]`` is
+    the first suffix in step order that ends ``s``: the step's first match
+    for every word whose longest matching suffix is ``s``."""
+    table = {s: next(t for t in suffixes if s.endswith(t)) for s in suffixes}
+    return tuple(suffixes), tuple(sorted({len(s) for s in table}, reverse=True)), table
+
+
+def _first_match(word: str, endings) -> str | None:
+    """The first suffix in step order that ``word`` ends with, or None.
+    One C-level ``endswith`` passes over the many words no suffix fits."""
+    suffixes, lengths, table = endings
+    if not word.endswith(suffixes):
+        return None
+    for n in lengths:
+        suffix = table.get(word[-n:])
+        if suffix is not None:
+            return suffix
+    return None
+
+
+_STEP2 = _by_ending([suffix for suffix, _ in _STEP2_RULES]), dict(_STEP2_RULES)
+_STEP3 = _by_ending([suffix for suffix, _ in _STEP3_RULES]), dict(_STEP3_RULES)
+_STEP4 = _by_ending(_STEP4_SUFFIXES)
 
 
 def _step1a(word: str) -> str:
@@ -153,32 +180,27 @@ def _step1c(word: str) -> str:
     return word
 
 
-def _apply_table(word: str, rules, suffixes: tuple[str, ...]) -> str:
-    """First-match scan of ``rules``; ``suffixes`` are their suffixes, so
-    one C-level ``endswith`` passes over the many words no rule fits."""
-    if not word.endswith(suffixes):
+def _apply_table(word: str, step) -> str:
+    """Step 2 or 3: the step's first matching rule, looked up by the
+    word's endings, replaces its suffix if the stem's measure is > 0."""
+    endings, replacements = step
+    suffix = _first_match(word, endings)
+    if suffix is None:
         return word
-    for suffix, replacement in rules:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if _measure(stem) > 0:
-                return stem + replacement
-            return word
-    return word
+    stem = word[: -len(suffix)]
+    return stem + replacements[suffix] if _measure(stem) > 0 else word
 
 
 def _step4(word: str) -> str:
-    if not word.endswith(_STEP4_SUFFIXES):
+    suffix = _first_match(word, _STEP4)
+    if suffix is None:
         return word
-    for suffix in _STEP4_SUFFIXES:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if _measure(stem) <= 1:
-                return word
-            if suffix == "ion" and not stem.endswith(("s", "t")):
-                return word
-            return stem
-    return word
+    stem = word[: -len(suffix)]
+    if _measure(stem) <= 1:
+        return word
+    if suffix == "ion" and not stem.endswith(("s", "t")):
+        return word
+    return stem
 
 
 def _step5a(word: str) -> str:
@@ -203,8 +225,8 @@ def stem(token: str) -> str:
     word = _step1a(token)
     word = _step1b(word)
     word = _step1c(word)
-    word = _apply_table(word, _STEP2_RULES, _STEP2_SUFFIXES)
-    word = _apply_table(word, _STEP3_RULES, _STEP3_SUFFIXES)
+    word = _apply_table(word, _STEP2)
+    word = _apply_table(word, _STEP3)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import newsrec._kernels as kern
 import newsrec.glove as gl
 import newsrec.mind as mind
 from newsrec.errors import ConfigError, EmptyVocabulary
@@ -47,8 +48,8 @@ def oracle_cooccurrence(documents, tokens, window):
                 if i != j:
                     table[j, i] = table.get((j, i), 0.0) + 1.0 / k
     keys = sorted(table)
-    return (np.array([i for i, _ in keys], dtype=np.int64),
-            np.array([j for _, j in keys], dtype=np.int64),
+    return (np.array([i for i, _ in keys], dtype=np.int32),
+            np.array([j for _, j in keys], dtype=np.int32),
             np.array([table[key] for key in keys], dtype=np.float64))
 
 
@@ -207,10 +208,13 @@ class TestCooccurrence:
         assert gl._block_stop(pairs, 0, 8 * 30) == 4  # a larger table, larger blocks
 
     def test_peak_memory_is_the_table_plus_one_block(self):
-        """On about 100k tokens the count stays under the table (keys,
-        values, rows and columns, 8 B an entry each), three int64 copies of
-        the ids, and one block of ``BLOCK_PAIRS`` pairs at 128 B a pair.
-        Forming every pair of the corpus at once takes about 3.5 times that."""
+        """On about 100k tokens the count stays under the table (int32
+        keys and float64 values, with one of them copied while a block is
+        merged: 20 B an entry), 8 B a token for the int32 ids and their
+        document bounds, and one block of ``BLOCK_PAIRS`` forward pairs at
+        56 B a pair: about two directed pairs, each an int32 key and group,
+        their pieces and one int64 sort code.  Forming every pair of the
+        corpus at once takes about 6 times that."""
         rng = np.random.default_rng(2)
         lengths = rng.integers(20, 60, size=2500)
         docs = [[f"w{c}" for c in rng.zipf(1.3, size=n) % 400] for n in lengths]
@@ -223,7 +227,17 @@ class TestCooccurrence:
         finally:
             tracemalloc.stop()
         assert corpus.ids.size > 90_000
-        assert peak < 32 * m.nnz + 24 * corpus.ids.size + 128 * gl.BLOCK_PAIRS
+        assert (m.rows.dtype, m.cols.dtype) == (np.int32, np.int32)
+        assert peak < 20 * m.nnz + 8 * corpus.ids.size + 56 * gl.BLOCK_PAIRS
+
+    @pytest.mark.parametrize("window", [1, 3, 10**12])
+    def test_lexsort_where_the_sort_code_overflows_keeps_the_oracle_bits(
+            self, monkeypatch, window):
+        """A vocabulary too large for a key and a group to share one int64
+        sorts its blocks with ``np.lexsort``, to the same table."""
+        monkeypatch.setattr(gl, "_CODE_BITS", 0)
+        monkeypatch.setattr(gl, "BLOCK_PAIRS", 50)
+        self.assert_matches_oracle(window)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
@@ -333,6 +347,51 @@ class TestTraining:
         table, _ = gl.glove_train(m, config)
         residual = float(np.dot(table.W[0], table.Wt[1])) + table.b[0] + table.bt[1]
         assert abs(residual) < 0.01
+
+    def test_each_epoch_visits_the_seeded_permutation_as_int32(self, monkeypatch):
+        m = self.cluster_matrix()
+        seen, sweep = [], gl.adagrad_sweep
+        monkeypatch.setattr(gl, "adagrad_sweep",
+                            lambda order, *args: seen.append(order.copy()) or sweep(order, *args))
+        gl.glove_train(m, gl.GloveConfig(dim=4, epochs=3, seed=13))
+        rng = np.random.default_rng(13)
+        assert len(seen) == 3
+        for order in seen:
+            assert order.dtype == np.int32
+            assert np.array_equal(order, rng.permutation(m.nnz))
+
+    @pytest.mark.parametrize("n", [1, 7, 65_537, 256_876])
+    def test_int32_shuffle_draws_the_permutation_and_its_state(self, n):
+        """``shuffle`` of an int32 range gives ``permutation``'s order and
+        leaves the generator where ``permutation`` does."""
+        shuffled, permuted = np.random.default_rng(n), np.random.default_rng(n)
+        order = np.arange(n, dtype=np.int32)
+        shuffled.shuffle(order)
+        assert np.array_equal(order, permuted.permutation(n))
+        assert shuffled.bit_generator.state == permuted.bit_generator.state
+        assert shuffled.integers(1 << 62) == permuted.integers(1 << 62)
+
+    def test_peak_memory_is_the_state_order_and_one_block(self, monkeypatch):
+        """One epoch over 200k entries holds the matrix (int32 rows and
+        columns, float64 values) and the int32 visit order, 20 B an entry,
+        beside the table and its AdaGrad sums, and the temporaries of about
+        one block of ``_BLOCK`` entries.  Full-length weights or logs, or
+        an int64 order, do not fit."""
+        monkeypatch.setattr(kern, "_BLOCK", 1024)
+        rng = np.random.default_rng(3)
+        vocab, nnz = 2000, 200_000
+        keys = np.sort(rng.choice(vocab * vocab, size=nnz, replace=False))
+        rows, cols = (keys // vocab).astype(np.int32), (keys % vocab).astype(np.int32)
+        vals = rng.uniform(0.5, 50.0, size=nnz)
+        tracemalloc.start()
+        try:
+            m = gl.CooccurrenceMatrix(vocab, rows.copy(), cols.copy(), vals.copy())
+            table, _ = gl.glove_train(m, gl.GloveConfig(dim=8, epochs=1, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = table.params.nbytes + table.acc.nbytes
+        assert peak < state + 20 * nnz + 384 * kern._BLOCK
 
     def test_same_seed_gives_bitwise_identical_tables(self):
         m = self.cluster_matrix()

@@ -12,6 +12,7 @@ from conftest import glove_cost_grads
 
 
 PARAMS = ("W", "Wt", "b", "bt", "accW", "accWt", "accb", "accbt")
+X_MAX, ALPHA = 20.0, 0.75
 
 
 def parts(state):
@@ -25,15 +26,14 @@ def make_instance(seed, vocab_size=12, dim=6, nnz=40):
     rng = np.random.default_rng(seed)
     keys = rng.choice(vocab_size * vocab_size, size=nnz, replace=False)
     keys.sort()
-    rows = (keys // vocab_size).astype(np.int64)
-    cols = (keys % vocab_size).astype(np.int64)
+    rows = (keys // vocab_size).astype(np.int32)
+    cols = (keys % vocab_size).astype(np.int32)
     vals = rng.uniform(0.5, 30.0, size=nnz)
     state = {
-        "order": rng.permutation(nnz),
+        "order": rng.permutation(nnz).astype(np.int32),
         "rows": rows,
         "cols": cols,
-        "fweight": (vals / 20.0) ** 0.75,
-        "logx": np.log(vals),
+        "vals": vals,
         "params": np.empty((2 * vocab_size, dim + 1)),
         "acc": np.ones((2 * vocab_size, dim + 1)),
     }
@@ -46,7 +46,7 @@ def make_instance(seed, vocab_size=12, dim=6, nnz=40):
 def run_sweep(fn, state, lr=0.05, repeats=3):
     s = {k: np.array(v, copy=True) for k, v in state.items()}
     costs = [
-        fn(s["order"], s["rows"], s["cols"], s["fweight"], s["logx"], s["params"], s["acc"], lr)
+        fn(s["order"], s["rows"], s["cols"], s["vals"], X_MAX, ALPHA, s["params"], s["acc"], lr)
         for _ in range(repeats)
     ]
     return costs, parts(s)
@@ -77,10 +77,12 @@ def per_entry_sweep(order, rows, cols, fweight, logx, W, Wt, b, bt, accW, accWt,
     return total
 
 
-def per_entry_on_tables(order, rows, cols, fweight, logx, params, acc, lr):
-    """The oracle with ``adagrad_sweep``'s arguments."""
+def per_entry_on_tables(order, rows, cols, vals, x_max, alpha, params, acc, lr):
+    """The oracle with ``adagrad_sweep``'s arguments: the weights and logs
+    of all entries at once, then one entry at a time."""
     s = parts({"params": params, "acc": acc})
-    return per_entry_sweep(order, rows, cols, fweight, logx, *(s[key] for key in PARAMS), lr)
+    return per_entry_sweep(order, rows, cols, gl.cost_weight(vals, x_max, alpha), np.log(vals),
+                           *(s[key] for key in PARAMS), lr)
 
 
 def assert_bitwise_per_entry(state):
@@ -97,7 +99,7 @@ def with_one_row(state):
 
 
 def with_order(state, order):
-    state["order"] = np.asarray(order, dtype=np.int64)
+    state["order"] = np.asarray(order, dtype=np.int32)
     return state
 
 
@@ -118,6 +120,22 @@ def test_runs_cut_at_block_edges_change_nothing(monkeypatch):
     monkeypatch.setattr(kern, "_BLOCK", 7)
     assert_bitwise_per_entry(
         with_order(make_instance(11), np.r_[np.arange(40), np.arange(40)[::-1]]))
+
+
+def test_weights_derived_block_by_block_keep_the_bits(monkeypatch):
+    """Blocks of 1,000 visits over 2,500 entries: each block's weights and
+    logs are those of the whole array, whatever their place in it."""
+    monkeypatch.setattr(kern, "_BLOCK", 1000)
+    assert_bitwise_per_entry(make_instance(12, vocab_size=80, dim=5, nnz=2500))
+
+
+def test_stacked_table_rows_do_not_overflow_int32():
+    rows = np.array([0, 1, 2], dtype=np.int32)
+    cols = np.array([2, 0, 1], dtype=np.int32)
+    vocab = 2**31 - 2
+    at, _fweight, _logx = next(kern._runs(np.arange(3, dtype=np.int32), rows, cols,
+                                          np.ones(3), X_MAX, ALPHA, vocab))
+    assert at.tolist() == [[0, 1, 2], [vocab + 2, vocab, vocab + 1]]
 
 
 def test_empty_order_returns_zero_and_touches_nothing():
@@ -158,9 +176,8 @@ def test_sweep_over_disjoint_entries_steps_by_the_checked_gradient():
     table = gl.init_table(vocab_size, config.dim, seed=4)
     cost, grads = glove_cost_grads(table, matrix, config)
     stepped = {"params": table.params.copy(), "acc": table.acc.copy()}
-    got = kern.adagrad_sweep(rng.permutation(nnz), matrix.rows, matrix.cols,
-                             gl.cost_weight(matrix.vals, config.x_max, config.alpha),
-                             np.log(matrix.vals), stepped["params"], stepped["acc"], lr)
+    got = kern.adagrad_sweep(rng.permutation(nnz), matrix.rows, matrix.cols, matrix.vals,
+                             config.x_max, config.alpha, stepped["params"], stepped["acc"], lr)
     after = parts(stepped)
     # the sweep sums the cost in visit order, glove_cost_grads by np.sum
     assert got == pytest.approx(cost, rel=1e-14)

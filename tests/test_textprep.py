@@ -1,5 +1,6 @@
 """Cleaning, tokenization, stopword removal, and stemming behavior."""
 
+import os
 import sys
 import tempfile
 import unicodedata
@@ -15,6 +16,8 @@ import newsrec.textprep as tp
 from newsrec.errors import AllTokensRemoved
 from newsrec.mind import NewsArticle, load_news
 from newsrec.porter import stem
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def art(news_id, title, abstract="Some abstract text.", category="news"):
@@ -172,7 +175,7 @@ class TestStem:
 
 
 def ungated_apply_table(word, rules):
-    """The Step 2/3 first-match scan without the one-call suffix check."""
+    """Step 2/3 as a plain first-match scan of the rules, in order."""
     for suffix, replacement in rules:
         if word.endswith(suffix):
             stem_ = word[: -len(suffix)]
@@ -183,7 +186,7 @@ def ungated_apply_table(word, rules):
 
 
 def ungated_step4(word):
-    """Step 4 without the one-call suffix check."""
+    """Step 4 as a plain first-match scan of its suffixes, in order."""
     for suffix in porter._STEP4_SUFFIXES:
         if word.endswith(suffix):
             stem_ = word[: -len(suffix)]
@@ -213,9 +216,10 @@ def ungated_stem(token):
 
 
 class TestGatedSuffixScans:
-    """Steps 2-4 check all of a step's suffixes in one ``endswith`` call
-    before their first-match scan, and step 5b tests for a final "ll"
-    before it takes the measure; results must be the ungated steps'."""
+    """Steps 2-4 check all of a step's suffixes in one ``endswith`` call,
+    then look the first matching rule up by the word's endings, and step
+    5b tests for a final "ll" before it takes the measure; results must be
+    the plain scans'."""
 
     STEMS = {0: ("tr", "sky", "ee"), 1: ("troubl", "oat", "pass"), 2: ("privat", "oaten", "relat")}
     SUFFIXES = sorted({s for s, _ in porter._STEP2_RULES + porter._STEP3_RULES}
@@ -229,9 +233,9 @@ class TestGatedSuffixScans:
         words = [s + suffix for stems in self.STEMS.values() for s in stems
                  for suffix in self.SUFFIXES]
         for word in words:
-            assert porter._apply_table(word, porter._STEP2_RULES, porter._STEP2_SUFFIXES) == \
+            assert porter._apply_table(word, porter._STEP2) == \
                 ungated_apply_table(word, porter._STEP2_RULES), word
-            assert porter._apply_table(word, porter._STEP3_RULES, porter._STEP3_SUFFIXES) == \
+            assert porter._apply_table(word, porter._STEP3) == \
                 ungated_apply_table(word, porter._STEP3_RULES), word
             assert porter._step4(word) == ungated_step4(word), word
             assert porter._step5b(word) == ungated_step5b(word), word
@@ -242,6 +246,20 @@ class TestGatedSuffixScans:
         tokens = {tok for a in articles for text in (a.title, a.abstract)
                   for tok in tp.tokenize(text)}
         assert len(tokens) > 100
+        assert {t: stem(t) for t in tokens} == {t: ungated_stem(t) for t in tokens}
+
+    def test_every_token_of_an_embed_benchmark_corpus(self, tmp_path, monkeypatch):
+        """The distinct tokens of a seeded corpus shaped like the ``embed``
+        workload's, whose words carry English suffixes."""
+        monkeypatch.syspath_prepend(PERFBENCH)
+        from corpus import CorpusSpec, write_corpus
+
+        spec = CorpusSpec(n_news=3000, roots_per_category=300, n_users=200,
+                          impressions_per_user=2)
+        articles, _ = load_news(write_corpus(str(tmp_path), spec, seed=7).news)
+        tokens = {tok for a in articles for text in (a.title, a.abstract)
+                  for tok in tp.tokenize(text)}
+        assert len(tokens) > 10_000
         assert {t: stem(t) for t in tokens} == {t: ungated_stem(t) for t in tokens}
 
     def test_reference_vectors_agree(self):
