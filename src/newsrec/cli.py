@@ -289,12 +289,12 @@ def _model_stack(args, manifest: RunManifest):
 
 
 def cmd_recommend(args, cfg: AppConfig, manifest: RunManifest) -> None:
-    if bool(args.history) == bool(args.user):
+    if (args.history is None) == (args.user is None):
         raise ConfigError("provide exactly one of --history or --user (with --behaviors)")
-    if args.user and not args.behaviors:
+    if args.user is not None and not args.behaviors:
         raise ConfigError("--user requires --behaviors to look up that user's clicks")
     _, params, index, keep_index = _model_stack(args, manifest)
-    if args.history:
+    if args.history is not None:
         history = [tok for tok in args.history.split(",") if tok]
         user_id = args.user_id or "<ad-hoc>"
     else:
@@ -303,7 +303,7 @@ def cmd_recommend(args, cfg: AppConfig, manifest: RunManifest) -> None:
         if history is None:
             raise InputError(f"user {args.user!r} does not appear in {args.behaviors}")
         user_id = args.user
-    pool = [tok for tok in args.pool.split(",") if tok] if args.pool else [
+    pool = [tok for tok in args.pool.split(",") if tok] if args.pool is not None else [
         item.news_id for item in index.items
     ]
     with manifest.phase("recommend"):

@@ -19,21 +19,23 @@ equal-length sequences as (sequences, heads, length, d_head) products,
 so no row attends to padding and nothing is masked.  A source row that
 repeats (a word in many titles, a news item in many histories) is
 projected once: consecutive chunks whose distinct source rows fit
-``TABLE_ROWS`` share one Q|K|V table, one GEMM over those rows, from
-which each chunk takes its rows with the bits its own GEMM would give
-them.  That holds where the BLAS gives a row the same bits at any row
-count (``_rows_agree``); elsewhere each chunk projects its own rows.
-Pooling is a segment softmax over each sequence's rows.  In training a
-batch is four autodiff nodes over the two encoders' weights: the news
-encoder over the batch's distinct titles, the user encoder over rows of
-its output, ``sample_loss`` and the mean.  Each but the mean carries a
-backward derived here by hand; inference calls the same forward and
-builds no node.  An encoder node's tape keeps, per chunk, only its
-attention weights and its pooling's tanh rows and weights: the backward
-projects each Q|K|V table again and rebuilds each chunk's (rows,
-d_model) attention output from it, with the forward's own code and so
-its bits, trading a little recomputation for memory (Chen et al.,
-"Training Deep Nets with Sublinear Memory Cost", 2016).
+``TABLE_ROWS`` share one Q|K|V table, one projection of those rows, from
+which each chunk takes its rows.  Every projection (``_project``) runs
+as GEMMs of exactly ``GEMM_ROWS`` rows, the last zero-padded, so a row
+gets the same bits in any product: a chunk gets from a table the bits of
+a projection of its own, and an item gets the same vector alone as in
+any batch, at any model shape.  Pooling is a segment softmax over each
+sequence's rows.  In training a batch is four autodiff nodes over the
+two encoders' weights: the news encoder over the batch's distinct
+titles, the user encoder over rows of its output, ``sample_loss`` and
+the mean.  Each but the mean carries a backward derived here by hand;
+inference calls the same forward and builds no node.  An encoder node's
+tape keeps, per chunk, only its attention weights and its pooling's tanh
+rows and weights: the backward projects each Q|K|V table again and
+rebuilds each chunk's (rows, d_model) attention output from it, with the
+forward's own code and so its bits, trading a little recomputation for
+memory (Chen et al., "Training Deep Nets with Sublinear Memory Cost",
+2016).
 
 Each encoder's weights are one flat float64 array (``EncoderParams``),
 and ``model.bin`` stores the two arrays as they are, in float32.  The
@@ -55,7 +57,6 @@ from rows of that table, a cold-start user as the zero vector.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -82,6 +83,10 @@ MODEL_MAGIC = b"NRECMDL2"
 # Rows of one packed chunk of sequences: bounds the memory an encoder
 # call holds for its backward pass.
 ROW_BUDGET = 256
+# Rows of each GEMM in ``_project``: a row's bits do not depend on its
+# batch.  Of 64, 128 and 256, 64 pads a query's few rows least and costs a
+# training step about as much as the others.
+GEMM_ROWS = 64
 # Distinct source rows of one Q|K|V table, shared by consecutive chunks:
 # bounds the table (3 MiB in float32 at the default 16x16 heads) when a
 # call spans a whole corpus.
@@ -215,14 +220,23 @@ def _segment_starts(lengths: np.ndarray) -> np.ndarray:
 def _project(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``rows @ weights`` with each row's result independent of the others.
 
-    numpy sends a one-row product to gemv, which groups its sums unlike
-    gemm; a doubled row keeps it on gemm, so an item gets the same bits
-    alone as inside any batch (with OpenBLAS, whose gemm rows agree for
-    any row count).
+    A BLAS may group a row's sums by the product's row count (OpenBLAS
+    0.3.31 on an AVX-512 CPU does for about a third of the shapes tried,
+    2 heads of 3 over 50-dim embeddings among them; numpy sends one row
+    to gemv), so the product runs as GEMMs of exactly ``GEMM_ROWS`` rows,
+    the last zero-padded, into one output: each row gets the bits it gets
+    alone.
     """
-    if len(rows) == 1:
-        return (np.concatenate([rows, rows]) @ weights)[:1]
-    return rows @ weights
+    n, d_in = rows.shape
+    full = n - n % GEMM_ROWS
+    out = np.empty((-(-n // GEMM_ROWS), GEMM_ROWS, weights.shape[1]),
+                   dtype=np.result_type(rows, weights))
+    np.matmul(rows[:full].reshape(-1, GEMM_ROWS, d_in), weights, out=out[:full // GEMM_ROWS])
+    if full < n:
+        tail = np.zeros((GEMM_ROWS, d_in), dtype=rows.dtype)
+        tail[:n - full] = rows[full:]
+        np.matmul(tail, weights, out=out[-1])
+    return out.reshape(-1, weights.shape[1])[:n]
 
 
 def _scatter_add(target: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
@@ -312,25 +326,7 @@ def _pack(lengths: np.ndarray) -> list[np.ndarray]:
     return chunks
 
 
-@functools.cache
-def _rows_agree(dtype: np.dtype, d_in: int, width: int) -> bool:
-    """Whether ``_project`` gives each row of a (rows, d_in) @ (d_in, width)
-    product in ``dtype`` the bits that row gets alone, at every row count
-    up to 17, with this BLAS: only then does a shared Q|K|V table keep the
-    bits of one projection per chunk.  OpenBLAS does for the default
-    model's shapes.  On an AVX-512 CPU, OpenBLAS 0.3.31 does not for a
-    width of 18 over 50 inputs (2 heads of 3 over 50-dim embeddings): the
-    last two columns of a row in a full block of 4 rows get other bits
-    than in a shorter block."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(17, d_in)).astype(dtype)
-    w = rng.normal(size=(d_in, width)).astype(dtype)
-    alone = np.concatenate([_project(row[None], w) for row in x])
-    return all(np.array_equal(_project(x[:n], w), alone[:n]) for n in range(2, 18))
-
-
-def _tables(seqs: Sequence[np.ndarray], lengths: np.ndarray,
-            projection: tuple[np.dtype, int, int]):
+def _tables(seqs: Sequence[np.ndarray], lengths: np.ndarray):
     """The packed chunks of one encoder call, in runs that share a Q|K|V table.
 
     A run is consecutive chunks whose distinct source rows number at most
@@ -339,17 +335,16 @@ def _tables(seqs: Sequence[np.ndarray], lengths: np.ndarray,
     indices and the places of its rows among those (``slice(None)`` where
     they are the chunk's rows as they are).  A call whose distinct rows
     all fit, as a training batch's do, is one run, found without walking
-    its chunks.  A call of one chunk (a query's), a call with no repeated
-    row, and a call whose ``projection`` (dtype, d_in, width) fails
-    ``_rows_agree`` project each chunk's rows as they are, a run of its
-    own.
+    its chunks.  A call of one chunk (a query's) projects its rows as they
+    are, with no table: finding its distinct rows would add about a
+    third to a one-title call's time.
     """
     chunks = [(chunk, np.concatenate([seqs[i] for i in chunk])) for chunk in _pack(lengths)]
-    whole = _table(chunks) if len(chunks) > 1 else None
-    if whole is None or len(whole[0]) == lengths.sum() or not _rows_agree(*projection):
-        for chunk, idx in chunks:
-            yield idx, [(chunk, slice(None))]
+    if len(chunks) == 1:
+        chunk, idx = chunks[0]
+        yield idx, [(chunk, slice(None))]
         return
+    whole = _table(chunks)
     if len(whole[0]) <= TABLE_ROWS:
         yield whole
         return
@@ -377,9 +372,9 @@ def _forward(source: np.ndarray, seqs: Sequence[np.ndarray], enc: EncoderParams,
     """Attention then pooling for every sequence of row indices into ``source``.
 
     This is the one forward of both encoders, in training and inference.
-    Q, K and V are one GEMM per run of chunks (``_tables``), over that
-    run's distinct source rows, from which each chunk takes its rows with
-    the bits a GEMM of its own would give them (``_rows_agree``).
+    Q, K and V are one ``_project`` per run of chunks (``_tables``), over
+    that run's distinct source rows, from which each chunk takes its rows
+    with the bits a projection of its own would give them.
     Returns the (len(seqs), d_model) vectors and, if ``keep``, per run its
     source rows and per chunk what the backward pass needs: its sequence
     indices, the places of its rows in the table, its lengths, its
@@ -391,7 +386,7 @@ def _forward(source: np.ndarray, seqs: Sequence[np.ndarray], enc: EncoderParams,
     lengths = np.array([len(s) for s in seqs])
     out = np.empty((len(seqs), enc.d_model), dtype=np.result_type(source, enc.weights.data))
     tape = []
-    for rows, chunks in _tables(seqs, lengths, (out.dtype, enc.d_in, 3 * enc.d_model)):
+    for rows, chunks in _tables(seqs, lengths):
         table = _project(source[rows], enc.Wqkv)
         kept = []
         for chunk, at in chunks:

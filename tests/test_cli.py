@@ -1054,7 +1054,9 @@ class TestQueries:
     @pytest.mark.parametrize("pool, reason", [
         ("ZZZ,YYY,ZZZ", "of 2 distinct pool ids, 2 are not in the corpus index and 0"),
         ("N2,N1,N2", "of 2 distinct pool ids, 0 are not in the corpus index and 2"),
-    ], ids=["unknown_ids", "history_only"])
+        (",,", "candidate pool is empty"),
+        ("", "candidate pool is empty"),
+    ], ids=["unknown_ids", "history_only", "commas_only", "empty"])
     def test_recommend_with_nothing_to_score_exits_5(self, pipeline, tmp_path, capsys,
                                                       pool, reason):
         out = tmp_path / "rec"
@@ -1065,6 +1067,23 @@ class TestQueries:
         assert code == 5
         assert reason in capsys.readouterr().err
         assert not out.exists()
+
+    def test_recommend_takes_an_empty_history_as_a_cold_start_user(self, pipeline, tmp_path,
+                                                                    capsys):
+        """``--history ''`` is given, like ``--history ,,``: an ad-hoc user
+        with no click, not a missing user source."""
+        written = []
+        for history in (",,", ""):
+            out = tmp_path / f"rec{len(written)}"
+            assert cli.main(["recommend", "--corpus", pipeline["corpus"],
+                             "--embeddings", pipeline["embeddings"],
+                             "--model", pipeline["model_bin"], "--history", history,
+                             "--top-n", "3", "--out-dir", str(out)]) == 0
+            capsys.readouterr()
+            written.append((out / "recommendations.json").read_bytes())
+        assert written[0] == written[1]
+        payload = json.loads(written[0])
+        assert payload["user_id"] == "<ad-hoc>" and len(payload["entries"]) == 3
 
     def test_similar_renders_neighbors_with_distances(self, pipeline, tmp_path, capsys):
         out = str(tmp_path / "sim")
