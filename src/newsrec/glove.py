@@ -43,7 +43,7 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import adagrad_sweep, cost_weight
+from ._kernels import adagrad_sweep
 from .config import GloveConfig, check
 from .errors import (
     ConfigError,
@@ -305,30 +305,6 @@ def init_table(vocab_size: int, dim: int, seed: int) -> EmbeddingTable:
     return table
 
 
-def _weighted_residuals(
-    table: EmbeddingTable, matrix: CooccurrenceMatrix, config: GloveConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per stored entry: the weight f(x_ij) and the residual
-    w_i . wt_j + b_i + bt_j - log x_ij."""
-    i = matrix.rows
-    j = matrix.cols
-    diff = (
-        np.einsum("nd,nd->n", table.W[i], table.Wt[j])
-        + table.b[i]
-        + table.bt[j]
-        - np.log(matrix.vals)
-    )
-    return cost_weight(matrix.vals, config.x_max, config.alpha), diff
-
-
-def glove_cost(table: EmbeddingTable, matrix: CooccurrenceMatrix, config: GloveConfig) -> float:
-    table.check_finite()
-    if matrix.nnz == 0:
-        return 0.0
-    fw, diff = _weighted_residuals(table, matrix, config)
-    return float(np.sum(fw * diff * diff))
-
-
 def glove_train(
     matrix: CooccurrenceMatrix, config: GloveConfig
 ) -> tuple[EmbeddingTable, list[float]]:
@@ -387,10 +363,11 @@ class EmbeddingLookup:
     @classmethod
     def from_rows(cls, tokens: Sequence[str], matrix: np.ndarray,
                   source: str = "embedding matrix") -> "EmbeddingLookup":
-        """Rows of ``matrix`` keyed by ``tokens``; ``source`` names the file
-        in the error raised for a mismatched shape, a repeated token or a
-        nan/inf component."""
-        matrix = np.asarray(matrix, dtype=np.float64)
+        """Rows of ``matrix`` as float32, keyed by ``tokens``: a file's rows
+        as they are, trained vectors cast.  ``source`` names the file in the
+        error raised for a mismatched shape, a repeated token or a nan/inf
+        component."""
+        matrix = np.asarray(matrix, dtype=np.float32)
         if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
             raise ConfigError(
                 f"{source}: shape {matrix.shape} does not match {len(tokens)} tokens"
@@ -427,10 +404,9 @@ def save_embeddings_text(path: str, lookup: EmbeddingLookup) -> None:
     the string) take the per-value path through ``_format_value``.
     """
     lines = []
-    m32 = lookup.matrix.astype(np.float32)
-    step = max(1, _FORMAT_BLOCK_VALUES // (m32.shape[1] or 1))
-    for start in range(0, len(m32), step):
-        block = m32[start : start + step]
+    step = max(1, _FORMAT_BLOCK_VALUES // (lookup.dim or 1))
+    for start in range(0, len(lookup), step):
+        block = lookup.matrix[start : start + step]
         text = block.astype(str)
         # find the "e"s in the strings' UCS-4 code points (numpy.char's
         # search would import modules that stay resident)

@@ -17,7 +17,7 @@ Neither file carries a header row.
 
 Every output is written by ``write_text_atomic``; the binary checkpoints
 (``model.bin``, ``embeddings.bin``, ``news_index.bin``) share one
-container, ``write_checkpoint``/``read_checkpoint``.
+container of float32 values, ``write_checkpoint``/``read_checkpoint``.
 """
 
 from __future__ import annotations
@@ -325,27 +325,21 @@ def write_text_atomic(path: str, data: str | bytes) -> None:
         raise
 
 
-def write_checkpoint(path: str, magic: bytes, header: dict,
-                     arrays: Iterable[np.ndarray], dtype: str = "<f4") -> None:
+def write_checkpoint(path: str, magic: bytes, header: dict, arrays: Iterable[np.ndarray]) -> None:
     """Write a binary checkpoint atomically: ``magic``, the byte length of
     the header as ``<I``, the header as sorted-key UTF-8 JSON, then each
-    array's values in turn as ``dtype``, little-endian float32 or float64.
-    A float64 file names its dtype in the header's ``dtype`` key; a
-    float32 file has no such key."""
-    if dtype != "<f4":
-        header = dict(header, dtype=dtype)
+    array's values in turn as little-endian float32."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     chunks = [magic, struct.pack("<I", len(blob)), blob]
-    chunks.extend(np.ascontiguousarray(arr, dtype=dtype).tobytes() for arr in arrays)
+    chunks.extend(np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays)
     write_text_atomic(path, b"".join(chunks))
 
 
-def read_checkpoint(path: str, magic: bytes, what: str, dtype: str = "<f4",
+def read_checkpoint(path: str, magic: bytes, what: str,
                     blob: bytes | None = None) -> tuple[dict, np.ndarray]:
-    """The header, less its ``dtype`` key, and the flat ``dtype`` payload
-    of a ``write_checkpoint`` file; another magic, a cut or garbled header,
-    a header that is not a JSON object or names another dtype (none names
-    float32), or a payload that is not whole values raises ConfigError
+    """The header and the flat float32 payload of a ``write_checkpoint``
+    file; another magic, a cut or garbled header, a header that is not a
+    JSON object, or a payload that is not whole values raises ConfigError
     naming ``path`` (``what`` says what the file should be).  ``blob`` is
     the file's bytes, when the caller has read them already."""
     if blob is None:
@@ -364,12 +358,8 @@ def read_checkpoint(path: str, magic: bytes, what: str, dtype: str = "<f4",
         raise ConfigError(f"{path} has a truncated or garbled header: {exc}") from exc
     if not isinstance(header, dict):
         raise ConfigError(f"{path} has a header that is not a JSON object")
-    named = header.pop("dtype", "<f4")
-    if named != dtype:
-        raise ConfigError(f"{path} holds {named!r} values, not {dtype!r}")
     offset = start + size
-    width = np.dtype(dtype).itemsize
-    if (len(blob) - offset) % width:
+    if (len(blob) - offset) % 4:
         raise ConfigError(f"{path} holds {len(blob) - offset} payload bytes, "
-                          f"not whole float{8 * width} values")
-    return header, np.frombuffer(blob, dtype=dtype, offset=offset)
+                          f"not whole float32 values")
+    return header, np.frombuffer(blob, dtype="<f4", offset=offset)

@@ -37,17 +37,18 @@ forward's own code and so its bits, trading a little recomputation for
 memory (Chen et al., "Training Deep Nets with Sublinear Memory Cost",
 2016).
 
-Each encoder's weights are one flat float64 array (``EncoderParams``),
-and ``model.bin`` stores the two arrays as they are, in float32.  The
+Each encoder's weights are one flat array (``EncoderParams``), and
+``model.bin`` stores the two arrays as they are, in float32.  The
 encoders, ``sample_loss`` and their backwards compute in the dtype of
-their inputs.  Training is mixed precision: ``Adam`` owns the float64
-weights, the masters, with their float64 moments, and the float32
-working weights, cast once per run like the embeddings, that each step
-computes with.  The step's float32 gradients go to one blocked pass over
-each tensor, which casts a block of ``ADAM_BLOCK`` gradients to float64,
-steps that block's moments and masters, and writes the masters' float32
-cast back into the working weights, so no step copies a whole tensor.
-Inference computes in float64 over the loaded weights.
+their inputs, and every input is float32: the embeddings as their files
+hold them, the weights ``load_model`` reads, and in training the float32
+working weights.  Only optimizer state is float64: ``Adam`` owns the
+float64 weights, the masters, with their float64 moments, and casts them
+once per run into the working weights that each step computes with.  The
+step's float32 gradients go to one blocked pass over each tensor, which
+casts a block of ``ADAM_BLOCK`` gradients to float64, steps that block's
+moments and masters, and writes the masters' float32 cast back into the
+working weights, so no step copies a whole tensor.
 
 Inference encodes each news item once: ``retrieval.CorpusIndex`` holds
 the ``news_vectors`` of a whole corpus, and ``evaluate``, ``recommend`` and
@@ -677,9 +678,10 @@ def train_model(
     """Fit both encoders with Adam; returns (params, per-epoch mean loss).
 
     Word embeddings are inputs, not parameters: they are never updated.
-    They and the weights are cast to float32 once, and each step computes
-    in float32 (see ``_train_batch``); the returned weights are the float64
-    masters, whose float32 cast each step checks finite.
+    The weights are cast to float32 once, and each step computes in
+    float32 over them and the float32 embeddings (see ``_train_batch``);
+    the returned weights are the float64 masters, whose float32 cast each
+    step checks finite.
     One seed drives initialization, negative sampling, and the per-epoch
     shuffle, so identical inputs give identical parameters.
     """
@@ -695,7 +697,6 @@ def train_model(
             "no trainable samples: every impression lacks usable history, "
             "a clicked candidate, or an encodable negative"
         )
-    words = lookup.matrix.astype(np.float32)
     working = params.astype(np.float32)
     optimizer = Adam(params.tensors(), working.tensors(), config.learning_rate)
     trace: list[float] = []
@@ -704,7 +705,7 @@ def train_model(
         epoch_losses: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = [samples[i] for i in order[start : start + config.batch_size]]
-            epoch_losses.extend(_train_batch(batch, titles, words, working, optimizer))
+            epoch_losses.extend(_train_batch(batch, titles, lookup.matrix, working, optimizer))
         trace.append(math.fsum(epoch_losses) / len(epoch_losses))
     return params, trace
 
@@ -768,9 +769,10 @@ def news_vector(tokens: Sequence[str], lookup: EmbeddingLookup, params: ModelPar
 def user_vectors(news: np.ndarray, histories: Sequence[Sequence[int]],
                  params: ModelParams) -> np.ndarray:
     """(S, d_model) user vectors for inference, history s a list of rows of
-    the (B, d_model) ``news``: the training forward, no graph.  A user
-    with no usable click (cold start) gets the zero vector."""
-    users = np.zeros((len(histories), params.config.d_model))
+    the (B, d_model) ``news``: the training forward, no graph, in the
+    dtype of ``news``.  A user with no usable click (cold start) gets the
+    zero vector."""
+    users = np.zeros((len(histories), params.config.d_model), dtype=news.dtype)
     warm = [i for i, history in enumerate(histories) if len(history)]
     if warm:
         seqs = _checked([histories[i] for i in warm], EmptyHistory, "user history")
@@ -818,7 +820,7 @@ def save_model(path: str, params: ModelParams) -> None:
 
 
 def load_model(path: str, blob: bytes | None = None) -> ModelParams:
-    """Read a ``save_model`` checkpoint into one float64 array per encoder;
+    """Read a ``save_model`` checkpoint into one float32 array per encoder;
     ``blob`` is the file's bytes, when the caller has read them already.
 
     Another magic (an ``NRECMDL1`` file among them), a header without
@@ -847,7 +849,7 @@ def load_model(path: str, blob: bytes | None = None) -> ModelParams:
         )
     if not np.isfinite(values).all():
         raise ConfigError(f"{path} holds nan or infinite parameters")
-    news, user = (EncoderParams(ad.Tensor(part.astype(np.float64)), d_in=d_in,
+    news, user = (EncoderParams(ad.Tensor(part.copy()), d_in=d_in,
                                 d_model=d_model, d_attn=d_attn)
                   for part, d_in in ((values[:sizes[0]], embed_dim), (values[sizes[0]:], d_model)))
     return ModelParams(embed_dim=embed_dim, config=config, news=news, user=user)

@@ -34,7 +34,9 @@ from .textprep import TokenizedNews
 SNIPPET_WIDTH = 48
 METRICS = ("euclidean", "cosine-distance")
 INDEX_FILE = "news_index.bin"
-INDEX_MAGIC = b"NRECIDX1"
+INDEX_MAGIC = b"NRECIDX2"
+# the float64 index of an earlier build: stale, never read
+FLOAT64_INDEX_MAGIC = b"NRECIDX1"
 
 # a loader of the word embeddings: the rows of the given tokens, or of all if None
 Loader = Callable[[Collection[str] | None], EmbeddingLookup]
@@ -86,7 +88,7 @@ class CorpusIndex:
         self.by_id = {item.news_id: i for i, item in enumerate(self.items)}
         self.skipped = tuple(item.news_id for item, r in zip(corpus, rows) if not len(r))
         self.matrix = (news_vectors([r for r in rows if len(r)], lookup.matrix, params)
-                       if self.items else np.empty((0, params.config.d_model)))
+                       if self.items else np.empty((0, params.config.d_model), lookup.matrix.dtype))
 
     @classmethod
     def _of_rows(cls, corpus: Sequence[TokenizedNews], items: list[TokenizedNews],
@@ -111,12 +113,12 @@ class CorpusIndex:
 
 
 def save_index(path: str, index: CorpusIndex, inputs: dict[str, str]) -> None:
-    """A ``mind.write_checkpoint`` file: magic ``NRECIDX1``, a header with
+    """A ``mind.write_checkpoint`` file: magic ``NRECIDX2``, a header with
     the ``inputs`` digests, ``numpy.__version__`` and the news ids of the
-    rows, then the ``(n, d_model)`` matrix as little-endian float64."""
+    rows, then the ``(n, d_model)`` float32 matrix."""
     header = {"inputs": inputs, "numpy": np.__version__,
               "ids": [item.news_id for item in index.items]}
-    write_checkpoint(path, INDEX_MAGIC, header, [index.matrix], dtype="<f8")
+    write_checkpoint(path, INDEX_MAGIC, header, [index.matrix])
 
 
 def load_or_build_index(path: str, corpus: Sequence[TokenizedNews], lookup: Loader,
@@ -127,7 +129,8 @@ def load_or_build_index(path: str, corpus: Sequence[TokenizedNews], lookup: Load
     numpy; else a new ``CorpusIndex`` over every embedding ``lookup(None)``
     loads, and None.
 
-    A file for other inputs or another numpy is stale and ignored.  A file
+    A file for other inputs or another numpy is stale and ignored, as is
+    an ``NRECIDX1`` file, the float64 index of an earlier build.  A file
     with another magic, a cut or garbled header, ids that are not distinct
     corpus ids, or a payload that is not one ``d_model`` row per id raises
     ConfigError naming ``path``.
@@ -135,7 +138,8 @@ def load_or_build_index(path: str, corpus: Sequence[TokenizedNews], lookup: Load
     if os.path.isfile(path):
         with open(path, "rb") as fh:
             blob = fh.read()
-        header, values = read_checkpoint(path, INDEX_MAGIC, "a news index", "<f8", blob)
+        header, values = ({}, None) if blob.startswith(FLOAT64_INDEX_MAGIC) else (
+            read_checkpoint(path, INDEX_MAGIC, "a news index", blob))
         if header.get("inputs") == inputs and header.get("numpy") == np.__version__:
             ids, width = header.get("ids"), params.config.d_model
             by_id = {item.news_id: item for item in corpus}

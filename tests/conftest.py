@@ -16,6 +16,7 @@ import newsrec.model as mdl
 import newsrec.retrieval as ret
 import newsrec.synth as synth
 import newsrec.textprep as tp
+from newsrec._kernels import cost_weight
 
 
 @pytest.fixture(scope="session")
@@ -88,6 +89,25 @@ def make_lookup(tokens, dim, seed=0):
     return gl.EmbeddingLookup.from_rows(list(tokens), rng.normal(size=(len(tokens), dim)))
 
 
+def weighted_residuals(table, matrix, config):
+    """Per stored entry: the weight f(x_ij) and the residual
+    w_i . wt_j + b_i + bt_j - log x_ij."""
+    i, j = matrix.rows, matrix.cols
+    diff = (np.einsum("nd,nd->n", table.W[i], table.Wt[j]) + table.b[i] + table.bt[j]
+            - np.log(matrix.vals))
+    return cost_weight(matrix.vals, config.x_max, config.alpha), diff
+
+
+def glove_cost(table, matrix, config):
+    """GloVe's cost, the sum of f(x_ij) times the squared residual over
+    the stored entries: what finite differences of the gradient take."""
+    table.check_finite()
+    if matrix.nnz == 0:
+        return 0.0
+    fw, diff = weighted_residuals(table, matrix, config)
+    return float(np.sum(fw * diff * diff))
+
+
 def glove_cost_grads(table, matrix, config):
     """GloVe's cost and its analytic gradient for each parameter array of
     ``table``: the reference that finite differences check and that one
@@ -97,7 +117,7 @@ def glove_cost_grads(table, matrix, config):
     if matrix.nnz == 0:
         return 0.0, grads
     i, j = matrix.rows, matrix.cols
-    fw, diff = gl._weighted_residuals(table, matrix, config)
+    fw, diff = weighted_residuals(table, matrix, config)
     cost = float(np.sum(fw * diff * diff))
     g = 2.0 * fw * diff
     np.add.at(grads["W"], i, g[:, None] * table.Wt[j])

@@ -27,7 +27,7 @@ import newsrec.synth as synth
 import newsrec.textprep as tp
 from newsrec import cli
 
-from conftest import glove_cost_grads, nce_probability
+from conftest import glove_cost, glove_cost_grads, nce_probability
 
 
 def report(index: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -75,9 +75,9 @@ def test_embedding_gradients_match_finite_differences():
             for i in range(arr.size):
                 keep = arr.flat[i]
                 arr.flat[i] = keep + h
-                up = gl.glove_cost(table, matrix, config)
+                up = glove_cost(table, matrix, config)
                 arr.flat[i] = keep - h
-                down = gl.glove_cost(table, matrix, config)
+                down = glove_cost(table, matrix, config)
                 arr.flat[i] = keep
                 fd[i] = (up - down) / (2.0 * h)
             worst = max(worst, rel_gap(grads[key].reshape(-1), fd))
@@ -107,7 +107,7 @@ def test_embedding_cost_matches_direct_summation():
     start = time.perf_counter()
     for _ in range(100):
         table, matrix, config = random_glove_instance(rng, max_vocab=30, max_dim=12, max_nnz=100)
-        got = gl.glove_cost(table, matrix, config)
+        got = glove_cost(table, matrix, config)
         want = direct_summation_cost(table, matrix, config)
         worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
     took = time.perf_counter() - start

@@ -585,6 +585,29 @@ class TestCorruptInputs:
                                            "has a nan or infinite component\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-model", "similar"])
+    def test_signalling_nan_in_binary_embeddings_is_one_error_line(self, pipeline, fixture_dir,
+                                                                   tmp_path, capsys, command):
+        """A float32 signalling NaN as the last component of embeddings.bin:
+        exit 2 and one error line naming the file, with no numpy warning
+        about an invalid cast before it."""
+        emb = tmp_path / "embeddings.bin"
+        lookup = gl.load_embeddings(pipeline["embeddings"])
+        gl.save_embeddings_binary(str(emb), lookup)
+        emb.write_bytes(emb.read_bytes()[:-4] + struct.pack("<I", 0x7F800001))
+        out = tmp_path / "out"
+        flags = {"train-model": ["--behaviors", fixture_dir.behaviors_train, *MODEL_FLAGS],
+                 "similar": ["--model", pipeline["model_bin"], "--query", "N1"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([command, "--corpus", pipeline["corpus"], "--embeddings", str(emb),
+                             "--out-dir", str(out), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == (f"newsrec {command}: error: {emb}: token "
+                                           f"{lookup.tokens[-1]!r} has a nan or infinite "
+                                           "component\n")
+        assert not out.exists()
+
     def test_model_and_embedding_dimensions_must_agree(self, pipeline, fixture_dir, tmp_path,
                                                        capsys):
         glove = str(tmp_path / "glove4")
@@ -1142,17 +1165,17 @@ class TestNewsIndex:
         out = tmp_path / "q"
         cold = self.run(args, out, capsys, *self.stack(pipeline))
         index = (out / "news_index.bin").read_bytes()
-        assert index.startswith(b"NRECIDX1")
+        assert index.startswith(b"NRECIDX2")
         warm = self.run(args, out, capsys, *self.stack(pipeline))
         assert cold[0] == 0 and cold[2] is not None
         assert warm == cold
         assert (out / "news_index.bin").read_bytes() == index
 
-    def test_index_holds_the_built_vectors_as_float64(self, pipeline, tmp_path, capsys):
+    def test_index_holds_the_built_vectors_as_float32(self, pipeline, tmp_path, capsys):
         out = tmp_path / "q"
         assert self.run(["similar", "--query", "N1"], out, capsys, *self.stack(pipeline))[0] == 0
-        header, values = mind.read_checkpoint(str(out / "news_index.bin"), b"NRECIDX1",
-                                              "a news index", dtype="<f8")
+        header, values = mind.read_checkpoint(str(out / "news_index.bin"), b"NRECIDX2",
+                                              "a news index")
         corpus = tp.load_tokenized(pipeline["corpus"])
         params = mdl.load_model(pipeline["model_bin"])
         built = ret.CorpusIndex(corpus, gl.load_embeddings(pipeline["embeddings"]), params)
@@ -1161,6 +1184,7 @@ class TestNewsIndex:
         assert header["inputs"] == {"corpus": sha256_of(pipeline["corpus"]),
                                     "embeddings": sha256_of(pipeline["embeddings"]),
                                     "model": sha256_of(pipeline["model_bin"])}
+        assert built.matrix.dtype == np.float32
         assert values.tobytes() == built.matrix.tobytes()
         assert values.size == len(built) * params.config.d_model
 
@@ -1203,12 +1227,31 @@ class TestNewsIndex:
         first = self.run(args, out, capsys, *self.stack(pipeline))
         path = str(out / "news_index.bin")
         built = open(path, "rb").read()
-        header, values = mind.read_checkpoint(path, b"NRECIDX1", "a news index", dtype="<f8")
+        header, values = mind.read_checkpoint(path, b"NRECIDX2", "a news index")
         # stale vectors that would change the output if they were read
-        mind.write_checkpoint(path, b"NRECIDX1", dict(header, numpy="0.0"), [values + 1.0],
-                              dtype="<f8")
+        mind.write_checkpoint(path, b"NRECIDX2", dict(header, numpy="0.0"), [values + 1.0])
         assert self.run(args, out, capsys, *self.stack(pipeline)) == first
         assert open(path, "rb").read() == built
+
+    @pytest.mark.parametrize("kind", ["history", "id", "text"])
+    def test_float64_index_of_an_earlier_build_is_rebuilt(self, kind, pipeline, fixture_dir,
+                                                          tmp_path, capsys):
+        """An ``NRECIDX1`` file, the float64 layout with a ``dtype`` header
+        key, keyed to these very inputs, is stale: the query rebuilds the
+        index and gives a cold query's bytes."""
+        args = self.query_args(kind, pipeline, fixture_dir)
+        cold = self.run(args, tmp_path / "cold", capsys, *self.stack(pipeline))
+        built = (tmp_path / "cold" / "news_index.bin").read_bytes()
+        header, values = mind.read_checkpoint(str(tmp_path / "cold" / "news_index.bin"),
+                                              b"NRECIDX2", "a news index")
+        blob = json.dumps(dict(header, dtype="<f8"), sort_keys=True).encode("utf-8")
+        out = tmp_path / "q"
+        out.mkdir()
+        # stale vectors that would change the output if they were read
+        (out / "news_index.bin").write_bytes(b"NRECIDX1" + struct.pack("<I", len(blob)) + blob
+                                             + (values.astype("<f8") + 1.0).tobytes())
+        assert self.run(args, out, capsys, *self.stack(pipeline)) == cold
+        assert cold[0] == 0 and (out / "news_index.bin").read_bytes() == built
 
     @pytest.mark.parametrize("kind", ["history", "id"])
     def test_manifest_lists_the_index_when_built_and_when_reused(self, kind, pipeline,
@@ -1225,31 +1268,32 @@ class TestNewsIndex:
             assert index in outputs
 
     def garble(self, case, path):
-        header, values = mind.read_checkpoint(path, b"NRECIDX1", "a news index", dtype="<f8")
+        header, values = mind.read_checkpoint(path, b"NRECIDX2", "a news index")
         blob = open(path, "rb").read()
         if case == "bad_magic":
             blob = b"NRECIDX0" + blob[8:]
+        elif case == "model_magic":
+            blob = mdl.MODEL_MAGIC + blob[8:]
         elif case == "cut_in_header":
             blob = blob[:20]
         elif case == "cut_in_payload":
             blob = blob[:-3]
         elif case == "row_short":
             blob = blob[:-8]
-        elif case == "float32_payload":
-            mind.write_checkpoint(path, b"NRECIDX1", header, [values])
-            return
+        elif case == "float64_payload":
+            blob = blob[:len(blob) - 4 * values.size] + values.astype("<f8").tobytes()
         elif case in ("unknown_id", "repeated_id", "ids_not_a_list"):
             ids = {"unknown_id": ["ZZZ"] + header["ids"][1:],
                    "repeated_id": header["ids"][1:2] + header["ids"][1:],
                    "ids_not_a_list": 7}[case]
-            mind.write_checkpoint(path, b"NRECIDX1", dict(header, ids=ids), [values], dtype="<f8")
+            mind.write_checkpoint(path, b"NRECIDX2", dict(header, ids=ids), [values])
             return
         with open(path, "wb") as fh:
             fh.write(blob)
 
-    @pytest.mark.parametrize("case", ["bad_magic", "cut_in_header", "cut_in_payload", "row_short",
-                                      "float32_payload", "unknown_id", "repeated_id",
-                                      "ids_not_a_list"])
+    @pytest.mark.parametrize("case", ["bad_magic", "model_magic", "cut_in_header",
+                                      "cut_in_payload", "row_short", "float64_payload",
+                                      "unknown_id", "repeated_id", "ids_not_a_list"])
     @pytest.mark.parametrize("kind", ["user", "id"])
     def test_garbled_index_exits_2_naming_it(self, case, kind, pipeline, fixture_dir, tmp_path,
                                              capsys):
@@ -1436,10 +1480,9 @@ class TestNewsIndex:
         out = tmp_path / "q"
         assert self.run(["similar", "--query", "N1"], out, capsys, *self.stack(pipeline))[0] == 0
         path = str(out / "news_index.bin")
-        header, values = mind.read_checkpoint(path, b"NRECIDX1", "a news index", dtype="<f8")
+        header, values = mind.read_checkpoint(path, b"NRECIDX2", "a news index")
         inputs = dict(header["inputs"], embeddings=sha256_of(emb4))
-        mind.write_checkpoint(path, b"NRECIDX1", dict(header, inputs=inputs), [values],
-                              dtype="<f8")
+        mind.write_checkpoint(path, b"NRECIDX2", dict(header, inputs=inputs), [values])
         assert self.run(["similar", "--query", "N1"], out, capsys, *stack)[0] == 0
         code, err = self.failure(text, out, capsys, *stack)
         assert code == 2 and pipeline["model_bin"] in err and emb4 in err, err
@@ -1481,7 +1524,7 @@ class TestNewsIndex:
         assert manifest["inputs"][str(model)] == digest
         if command == "similar":
             header, _ = mind.read_checkpoint(str(tmp_path / "q" / "news_index.bin"),
-                                             b"NRECIDX1", "a news index", dtype="<f8")
+                                             b"NRECIDX2", "a news index")
             assert header["inputs"]["model"] == digest
             assert ((tmp_path / "q" / "news_index.bin").read_bytes()
                     == (tmp_path / "want" / "news_index.bin").read_bytes())

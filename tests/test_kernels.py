@@ -81,7 +81,7 @@ def per_entry_on_tables(order, rows, cols, vals, x_max, alpha, params, acc, lr):
     """The oracle with ``adagrad_sweep``'s arguments: the weights and logs
     of all entries at once, then one entry at a time."""
     s = parts({"params": params, "acc": acc})
-    return per_entry_sweep(order, rows, cols, gl.cost_weight(vals, x_max, alpha), np.log(vals),
+    return per_entry_sweep(order, rows, cols, kern.cost_weight(vals, x_max, alpha), np.log(vals),
                            *(s[key] for key in PARAMS), lr)
 
 

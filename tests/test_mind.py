@@ -229,24 +229,17 @@ class TestCheckpoint:
         assert header == {"a": [2], "b": 1}
         assert values.dtype == np.dtype("<f4") and values.tolist() == [1.5, -2.0, 0.25]
 
-    def test_float64_round_trips_every_bit(self, tmp_path):
+    def test_float32_round_trips_every_bit(self, tmp_path):
         path = str(tmp_path / "c.bin")
-        matrix = np.random.default_rng(0).normal(size=(3, 5))
-        mind.write_checkpoint(path, b"MAGIC123", {"n": 3}, [matrix], dtype="<f8")
-        header, values = mind.read_checkpoint(path, b"MAGIC123", "a test file", dtype="<f8")
+        matrix = np.random.default_rng(0).normal(size=(3, 5)).astype(np.float32)
+        mind.write_checkpoint(path, b"MAGIC123", {"n": 3}, [matrix])
+        header, values = mind.read_checkpoint(path, b"MAGIC123", "a test file")
         assert header == {"n": 3}
         assert values.tobytes() == matrix.tobytes()
 
-    @pytest.mark.parametrize("written, read", [("<f4", "<f8"), ("<f8", "<f4")])
-    def test_another_dtype_is_a_config_error(self, tmp_path, written, read):
-        path = str(tmp_path / "c.bin")
-        mind.write_checkpoint(path, b"MAGIC123", {}, [np.zeros(4)], dtype=written)
-        with pytest.raises(ConfigError, match=f"{path} holds '{written}' values, not '{read}'"):
-            mind.read_checkpoint(path, b"MAGIC123", "a test file", dtype=read)
-
     def test_payload_of_part_values_is_a_config_error(self, tmp_path):
         path = tmp_path / "c.bin"
-        mind.write_checkpoint(str(path), b"MAGIC123", {}, [np.zeros(2)], dtype="<f8")
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(ConfigError, match="12 payload bytes, not whole float64 values"):
-            mind.read_checkpoint(str(path), b"MAGIC123", "a test file", dtype="<f8")
+        mind.write_checkpoint(str(path), b"MAGIC123", {}, [np.zeros(2)])
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(ConfigError, match="6 payload bytes, not whole float32 values"):
+            mind.read_checkpoint(str(path), b"MAGIC123", "a test file")

@@ -216,10 +216,9 @@ def ungated_stem(token):
 
 
 class TestGatedSuffixScans:
-    """Steps 2-4 check all of a step's suffixes in one ``endswith`` call,
-    then look the first matching rule up by the word's endings, and step
-    5b tests for a final "ll" before it takes the measure; results must be
-    the plain scans'."""
+    """Steps 2-4 check all of a step's suffixes in one ``endswith`` call
+    before their first-match scan, and step 5b tests for a final "ll"
+    before it takes the measure; results must be the ungated steps'."""
 
     STEMS = {0: ("tr", "sky", "ee"), 1: ("troubl", "oat", "pass"), 2: ("privat", "oaten", "relat")}
     SUFFIXES = sorted({s for s, _ in porter._STEP2_RULES + porter._STEP3_RULES}
@@ -233,9 +232,9 @@ class TestGatedSuffixScans:
         words = [s + suffix for stems in self.STEMS.values() for s in stems
                  for suffix in self.SUFFIXES]
         for word in words:
-            assert porter._apply_table(word, porter._STEP2) == \
+            assert porter._apply_table(word, porter._STEP2_RULES, porter._STEP2_SUFFIXES) == \
                 ungated_apply_table(word, porter._STEP2_RULES), word
-            assert porter._apply_table(word, porter._STEP3) == \
+            assert porter._apply_table(word, porter._STEP3_RULES, porter._STEP3_SUFFIXES) == \
                 ungated_apply_table(word, porter._STEP3_RULES), word
             assert porter._step4(word) == ungated_step4(word), word
             assert porter._step5b(word) == ungated_step5b(word), word
