@@ -12,9 +12,9 @@ the configuration, which ``config.check`` tests against each setting's
 declared type and range, and checks that ``--out-dir`` is, or can become, a
 directory, so a config error never leaves partial outputs; it hands the
 command the config and a ``RunManifest``, in which the command records
-its inputs (``_inputs``, ``_read_input``) and outputs (``_emit``) by
-digest; and it writes ``manifest_<command>.json`` with those digests and
-per-phase wall times to ``--out-dir``.
+its inputs (``_inputs``) and outputs (``_emit``) by digest; and it writes
+``manifest_<command>.json`` with those digests and per-phase wall times
+to ``--out-dir``.
 
 ``--threads`` (``run.threads``) has no effect: every command runs on one
 thread.  It is still checked (>= 1) and recorded in the manifest, so
@@ -37,6 +37,8 @@ from collections import Counter
 from dataclasses import asdict, fields
 from typing import Collection, Sequence, get_type_hints
 
+import numpy as np
+
 from . import analytics as ana
 from . import glove as gl
 from . import metrics as met
@@ -45,7 +47,8 @@ from . import model as mdl
 from . import retrieval as ret
 from . import textprep as tp
 from .config import AppConfig, GloveConfig, ModelConfig, apply_overrides, load_config
-from .errors import ConfigError, InputError, InsufficientNegatives, MissingInput, NewsrecError
+from .errors import (ConfigError, InputError, InsufficientNegatives, MissingInput, NewsrecError,
+                     NumericError)
 from .manifest import RunManifest
 
 
@@ -53,6 +56,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override every trainer seed")
     parser.add_argument("--threads", type=int, default=None, help="accepted and recorded; has no effect")
     parser.add_argument("--config", default=None, help="JSON config file")
+
+
+def _add_stack(parser: argparse.ArgumentParser) -> None:
+    """The four flags of the inference stack ``_model_stack`` loads."""
+    for flag in ("--corpus", "--embeddings", "--model", "--out-dir"):
+        parser.add_argument(flag, required=True)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, section: str, cls) -> None:
@@ -84,18 +93,6 @@ def _inputs(manifest: RunManifest, *paths: str) -> None:
         if not os.path.isfile(path):
             raise MissingInput(f"input file not found: {path}")
         manifest.add_input(path)
-
-
-def _read_input(manifest: RunManifest, path: str) -> bytes:
-    """The bytes of one input file, recorded by their digest: a checkpoint
-    parsed from them is the one the manifest names, even if the file is
-    replaced while the command runs."""
-    if not os.path.isfile(path):
-        raise MissingInput(f"input file not found: {path}")
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    manifest.add_input(path, blob)
-    return blob
 
 
 def _out_path(args, name: str) -> str:
@@ -228,35 +225,35 @@ def cmd_train_model(args, cfg: AppConfig, manifest: RunManifest) -> None:
 
 
 def cmd_evaluate(args, cfg: AppConfig, manifest: RunManifest) -> None:
-    _inputs(manifest, args.corpus, args.behaviors, args.embeddings)
-    model = _read_input(manifest, args.model)
-    corpus = tp.load_tokenized(args.corpus)
+    _inputs(manifest, args.behaviors)
     with manifest.phase("load"):
-        params = mdl.load_model(args.model, model)
-        lookup = _load_embeddings(args, params)
-        logs, _ = mind.load_behaviors(args.behaviors)
+        _, params, index, keep_index = _model_stack(args, manifest)
+        logs, errors = mind.load_behaviors(args.behaviors)
         if not logs:
             raise InputError(f"{args.behaviors}: no parseable impression logs")
     with manifest.phase("score"):
-        index = ret.CorpusIndex(corpus, lookup, params)
         results = mdl.score_impression_logs(logs, index.by_id, index.matrix, params)
     with manifest.phase("metrics"):
         report = met.evaluate(results)
-    ranked = [(r.impression_id, mind.ranks_from_scores(r.scores)) for r in results]
     buf = io.StringIO()
-    mind.write_predictions(ranked, buf)
+    mind.write_predictions(((r.impression_id, mind.ranks_from_scores(r.scores))
+                            for r in results), buf)
+    del logs, results   # keep_index copies the matrix: not while these are held
     _emit(args, manifest, "metrics.json", report.to_json())
     _emit(args, manifest, "prediction.txt", buf.getvalue())
+    keep_index()
     print(f"evaluate: auc {report.auc:.4f}, mrr {report.mrr:.4f}, "
           f"ndcg@5 {report.ndcg5:.4f}, ndcg@10 {report.ndcg10:.4f} "
-          f"({report.n_impressions} impressions, {report.n_skipped} skipped)")
+          f"({report.n_impressions} impressions, {report.n_skipped} skipped, "
+          f"{len(errors)} unparseable lines)")
 
 
 def _model_stack(args, manifest: RunManifest):
-    """The embeddings loader, the model and the corpus index of a query,
-    and the function to call once the query's own output is written: it
-    writes ``news_index.bin`` to ``--out-dir`` if the index was built rather
-    than read from there, and lists the file among the outputs.
+    """The embeddings loader, the model and the corpus index of
+    ``evaluate``, ``recommend`` or ``similar``, and the function to call
+    once the command's own outputs are written: it writes
+    ``news_index.bin`` to ``--out-dir`` if the index was built rather than
+    read from there, and lists the file among the outputs.
 
     ``--embeddings`` is digested but parsed only when the loader is
     called: whole, once, to build the index; and to encode a free-text
@@ -267,7 +264,12 @@ def _model_stack(args, manifest: RunManifest):
     and checked every row of them.  Of the ``--corpus`` records, only a
     build splits the token columns."""
     _inputs(manifest, args.corpus, args.embeddings)
-    model = _read_input(manifest, args.model)
+    if not os.path.isfile(args.model):
+        raise MissingInput(f"input file not found: {args.model}")
+    with open(args.model, "rb") as fh:
+        model = fh.read()
+    # digested as parsed, so the manifest and index key name it if the file changes
+    manifest.add_input(args.model, model)
     corpus = tp.load_tokenized(args.corpus)
     params = mdl.load_model(args.model, model)
     whole = functools.cache(lambda: _load_embeddings(args, params))
@@ -411,19 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_model)
 
     p = sub.add_parser("evaluate", help="score impressions and report ranking metrics")
-    p.add_argument("--corpus", required=True)
+    _add_stack(p)
     p.add_argument("--behaviors", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out-dir", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("recommend", help="rank candidate news for one user")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out-dir", required=True)
+    _add_stack(p)
     p.add_argument("--history", default=None, help="comma-separated clicked news ids")
     p.add_argument("--user", default=None, help="user id to look up in --behaviors")
     p.add_argument("--user-id", default=None, help="label for ad-hoc --history runs")
@@ -435,10 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("similar", help="find news most similar to a query")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out-dir", required=True)
+    _add_stack(p)
     p.add_argument("--query", required=True, help="news id, exact headline, or free text")
     p.add_argument("--top-n", type=int, default=10)
     p.add_argument("--metric", default="euclidean", choices=ret.METRICS)
@@ -489,9 +482,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out_dir and not os.path.isdir(ancestor := _existing_ancestor(args.out_dir)):
             raise ConfigError(f"--out-dir {args.out_dir} cannot be made a directory: "
                               f"{ancestor} exists and is not one")
-        with warnings.catch_warnings():
-            warnings.showwarning = _plain_warnings(args.command)
-            args.func(args, cfg, manifest)
+        try:
+            with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+                warnings.showwarning = _plain_warnings(args.command)
+                args.func(args, cfg, manifest)
+        except FloatingPointError as exc:   # one the command's own checks did not catch
+            raise NumericError(f"float32 {exc}: an input holds values too large") from exc
         if args.out_dir:
             manifest.write(_out_path(args, f"manifest_{args.command.replace('-', '_')}.json"))
         return 0

@@ -125,9 +125,8 @@ def check(config):
 def _check_fields(section: str, raw: dict, allowed) -> None:
     unknown = set(raw) - set(allowed)
     if unknown:
-        raise ConfigError(
-            f"unknown field(s) in config section {section!r}: {', '.join(sorted(unknown))}"
-        )
+        raise ConfigError(f"unknown field(s) in config section {section!r}: "
+                          f"{', '.join(map(repr, sorted(unknown)))}")
 
 
 def _build(cls, section: str, raw: dict):

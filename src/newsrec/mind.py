@@ -331,7 +331,8 @@ def write_checkpoint(path: str, magic: bytes, header: dict, arrays: Iterable[np.
     array's values in turn as little-endian float32."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     chunks = [magic, struct.pack("<I", len(blob)), blob]
-    chunks.extend(np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays)
+    # views, not copies: the join is the one copy of the values
+    chunks.extend(memoryview(np.ascontiguousarray(arr, dtype="<f4")) for arr in arrays)
     write_text_atomic(path, b"".join(chunks))
 
 

@@ -51,9 +51,9 @@ moments and masters, and writes the masters' float32 cast back into the
 working weights, so no step copies a whole tensor.
 
 Inference encodes each news item once: ``retrieval.CorpusIndex`` holds
-the ``news_vectors`` of a whole corpus, and ``evaluate``, ``recommend`` and
-``similar`` all score from it.  ``user_vectors`` encodes a batch of users
-from rows of that table, a cold-start user as the zero vector.
+the ``news_vectors`` of a whole corpus, which ``evaluate``, ``recommend``
+and ``similar`` read.  ``user_vectors`` encodes users from rows of it (a
+cold-start user as the zero vector), and ``click_scores`` scores clicks.
 """
 
 from __future__ import annotations
@@ -511,9 +511,11 @@ def encode_user(news: ad.Tensor, histories: Sequence[Sequence[int]],
                          params.user, params.config.d_head)
 
 
-def score_click(user_vec: np.ndarray, news_vec: np.ndarray) -> float:
-    """Click score: the dot product of a user vector and a news vector."""
-    return float(user_vec @ news_vec)
+def click_scores(user: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Click scores of one user vector against (n, d_model) news vectors:
+    one (1, d) @ (d, 1) product per row, stacked, so each score has the
+    bits of ``float(user @ row)``, which ``rows @ user`` does not give."""
+    return (user[None, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
 def sample_loss(users: ad.Tensor, news: ad.Tensor, candidates: np.ndarray) -> ad.Tensor:
@@ -791,6 +793,7 @@ def score_impression_logs(
     ``news`` holds the vectors of the encodable news and ``by_id`` maps a
     news id to its row; ``evaluate`` passes the ``retrieval.CorpusIndex``
     that ``recommend`` and ``similar`` use.  The users are encoded in one
+    call, an impression's candidates with a row in one ``click_scores``
     call.  Candidates without a row (unknown id or no embeddable token)
     score 0.0, as does every candidate of a user with no usable history
     (cold start).
@@ -801,12 +804,12 @@ def score_impression_logs(
     users = user_vectors(news, histories, params)
     results = []
     for log, user in zip(logs, users):
-        scores = tuple(score_click(user, news[by_id[nid]]) if nid in by_id else 0.0
-                       for nid, _ in log.candidates)
+        rows = [by_id.get(nid) for nid, _ in log.candidates]
+        known = iter(click_scores(user, news[[r for r in rows if r is not None]]).tolist())
         results.append(ImpressionResult(
             impression_id=log.impression_id,
             labels=tuple(label for _, label in log.candidates),
-            scores=scores,
+            scores=tuple(0.0 if r is None else next(known) for r in rows),
         ))
     return results
 

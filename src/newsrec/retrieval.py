@@ -5,14 +5,15 @@ candidate pool for one user by dot-product click score, ``similar_news``
 finds the corpus items whose encoded vectors lie closest to a query
 (an existing article, an exact headline, or free text).
 
-Both read news vectors from a ``CorpusIndex``.  ``load_or_build_index``
-reads one from a ``news_index.bin`` file written by ``save_index`` for the
-same inputs, or builds it when there is no such file; only a build, or a
-free-text query, needs the word embeddings.  Their loader takes the tokens
-whose rows are wanted, or None for every row: a build asks for all of
-them, a free-text query only for its own.  The index holds the corpus's
-``textprep.TokenizedNews`` records; only a build reads their title tokens,
-so a query over a stored index splits no token column.
+Both, like ``evaluate``, read news vectors from a ``CorpusIndex``.
+``load_or_build_index`` reads one from a ``news_index.bin`` file written by
+``save_index`` for the same inputs, or builds it when there is no such
+file; only a build, or a free-text query, needs the word embeddings.
+Their loader takes the tokens whose rows are wanted, or None for every
+row: a build asks for all of them, a free-text query only for its own.
+The index holds the corpus's ``textprep.TokenizedNews`` records; only a
+build reads their title tokens, so a query over a stored index splits no
+token column.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 from .errors import ConfigError, EmptyCandidatePool, NoKnownTokens
 from .glove import EmbeddingLookup
 from .mind import read_checkpoint, write_checkpoint
-from .model import ModelParams, news_vector, news_vectors, title_rows, usable_history, user_vectors
+from .model import (ModelParams, click_scores, news_vector, news_vectors, title_rows,
+                    usable_history, user_vectors)
 from .textprep import TokenizedNews
 
 SNIPPET_WIDTH = 48
@@ -75,9 +77,9 @@ class CorpusIndex:
     """News vectors for a tokenized corpus, keyed by news id.
 
     Each title is resolved to its ``model.title_rows`` once.  Items with
-    none are dropped (they cannot be scored); ``skipped`` lists their ids.
-    ``items`` are the corpus records of the rows, whose news id, category,
-    raw title and raw abstract the queries read.
+    none are dropped: they cannot be scored.  ``items`` are the corpus
+    records of the rows, whose news id, category, raw title and raw
+    abstract the queries read.
     """
 
     def __init__(self, corpus: Sequence[TokenizedNews], lookup: EmbeddingLookup,
@@ -86,19 +88,16 @@ class CorpusIndex:
                 for item in corpus]
         self.items = [item for item, r in zip(corpus, rows) if len(r)]
         self.by_id = {item.news_id: i for i, item in enumerate(self.items)}
-        self.skipped = tuple(item.news_id for item, r in zip(corpus, rows) if not len(r))
         self.matrix = (news_vectors([r for r in rows if len(r)], lookup.matrix, params)
                        if self.items else np.empty((0, params.config.d_model), lookup.matrix.dtype))
 
     @classmethod
-    def _of_rows(cls, corpus: Sequence[TokenizedNews], items: list[TokenizedNews],
-                 matrix: np.ndarray) -> "CorpusIndex":
-        """The index of ``corpus`` whose row i, ``matrix[i]``, is the vector
-        of ``items[i]``, as ``save_index`` stored it."""
+    def _of_rows(cls, items: list[TokenizedNews], matrix: np.ndarray) -> "CorpusIndex":
+        """The index whose row i, ``matrix[i]``, is the vector of
+        ``items[i]``, as ``save_index`` stored it."""
         index = cls.__new__(cls)
         index.items = items
         index.by_id = {item.news_id: i for i, item in enumerate(items)}
-        index.skipped = tuple(item.news_id for item in corpus if item.news_id not in index.by_id)
         index.matrix = matrix
         return index
 
@@ -132,8 +131,8 @@ def load_or_build_index(path: str, corpus: Sequence[TokenizedNews], lookup: Load
     A file for other inputs or another numpy is stale and ignored, as is
     an ``NRECIDX1`` file, the float64 index of an earlier build.  A file
     with another magic, a cut or garbled header, ids that are not distinct
-    corpus ids, or a payload that is not one ``d_model`` row per id raises
-    ConfigError naming ``path``.
+    corpus ids, or a payload that is not one finite ``d_model`` row per id
+    raises ConfigError naming ``path``.
     """
     if os.path.isfile(path):
         with open(path, "rb") as fh:
@@ -151,10 +150,12 @@ def load_or_build_index(path: str, corpus: Sequence[TokenizedNews], lookup: Load
             if values.size != len(ids) * width:
                 raise ConfigError(f"{path} holds {values.size} values, "
                                   f"not {len(ids)} rows of {width}")
+            if not np.isfinite(values).all():
+                raise ConfigError(f"{path} holds nan or infinite values")
             # a copy: the payload may start at any byte, and numpy may take
             # other kernels over unaligned rows than over a built index's
             matrix = values.reshape(len(ids), width).copy()
-            return CorpusIndex._of_rows(corpus, [by_id[nid] for nid in ids], matrix), blob
+            return CorpusIndex._of_rows([by_id[nid] for nid in ids], matrix), blob
     return CorpusIndex(corpus, lookup(None), params), None
 
 
@@ -166,7 +167,8 @@ def recommend(
     top_n: int = 10,
     user_id: str = "",
 ) -> RecommendationList:
-    """Top candidates for a user, scored by dot product with their vector.
+    """Top candidates for a user, scored by ``model.click_scores``, the
+    click score ``evaluate`` gives.
 
     The user is encoded from ``model.usable_history`` of their clicks, as
     in training and ``evaluate``, by ``model.user_vectors`` over the
@@ -203,11 +205,9 @@ def recommend(
             f"no candidate left to score: of {len(seen)} distinct pool ids, {unknown} are "
             f"not in the corpus index and {clicked} are in the user's history"
         )
-    # one (1, d) @ (d, 1) product per row, stacked: each is the dot product
-    # ``model.score_click`` takes, bit for bit, which ``index.matrix @ uvec`` is not
-    scores = (uvec[None, None, :] @ index.matrix[:, :, None])[:, 0, 0]
+    scores = click_scores(uvec, index.matrix[rows])
     # nsmallest(n, ...) is sorted(...)[:n], without sorting the whole pool
-    scored = heapq.nsmallest(top_n, zip(ids, scores[rows].tolist()),
+    scored = heapq.nsmallest(top_n, zip(ids, scores.tolist()),
                              key=lambda e: (-e[1], e[0]))
     return RecommendationList(
         user_id=user_id,

@@ -104,6 +104,16 @@ class TestConfigHandling:
         assert code == 2
         assert "wrongname" in capsys.readouterr().err
 
+    def test_unknown_field_with_a_line_break_is_one_error_line(self, fixture_dir, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"glove": {}, "\nrun": {}, "\u2028run": {}}))
+        assert cli.main(["stats", "--news", fixture_dir.news, "--behaviors",
+                         fixture_dir.behaviors_train, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "newsrec stats: error: unknown field(s) in config section '<top level>': "
+            "'\\nrun', '\\u2028run'"]
+
     @pytest.mark.parametrize("section, value", [("glove", 5), ("model", None), ("run", [1])])
     def test_non_object_config_section_exits_2(self, fixture_dir, tmp_path, capsys,
                                                 section, value):
@@ -420,10 +430,19 @@ class TestByteOrderMark:
             argv = [command, *(arg for pair in dict(inputs, **{flag: path}).items()
                                for arg in pair), "--out-dir", str(out)]
             assert cli.main(argv) == 0
-            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+            outputs.append({p.name: self.content(p) for p in sorted(out.iterdir())
                             if not p.name.startswith("manifest_")})
         capsys.readouterr()
         assert outputs[0] and outputs[0] == outputs[1]
+
+    @staticmethod
+    def content(path):
+        """A file's bytes; of ``news_index.bin``, its ids and payload, since
+        its header holds the digests of the inputs, a marked one among them."""
+        if path.name != ret.INDEX_FILE:
+            return path.read_bytes()
+        header, values = mind.read_checkpoint(str(path), ret.INDEX_MAGIC, "a news index")
+        return header["ids"], values.tobytes()
 
     def test_second_mark_before_news_drops_the_first_record(self, fixture_dir, tmp_path,
                                                             capsys):
@@ -739,6 +758,54 @@ def sha256_of(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+class TestFloat32Overflow:
+    """Finite inputs too large for float32 arithmetic exit 4 with one error
+    line, not numpy's overflow warnings, and write no output."""
+
+    def check(self, argv, out, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([*argv, "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4 and not caught
+        assert len(err) == 1 and err[0].startswith(f"newsrec {argv[0]}: error: float32 overflow")
+        assert not out.exists() or sorted(p.name for p in out.iterdir()) == [ret.INDEX_FILE]
+
+    def stack(self, pipeline, embeddings=None, model=None):
+        return ["--corpus", pipeline["corpus"],
+                "--embeddings", str(embeddings or pipeline["embeddings"]),
+                "--model", str(model or pipeline["model_bin"])]
+
+    def test_embeddings_near_the_float32_limit(self, pipeline, fixture_dir, tmp_path, capsys):
+        embeddings = tmp_path / "huge.txt"
+        with open(pipeline["embeddings"], encoding="utf-8") as fh:
+            embeddings.write_text("".join(
+                line.split(" ", 1)[0] + "".join(" -3e38" if v.startswith("-") else " 3e38"
+                                                for v in line.split()[1:]) + "\n"
+                for line in fh), encoding="utf-8")
+        self.check(["evaluate", *self.stack(pipeline, embeddings=embeddings),
+                    "--behaviors", fixture_dir.behaviors_test], tmp_path / "eval", capsys)
+
+    def test_model_weights_near_the_float32_limit(self, pipeline, tmp_path, capsys):
+        params = mdl.load_model(pipeline["model_bin"])
+        for enc in (params.news, params.user):
+            enc.weights.data *= np.float32(1e30)
+        model = tmp_path / "model.bin"
+        mdl.save_model(str(model), params)
+        self.check(["recommend", *self.stack(pipeline, model=model), "--history", "N1,N2"],
+                   tmp_path / "rec", capsys)
+
+    def test_index_vectors_near_the_float32_limit(self, pipeline, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "eval"
+        out.mkdir()
+        header, values = mind.read_checkpoint(os.path.join(pipeline["eval"], ret.INDEX_FILE),
+                                              ret.INDEX_MAGIC, "a news index")
+        mind.write_checkpoint(str(out / ret.INDEX_FILE), ret.INDEX_MAGIC, header,
+                              [values * np.float32(1e37)])
+        self.check(["evaluate", *self.stack(pipeline), "--behaviors", fixture_dir.behaviors_test],
+                   out, capsys)
+
+
 class TestRunLifecycle:
     """Every command records what it read and wrote in one manifest."""
 
@@ -1044,6 +1111,74 @@ class TestEvaluate:
                     open(os.path.join(pipeline["eval"], name), "rb") as want:
                 assert got.read() == want.read(), name
 
+    def evaluate(self, pipeline, out, behaviors, embeddings=None):
+        return cli.main(["evaluate", "--corpus", pipeline["corpus"], "--behaviors", str(behaviors),
+                         "--embeddings", str(embeddings or pipeline["embeddings"]),
+                         "--model", pipeline["model_bin"], "--out-dir", str(out)])
+
+    def test_warm_and_fresh_runs_keep_the_bytes_and_share_the_queries_index(
+            self, pipeline, fixture_dir, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "eval"
+        assert self.evaluate(pipeline, out, fixture_dir.behaviors_test) == 0
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a warm evaluate parsed --embeddings")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gl, "load_embeddings", no_parse)
+            assert self.evaluate(pipeline, out, fixture_dir.behaviors_test) == 0
+        for name in ("metrics.json", "prediction.txt", ret.INDEX_FILE):
+            with open(os.path.join(pipeline["eval"], name), "rb") as fh:
+                assert (out / name).read_bytes() == fh.read(), name
+        assert cli.main(["recommend", "--corpus", pipeline["corpus"],
+                         "--embeddings", pipeline["embeddings"], "--model", pipeline["model_bin"],
+                         "--history", "N1", "--out-dir", str(tmp_path / "rec")]) == 0
+        capsys.readouterr()
+        rec_index = tmp_path / "rec" / ret.INDEX_FILE
+        assert rec_index.read_bytes() == (out / ret.INDEX_FILE).read_bytes()
+
+    def test_garbled_index_exits_2_naming_it(self, pipeline, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "eval"
+        out.mkdir()
+        (out / ret.INDEX_FILE).write_bytes(b"NRECIDX2 garbled")
+        assert self.evaluate(pipeline, out, fixture_dir.behaviors_test) == 2
+        assert str(out / ret.INDEX_FILE) in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [ret.INDEX_FILE]
+
+    def test_embeddings_sharing_no_token_score_every_candidate_zero(
+            self, pipeline, fixture_dir, tmp_path, capsys):
+        """No title has a row, so the index is empty: every user is a cold
+        start and every candidate scores 0.0, ranked in candidate order."""
+        dim = int(GLOVE_FLAGS[GLOVE_FLAGS.index("--dim") + 1])
+        embeddings = tmp_path / "foreign.txt"
+        embeddings.write_text("".join(f"qqq{i} " + " ".join(["0.5"] * dim) + "\n"
+                                      for i in range(3)), encoding="utf-8")
+        out = tmp_path / "eval"
+        assert self.evaluate(pipeline, out, fixture_dir.behaviors_test, embeddings) == 0
+        assert "auc 0.5000" in capsys.readouterr().out
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["auc"] == 0.5 and metrics["n_skipped"] == 0
+        with open(out / "prediction.txt", encoding="utf-8") as fh:
+            assert all(ranks == list(range(1, len(ranks) + 1))
+                       for _, ranks in mind.read_predictions(fh))
+        header, values = mind.read_checkpoint(str(out / ret.INDEX_FILE), ret.INDEX_MAGIC,
+                                              "a news index")
+        assert header["ids"] == [] and values.size == 0
+
+    def test_unparseable_behaviors_lines_are_counted(self, pipeline, fixture_dir, tmp_path,
+                                                     capsys):
+        behaviors = tmp_path / "behaviors.tsv"
+        with open(fixture_dir.behaviors_test, encoding="utf-8") as fh:
+            behaviors.write_text(fh.read() + "not\ta behaviors line\n", encoding="utf-8")
+        out = tmp_path / "eval"
+        assert self.evaluate(pipeline, out, fixture_dir.behaviors_test) == 0
+        assert "skipped, 0 unparseable lines)" in capsys.readouterr().out
+        assert self.evaluate(pipeline, out, behaviors) == 0
+        assert "skipped, 1 unparseable lines)" in capsys.readouterr().out
+        for name in ("metrics.json", "prediction.txt"):
+            with open(os.path.join(pipeline["eval"], name), "rb") as fh:
+                assert (out / name).read_bytes() == fh.read(), name
+
 
 class TestQueries:
     def test_recommend_by_user_prefers_their_category(self, pipeline, fixture_dir, capsys):
@@ -1282,6 +1417,11 @@ class TestNewsIndex:
             blob = blob[:-8]
         elif case == "float64_payload":
             blob = blob[:len(blob) - 4 * values.size] + values.astype("<f8").tobytes()
+        elif case in ("nan_payload", "inf_payload"):
+            values = values.copy()
+            values[-1] = np.nan if case == "nan_payload" else -np.inf
+            mind.write_checkpoint(path, b"NRECIDX2", header, [values])
+            return
         elif case in ("unknown_id", "repeated_id", "ids_not_a_list"):
             ids = {"unknown_id": ["ZZZ"] + header["ids"][1:],
                    "repeated_id": header["ids"][1:2] + header["ids"][1:],
@@ -1293,6 +1433,7 @@ class TestNewsIndex:
 
     @pytest.mark.parametrize("case", ["bad_magic", "model_magic", "cut_in_header",
                                       "cut_in_payload", "row_short", "float64_payload",
+                                      "nan_payload", "inf_payload",
                                       "unknown_id", "repeated_id", "ids_not_a_list"])
     @pytest.mark.parametrize("kind", ["user", "id"])
     def test_garbled_index_exits_2_naming_it(self, case, kind, pipeline, fixture_dir, tmp_path,

@@ -253,14 +253,18 @@ class TestEncoders:
 
 class TestScoring:
     def test_orthogonal_vectors_score_zero(self):
-        assert mdl.score_click(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert mdl.click_scores(np.array([1.0, 0.0]), np.array([[0.0, 1.0]])).tolist() == [0.0]
 
     def test_matching_unit_basis_scores_one(self):
         e0 = np.array([1.0, 0.0, 0.0])
-        assert mdl.score_click(e0, e0) == 1.0
+        assert mdl.click_scores(e0, e0[None, :]).tolist() == [1.0]
 
     def test_hand_inner_product(self):
-        assert mdl.score_click(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+        scores = mdl.click_scores(np.array([1.0, 2.0]), np.array([[3.0, 4.0], [0.0, 0.0]]))
+        assert scores.tolist() == [11.0, 0.0]
+
+    def test_no_rows_give_no_scores(self):
+        assert mdl.click_scores(np.ones(3, np.float32), np.empty((0, 3), np.float32)).size == 0
 
 
 class TestNceProbability:
@@ -1209,7 +1213,22 @@ class TestScoreImpressions:
         (uvec,) = mdl.user_vectors(np.stack(hvecs), [range(len(hvecs))], params)
         for (nid, _), got in zip(log.candidates, result.scores):
             want = float(uvec @ mdl.news_vector(title_map[nid], lookup, params))
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got.hex() == want.hex(), nid
+
+    def test_impression_with_no_encodable_candidate_scores_zero(self):
+        logs, title_map, lookup = planted_setup()
+        params = tiny_params()
+        from newsrec.mind import ImpressionLog
+        log = ImpressionLog("1", "U1", "t", logs[0].history, (("NOPE", 1), ("GONE", 0)))
+        index = title_index(title_map, lookup, params)
+        results = mdl.score_impression_logs([log, logs[0]], index.by_id, index.matrix, params)
+        assert results[0].scores == (0.0, 0.0)
+        assert results[0].labels == (1, 0)
+        assert results[1].scores == mdl.score_impression_logs(
+            [logs[0]], index.by_id, index.matrix, params)[0].scores
+        empty = np.empty((0, params.config.d_model), np.float32)
+        (result,) = mdl.score_impression_logs([logs[0]], {}, empty, params)
+        assert result.scores == (0.0,) * len(logs[0].candidates)
 
     def test_inference_builds_no_graph(self, monkeypatch):
         logs, title_map, lookup = planted_setup()
@@ -1266,7 +1285,7 @@ class TestOneTitleRule:
         for s in samples:
             assert not {"LATE", "NONE"} & {*s.history, s.positive, *s.negatives}
         index = title_index(title_map, lookup, params)
-        assert set(index.skipped) == {"LATE", "NONE"}
+        assert {nid for nid in title_map if nid not in index.by_id} == {"LATE", "NONE"}
         assert usable == set(index.by_id)
 
 

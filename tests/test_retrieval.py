@@ -42,7 +42,7 @@ class TestCorpusIndex:
         items, lookup, params, _ = crafted_index()
         items = items + [TokenizedNews("N7", "tech", "s", "zzz", "", "zzz", "")]
         index = ret.CorpusIndex(items, lookup, params)
-        assert index.skipped == ("N7",)
+        assert [item.news_id for item in items if item.news_id not in index.by_id] == ["N7"]
         assert index.vector_of("N7") is None
         assert len(index) == 6
 
@@ -75,9 +75,9 @@ class TestRecommend:
         assert {nid for nid, _ in rec.entries} == {"N2", "N3", "N5", "N6"}
 
     @pytest.mark.parametrize("heads, d_head", [(2, 8), (8, 25), (16, 16)])
-    def test_scores_equal_score_click_bit_for_bit(self, heads, d_head):
-        """The pool's scores come from one stacked product; each must be the
-        float ``score_click`` gives, whatever the width d_model."""
+    def test_scores_equal_the_plain_dot_bit_for_bit(self, heads, d_head):
+        """The pool's scores come from one ``click_scores`` call; each must be
+        the float of the plain 1-D dot product, whatever the width d_model."""
         tokens = [f"w{i}" for i in range(30)]
         lookup = make_lookup(tokens, dim=8, seed=heads)
         params = mdl.init_params(8, mdl.ModelConfig(heads=heads, d_head=d_head, d_attn=16,
@@ -91,7 +91,7 @@ class TestRecommend:
         rec = ret.recommend(history, pool, index, params, top_n=100)
         rows = [index.by_id[nid] for nid in mdl.usable_history(history, index.by_id, 5)]
         (uvec,) = mdl.user_vectors(index.matrix, [rows], params)
-        want = {nid: mdl.score_click(uvec, index.vector_of(nid))
+        want = {nid: float(uvec @ index.vector_of(nid))
                 for nid in pool if nid in index.by_id and nid not in history}
         assert len(rec.entries) == len(want) == 37
         for nid, score in rec.entries:
